@@ -5,39 +5,15 @@ precision estimation problem along a grid of penalties, using a barrier
 formulation with scaling warm starts or conjugate-gradient tangent steps
 and a closed-form block coordinate-descent corrector. Includes an online
 mode that carries a solved instance to a perturbed covariance.
+
+The package namespace holds the library API: the path, online and
+single-penalty solvers, the instance loaders and generator, their
+configuration, problem and result types, and the exceptions. Building
+blocks (kernels, corrector pieces, CG, oracles) live in the submodules.
 """
 
-from .barrier import (
-    BarrierState,
-    Problem,
-    barrier_objective,
-    dual_objective,
-    feasible,
-    gap_bound,
-    initial_point,
-    multipliers,
-    primal_objective,
-    residual,
-    scaling_warm_start,
-)
-from .corrector import (
-    BlockDualValue,
-    BlockPartition,
-    CoordCoefficients,
-    CorrectorConfig,
-    CorrectorStats,
-    CubicCoefficients,
-    block_dual_point,
-    block_objective,
-    coord_coefficients,
-    corrector_run,
-    corrector_solve,
-    cubic_coefficients,
-    make_partition,
-    row_scores,
-    solve_coordinate,
-    solve_diagonal,
-)
+from .barrier import Problem
+from .corrector import CorrectorConfig
 from .data import GeneratorSpec, generate_problem, load_covariance, load_samples
 from .exceptions import (
     AsymmetricInput,
@@ -57,32 +33,14 @@ from .exceptions import (
 )
 from .path import (
     PathConfig,
+    PathFailure,
     PathPoint,
     RegularizationPath,
-    cardinality,
-    default_rho_grid,
-    online_residual,
     run_online,
     run_path,
     solve_at,
 )
-from .predictor import (
-    CGConfig,
-    CGResult,
-    PredictorSystem,
-    build_system,
-    cg_solve,
-    matvec,
-    predictor_step,
-)
-from .reference import OracleConfig, explicit_system, golden_section, newton_solve
-from .symmat import (
-    PDFactor,
-    cholesky_logdet,
-    invert_pd,
-    pd_factor,
-    sub_inverse,
-    swm_update_inverse,
-)
+from .predictor import CGConfig
+from .symmat import PDFactor
 
 __version__ = "0.1.0"

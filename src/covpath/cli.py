@@ -103,12 +103,10 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
 def cmd_solve(args) -> int:
     sigma, meta = _load_instance(args)
     n = sigma.shape[0]
-    t = args.gap_target / (2.0 * n * n)
     corrector_cfg = CorrectorConfig(sweep_fraction=args.sweep_fraction)
     cfg = PathConfig(
         points=args.points,
         rho_min_frac=args.rho_min_frac,
-        t=t,
         gap_target=args.gap_target,
         mode=args.mode,
         zero_tol=args.zero_tol,
@@ -119,13 +117,11 @@ def cmd_solve(args) -> int:
         "points": args.points,
         "rho_min_frac": args.rho_min_frac,
         "gap_target": args.gap_target,
-        "t": t,
+        "t": result.t,
         "mode": args.mode,
         "zero_tol": args.zero_tol,
         "sweep_fraction": args.sweep_fraction,
-        "tol_residual": corrector_cfg.tol_residual
-        if corrector_cfg.tol_residual is not None
-        else 1e-6 * n,
+        "tol_residual": corrector_cfg.residual_tol(n),
         "seed": args.seed,
     }
     summary = data.build_summary(result, meta, config_echo)

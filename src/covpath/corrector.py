@@ -10,7 +10,7 @@ H = L - M - U^{-1}.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,18 @@ from .exceptions import (
     NumericalBreakdown,
 )
 from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse, symmetrize
+
+# Row-kernel limits. A kernel call stops at block tolerance TOL_BLOCK
+# (tightened in corrector_run along with the outer tolerance) or after
+# MAX_INNER_PASSES passes: coordinate-descent passes under the numba
+# backend, Newton iterations under the numpy backend. Closed-form moves
+# stay GUARD_FRAC * rho inside the faces of the box.
+TOL_BLOCK = 1e-9
+MAX_INNER_PASSES = 20
+GUARD_FRAC = 1e-12
+# Row updates between fresh inversions; each compares the rank-2-updated
+# inverse against the fresh one, reports the drift and replaces it.
+REFRESH_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -79,28 +91,23 @@ class BlockDualValue:
 class CorrectorConfig:
     """Knobs for the corrector loop.
 
-    ``tol_residual`` defaults to 1e-6 * n when left as None. A
-    ``sweep_fraction`` below 1 restricts each sweep to the rows with the
-    largest diagonal improvement scores (faster, less stable). The cached
-    inverse is compared against (and replaced by) a fresh inversion every
-    ``refresh_every`` row updates; the observed drift is reported in the
-    run stats. ``tol_block`` and ``max_inner_passes`` bound each row
-    kernel call; ``max_inner_passes`` counts coordinate-descent passes
-    under the numba backend and Newton iterations under the numpy backend.
-    ``tol_block_gap``, when set, adds a secondary stop: the sweep
-    terminates the run once every visited block's duality gap falls below
-    it.
+    ``tol_residual`` left as None takes the default of :meth:`residual_tol`.
+    A ``sweep_fraction`` below 1 restricts each sweep to the rows with the
+    largest diagonal improvement scores (faster, less stable). ``backend``
+    names the row kernel (``"numba"`` or ``"numpy"``; None takes
+    ``kernels.DEFAULT_BACKEND``). The row-kernel limits and the inverse
+    refresh period are the module constants above.
     """
 
     tol_residual: float | None = None
-    tol_block: float = 1e-9
     max_sweeps: int = 500
-    max_inner_passes: int = 20
     sweep_fraction: float = 1.0
-    guard_frac: float = 1e-12
-    refresh_every: int = 50
-    tol_block_gap: float | None = None
     backend: str | None = None
+
+    def residual_tol(self, n: int) -> float:
+        """Stopping tolerance on the residual norm: ``tol_residual``, or
+        1e-6 per dimension of the n x n problem when it is None."""
+        return self.tol_residual if self.tol_residual is not None else 1e-6 * n
 
 
 @dataclass
@@ -112,8 +119,6 @@ class CorrectorStats:
     inner_passes: int = 0
     residual_norm: float = math.inf
     max_inverse_drift: float = 0.0
-    residual_history: list = field(default_factory=list)
-    max_block_gap: float = math.inf
 
 
 def make_partition(p: Problem, U: PDFactor, i: int) -> BlockPartition:
@@ -152,26 +157,16 @@ def block_objective(bp: BlockPartition, p: Problem, t: float) -> float:
 def coord_coefficients(bp: BlockPartition, j: int) -> CoordCoefficients:
     """Quadratic coefficients for coordinate ``j`` of the block's off-diagonal."""
     q = bp.V_inv @ bp.u
-    alpha = -float(bp.V_inv[j, j])
-    beta = -2.0 * float(q[j] - bp.V_inv[j, j] * bp.u[j])
     schur = bp.w - float(bp.u @ q)
-    gamma = schur - alpha * bp.u[j] ** 2 - beta * bp.u[j]
-    return CoordCoefficients(alpha=alpha, beta=beta, gamma=gamma)
+    return CoordCoefficients(
+        *kernels._coord_quadratic(float(bp.V_inv[j, j]), float(q[j]), float(bp.u[j]), schur)
+    )
 
 
 def cubic_coefficients(cc: CoordCoefficients, b_j: float, rho: float, t: float) -> CubicCoefficients:
-    """Stationarity cubic of the 1-D coordinate objective.
-
-    Matches the expansion of d/dx of
-    -log(alpha x^2 + beta x + gamma) - 2t[log(rho+b_j-x) + log(rho-b_j+x)]
-    multiplied through by the (positive) denominators.
-    """
-    a, b, g = cc.alpha, cc.beta, cc.gamma
+    """Stationarity cubic of the 1-D coordinate objective (see ``kernels``)."""
     return CubicCoefficients(
-        p1=2.0 * (1.0 + 2.0 * t) * a,
-        p2=(1.0 + 4.0 * t) * b - 4.0 * (1.0 + t) * a * b_j,
-        p3=4.0 * t * g - 2.0 * (1.0 + 2.0 * t) * b * b_j + 2.0 * a * (b_j * b_j - rho * rho),
-        p4=b * (b_j * b_j - rho * rho) - 4.0 * t * g * b_j,
+        *kernels._cubic_coefficients(cc.alpha, cc.beta, cc.gamma, b_j, rho, t)
     )
 
 
@@ -180,9 +175,8 @@ def solve_coordinate(
 ) -> float:
     """Best feasible root of the coordinate cubic (falls back to x_current)."""
     roots = np.empty(3)
-    guard = 1e-12 * rho
     x_new, status = kernels._solve_coordinate(
-        cc.alpha, cc.beta, cc.gamma, b_j, rho, t, x_current, guard, roots
+        cc.alpha, cc.beta, cc.gamma, b_j, rho, t, x_current, GUARD_FRAC * rho, roots
     )
     if status == kernels.STATUS_BAD_COEFFS:
         raise NumericalBreakdown("cubic solver received non-finite coefficients")
@@ -193,16 +187,18 @@ def solve_diagonal(s: float, c: float, rho: float, t: float) -> float:
     """Feasible root of the diagonal stationarity quadratic."""
     # Sentinel start with +inf objective so any feasible root is accepted.
     w_sentinel = c - rho - 1.0
-    guard = 1e-12 * rho
-    w_new, status = kernels._solve_diagonal(s, c, rho, t, w_sentinel, guard)
+    w_new, status = kernels._solve_diagonal(s, c, rho, t, w_sentinel, GUARD_FRAC * rho)
     if status == kernels.STATUS_NO_DIAG_ROOT:
         raise NoFeasibleRoot("no quadratic root satisfies w > s and |w - c| < rho")
     return float(w_new)
 
 
-def row_scores(p: Problem, U: PDFactor) -> np.ndarray:
-    """Exact dual-objective decrease available from each diagonal-only update."""
-    return (p.rho + np.diagonal(p.sigma) - np.diagonal(U.matrix)) * np.diagonal(U.inverse)
+def row_scores(p: Problem, U: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Exact dual-objective decrease available from each diagonal-only update.
+
+    ``inv`` is the inverse of ``U``; the decrease on row i is log(1 + score_i).
+    """
+    return (p.rho + np.diagonal(p.sigma) - np.diagonal(U)) * np.diagonal(inv)
 
 
 def block_dual_point(bp: BlockPartition, p: Problem, t: float) -> BlockDualValue:
@@ -261,7 +257,7 @@ def _sweep_order(p: Problem, U: np.ndarray, inv: np.ndarray, fraction: float) ->
     n = p.n
     if fraction >= 1.0:
         return np.arange(n)
-    scores = (p.rho + np.diagonal(p.sigma) - np.diagonal(U)) * np.diagonal(inv)
+    scores = row_scores(p, U, inv)
     count = max(1, int(math.ceil(fraction * n)))
     return np.argsort(-scores, kind="stable")[:count]
 
@@ -272,7 +268,7 @@ def corrector_run(
     """Run the corrector and return the solution with its run statistics."""
     cfg = cfg or CorrectorConfig()
     n = p.n
-    tol = cfg.tol_residual if cfg.tol_residual is not None else 1e-6 * n
+    tol = cfg.residual_tol(n)
     U0 = np.asarray(U0, dtype=float)
     if not feasible(p, U0):
         raise Infeasible("corrector starting point is not strictly feasible")
@@ -280,20 +276,19 @@ def corrector_run(
     U = symmetrize(U0)
     inv = invert_pd(U)
     solver = kernels.row_solver(cfg.backend)
-    guard = cfg.guard_frac * p.rho
+    guard = GUARD_FRAC * p.rho
     # A block left about tol_block from its minimizer leaves H entries of
     # that order. CD stops once no coordinate moves by tol_block; Newton
     # stops after a full step whose square, in the Euclidean and in the
     # Hessian norm, is below 1e-3 * tol_block. Tighten the inner stop along
     # with the outer tolerance.
-    tol_block = min(cfg.tol_block, tol / (100.0 * n))
+    tol_block = min(TOL_BLOCK, tol / (100.0 * n))
     stats = CorrectorStats()
     mask_rows = [np.arange(n) != i for i in range(n)]
     updates_since_refresh = 0
 
     while True:
         stats.residual_norm = _residual_norm(p, U, inv, t)
-        stats.residual_history.append(stats.residual_norm)
         if stats.residual_norm <= tol:
             final = pd_factor(U)
             fresh_norm = _residual_norm(p, U, final.inverse, t)
@@ -312,7 +307,6 @@ def corrector_run(
             )
 
         stats.sweeps += 1
-        sweep_gap_max = 0.0
         for i in _sweep_order(p, U, inv, cfg.sweep_fraction):
             mask = mask_rows[i]
             V_inv = sub_inverse(inv, i)
@@ -320,7 +314,7 @@ def corrector_run(
             w_old = float(U[i, i])
             w_new, passes, status = solver(
                 V_inv, u, w_old, p.sigma[i, mask], float(p.sigma[i, i]),
-                p.rho, t, tol_block, cfg.max_inner_passes, guard,
+                p.rho, t, tol_block, MAX_INNER_PASSES, guard,
             )
             stats.inner_passes += passes
             if status == kernels.STATUS_NO_DIAG_ROOT:
@@ -338,31 +332,9 @@ def corrector_run(
                 U[i, i] = w_new
                 stats.row_updates += 1
                 updates_since_refresh += 1
-                if updates_since_refresh >= cfg.refresh_every:
+                if updates_since_refresh >= REFRESH_EVERY:
                     fresh = invert_pd(U)
                     drift = float(np.linalg.norm(inv - fresh))
                     stats.max_inverse_drift = max(stats.max_inverse_drift, drift)
                     inv = fresh
                     updates_since_refresh = 0
-
-            if cfg.tol_block_gap is not None:
-                bp = BlockPartition(
-                    V_inv=V_inv, u=u, w=w_new,
-                    b=p.sigma[i, mask], c=float(p.sigma[i, i]), i=i,
-                )
-                sweep_gap_max = max(sweep_gap_max, block_dual_point(bp, p, t).gap)
-
-        if cfg.tol_block_gap is not None:
-            stats.max_block_gap = sweep_gap_max
-            if sweep_gap_max <= cfg.tol_block_gap:
-                final = pd_factor(U)
-                stats.residual_norm = _residual_norm(p, U, final.inverse, t)
-                return final, stats
-
-
-def corrector_solve(
-    p: Problem, U0: np.ndarray, t: float, cfg: CorrectorConfig | None = None
-) -> PDFactor:
-    """Solve the barrier problem at fixed (rho, t) from a feasible start."""
-    factor, _ = corrector_run(p, U0, t, cfg)
-    return factor

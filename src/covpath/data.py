@@ -149,7 +149,11 @@ def dump_json(path, payload: dict) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Parse a JSON artifact; raises ParseError if it cannot be read or parsed."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def build_summary(path_result, instance: dict, config: dict) -> dict:
@@ -205,6 +209,9 @@ def build_state(sigma: np.ndarray, U: np.ndarray, rho: float, t: float) -> dict:
 def state_arrays(state: dict) -> tuple[np.ndarray, np.ndarray, float, float]:
     if state.get("schema") != STATE_SCHEMA:
         raise ParseError(f"unexpected state schema {state.get('schema')!r}")
-    sigma = np.asarray(state["sigma"], dtype=float)
-    U = np.asarray(state["U"], dtype=float)
-    return sigma, U, float(state["rho"]), float(state["t"])
+    try:
+        sigma = np.asarray(state["sigma"], dtype=float)
+        U = np.asarray(state["U"], dtype=float)
+        return sigma, U, float(state["rho"]), float(state["t"])
+    except KeyError as exc:
+        raise ParseError(f"state is missing the key {exc}") from exc

@@ -15,18 +15,19 @@ to one row/column of U) by different methods:
   (m+1)-variable block with one Cholesky solve per iteration, so the work
   is done in BLAS/LAPACK rather than in a Python loop per coordinate.
 
-The default is selected once at import time from the environment variable
-``COVPATH_BACKEND`` (``"numba"`` or ``"numpy"``); callers can also request
-a backend explicitly via :func:`row_solver`. Both backends stop at the
-block tolerance, so they agree on the block minimizer to that tolerance,
-not to roundoff, and their pass counts differ (coordinate sweeps against
-Newton iterations). ``benchmarks/compare_backends.py`` times one against
-the other.
+The default is ``numba`` whenever numba imports and ``numpy`` otherwise;
+callers can request a backend explicitly via :func:`row_solver`. The
+scalar helpers carry ``@_njit``, which compiles them under numba and leaves
+them plain Python without it; the corrector's coordinate-level functions
+call the same helpers, so each closed form is written once.
+
+Both backends stop at the block tolerance, so they agree on the block
+minimizer to that tolerance, not to roundoff, and their pass counts differ
+(coordinate sweeps against Newton iterations).
+``benchmarks/compare_backends.py`` times one against the other.
 """
 
 import math
-import os
-import types
 
 import numpy as np
 from scipy.linalg.blas import dsyr as _dsyr
@@ -45,21 +46,16 @@ STATUS_NO_DIAG_ROOT = 1
 STATUS_BAD_COEFFS = 2
 STATUS_INFEASIBLE = 3
 
-
-def _env_backend() -> str:
-    choice = os.environ.get("COVPATH_BACKEND", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+_njit = numba.njit(cache=True) if HAVE_NUMBA else (lambda fn: fn)
 
 
 # --------------------------------------------------------------------------
-# Scalar coordinate-descent kernels, written in njit-compatible style.
-# Compiled twins are created at the bottom of the module when numba is
-# available.
+# Scalar coordinate-descent kernels, written in njit-compatible style and
+# compiled in place when numba is available.
 # --------------------------------------------------------------------------
 
 
+@_njit
 def _real_cubic_roots(c3, c2, c1, c0, roots):
     """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 = 0 (c3 != 0).
 
@@ -118,6 +114,35 @@ def _real_cubic_roots(c3, c2, c1, c0, roots):
     return 3
 
 
+@_njit
+def _coord_quadratic(vjj, qj, uj, schur):
+    """Quadratic alpha x^2 + beta x + gamma tracing w - u^T V_inv u in x = u_j.
+
+    Takes V_inv[j, j], q[j] = (V_inv u)[j], u[j] and the current Schur
+    value w - u^T V_inv u; returns (alpha, beta, gamma).
+    """
+    alpha = -vjj
+    beta = -2.0 * (qj - vjj * uj)
+    gamma = schur - alpha * uj * uj - beta * uj
+    return alpha, beta, gamma
+
+
+@_njit
+def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
+    """Stationarity cubic p1 x^3 + p2 x^2 + p3 x + p4 of the coordinate objective.
+
+    Matches the expansion of d/dx of
+    -log(alpha x^2 + beta x + gamma) - 2t[log(rho+bj-x) + log(rho-bj+x)]
+    multiplied through by the (positive) denominators.
+    """
+    p1 = 2.0 * (1.0 + 2.0 * t) * alpha
+    p2 = (1.0 + 4.0 * t) * beta - 4.0 * (1.0 + t) * alpha * bj
+    p3 = 4.0 * t * gamma - 2.0 * (1.0 + 2.0 * t) * beta * bj + 2.0 * alpha * (bj * bj - rho * rho)
+    p4 = beta * (bj * bj - rho * rho) - 4.0 * t * gamma * bj
+    return p1, p2, p3, p4
+
+
+@_njit
 def _coord_objective(x, alpha, beta, gamma, bj, rho, t):
     """1-D block objective along an off-diagonal coordinate."""
     quad = alpha * x * x + beta * x + gamma
@@ -128,6 +153,7 @@ def _coord_objective(x, alpha, beta, gamma, bj, rho, t):
     return -math.log(quad) - 2.0 * t * (math.log(lo) + math.log(hi))
 
 
+@_njit
 def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard, roots):
     """Minimize the 1-D off-diagonal objective; returns (x_new, status).
 
@@ -138,11 +164,7 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard, roots):
     polish on the derivative, accepted only if it stays feasible and does
     not increase the objective.
     """
-    p1 = 2.0 * (1.0 + 2.0 * t) * alpha
-    p2 = (1.0 + 4.0 * t) * beta - 4.0 * (1.0 + t) * alpha * bj
-    p3 = 4.0 * t * gamma - 2.0 * (1.0 + 2.0 * t) * beta * bj + 2.0 * alpha * (bj * bj - rho * rho)
-    p4 = beta * (bj * bj - rho * rho) - 4.0 * t * gamma * bj
-
+    p1, p2, p3, p4 = _cubic_coefficients(alpha, beta, gamma, bj, rho, t)
     nroots = _real_cubic_roots(p1, p2, p3, p4, roots)
     if nroots < 0:
         return x_cur, STATUS_BAD_COEFFS
@@ -194,6 +216,7 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard, roots):
     return best_x, STATUS_OK
 
 
+@_njit
 def _diag_objective(w, s, c, rho, t):
     schur = w - s
     lo = rho + c - w
@@ -203,6 +226,7 @@ def _diag_objective(w, s, c, rho, t):
     return -math.log(schur) - t * (math.log(lo) + math.log(hi))
 
 
+@_njit
 def _solve_diagonal(s, c, rho, t, w_cur, guard):
     """Minimize the 1-D diagonal objective; returns (w_new, status).
 
@@ -293,9 +317,7 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
         passes += 1
         max_delta = 0.0
         for j in range(m):
-            alpha = -V_inv[j, j]
-            beta = -2.0 * (q[j] - V_inv[j, j] * u[j])
-            gamma = (w - s) - alpha * u[j] * u[j] - beta * u[j]
+            alpha, beta, gamma = _coord_quadratic(V_inv[j, j], q[j], u[j], w - s)
             x_new, st = _solve_coordinate(alpha, beta, gamma, b[j], rho, t, u[j], guard, roots)
             if st != STATUS_OK:
                 status = st
@@ -416,32 +438,12 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     return float(z[m]), passes, status
 
 
-# --------------------------------------------------------------------------
-# numba backend: compile the scalar kernels with their helper references
-# rebound to the compiled versions.
-# --------------------------------------------------------------------------
-
-
-def _rebind(fn, ns):
-    return types.FunctionType(fn.__code__, ns, fn.__name__, fn.__defaults__)
-
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True)
-    _jit_ns = dict(globals())
-    _jit_ns["_real_cubic_roots"] = _njit(_real_cubic_roots)
-    _jit_ns["_coord_objective"] = _njit(_coord_objective)
-    _jit_ns["_diag_objective"] = _njit(_diag_objective)
-    _jit_ns["_solve_coordinate"] = _njit(_rebind(_solve_coordinate, _jit_ns))
-    _jit_ns["_solve_diagonal"] = _njit(_rebind(_solve_diagonal, _jit_ns))
-    row_inner_numba = _njit(_rebind(_row_inner_loops, _jit_ns))
-else:  # pragma: no cover - exercised only without numba
-    row_inner_numba = None
+row_inner_numba = _njit(_row_inner_loops) if HAVE_NUMBA else None
 
 
 _SOLVERS = {"numpy": row_inner_numpy, "numba": row_inner_numba}
 
-DEFAULT_BACKEND = _env_backend()
+DEFAULT_BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
 def available_backends() -> tuple[str, ...]:
@@ -449,7 +451,7 @@ def available_backends() -> tuple[str, ...]:
 
 
 def row_solver(backend: str | None = None):
-    """Return the row-block kernel for ``backend`` (default from env)."""
+    """Return the row-block kernel for ``backend`` (default ``DEFAULT_BACKEND``)."""
     name = backend or DEFAULT_BACKEND
     if name not in _SOLVERS:
         raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")

@@ -24,7 +24,7 @@ from .barrier import (
     residual,
     scaling_warm_start,
 )
-from .corrector import CorrectorConfig, CorrectorStats, corrector_run
+from .corrector import CorrectorConfig, corrector_run
 from .exceptions import Infeasible, MaxSweepsExceeded
 from .predictor import (
     CGConfig,
@@ -44,8 +44,8 @@ class PathConfig:
 
     ``rho_grid`` defaults to 50 log-spaced penalties from rho_max down to
     ``rho_min_frac * rho_max`` (strictly descending). The barrier weight is
-    ``t`` when given, otherwise ``gap_target / (2 n^2)`` so the surrogate
-    duality gap bound equals ``gap_target`` at every point.
+    ``t`` when given, otherwise it is set from ``gap_target`` so that the
+    surrogate duality gap bound 2 n^2 t equals ``gap_target`` at every point.
     """
 
     rho_grid: np.ndarray | None = None
@@ -134,10 +134,6 @@ def _validate_grid(grid: np.ndarray, rho_max: float) -> np.ndarray:
     return grid
 
 
-def _solve_point(problem, U_start, t, cfg) -> tuple[PDFactor, CorrectorStats]:
-    return corrector_run(problem, U_start, t, cfg.corrector)
-
-
 def _make_point(problem, factor, t, cfg, cg_iterations, sweeps, wall_time) -> PathPoint:
     X = factor.inverse
     return PathPoint(
@@ -204,7 +200,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
             U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
 
         try:
-            factor, stats = _solve_point(problem, U_start, t, cfg)
+            factor, stats = corrector_run(problem, U_start, t, cfg.corrector)
         except MaxSweepsExceeded as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:

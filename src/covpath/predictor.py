@@ -97,27 +97,21 @@ def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
     )
 
 
-def predictor_direction(
-    p: Problem, U: PDFactor, t: float, cfg: CGConfig | None = None
-) -> CGResult:
-    """CG solve of the tangent system at the current iterate."""
-    return cg_solve(build_system(p, U, t), cfg)
-
-
 def predictor_step_detail(
     p: Problem, U: PDFactor, t: float, h: float, cfg: CGConfig | None = None
 ) -> tuple[np.ndarray, float, CGResult]:
     """Tangent step with feasibility backtracking.
 
-    Returns (U_new, h_used, cg_result). The step is halved (direction
-    reused, target penalty rho + h_used moving with it) until the result is
+    Returns (U_new, h_used, cg_result), where cg_result is the CG solve of
+    the tangent system at ``U``. The step is halved (direction reused,
+    target penalty rho + h_used moving with it) until the result is
     strictly feasible, at most 30 times; StepCollapse is raised beyond that.
     """
     if h == 0.0:
         return U.matrix.copy(), 0.0, CGResult(
             direction=np.zeros_like(U.matrix), iterations=0, converged=True, rel_residual=0.0
         )
-    result = predictor_direction(p, U, t, cfg)
+    result = cg_solve(build_system(p, U, t), cfg)
     h_used = h
     for _ in range(31):
         rho_new = p.rho + h_used
@@ -127,10 +121,3 @@ def predictor_step_detail(
                 return U_try, h_used, result
         h_used *= 0.5
     raise StepCollapse("predictor step infeasible even after 30 halvings")
-
-
-def predictor_step(p: Problem, U: PDFactor, t: float, h: float,
-                   cfg: CGConfig | None = None) -> np.ndarray:
-    """Feasible tangent step U + h dU/drho (h halved as needed)."""
-    U_new, _, _ = predictor_step_detail(p, U, t, h, cfg)
-    return U_new

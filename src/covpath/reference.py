@@ -1,9 +1,9 @@
 """Slow trusted oracles: dense Newton solve, golden-section search, and the
 explicit n^2 x n^2 tangent-system operator.
 
-These exist for validation, not speed. They ship with the library (rather
-than living in test files) so the CLI's ``verify`` machinery and the test
-suite share one implementation.
+These exist for validation, not speed: the test suite checks the
+corrector, the row kernels and the tangent system against them. They ship
+with the library so that other code can check a solve the same way.
 """
 
 import math

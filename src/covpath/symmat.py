@@ -38,13 +38,6 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     return chol, float(2.0 * np.sum(np.log(d)))
 
 
-def invert_pd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric PD matrix via Cholesky; output is symmetric."""
-    chol, _ = cholesky_logdet(m)
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(m.shape[0]))
-    return symmetrize(inv)
-
-
 def is_pd(m: np.ndarray) -> bool:
     """True iff ``m`` passes the Cholesky pivot test."""
     try:
@@ -72,6 +65,11 @@ def pd_factor(m: np.ndarray) -> PDFactor:
     chol, logdet = cholesky_logdet(m)
     inv = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m.shape[0])))
     return PDFactor(matrix=np.array(m, dtype=float), logdet=logdet, inverse=inv)
+
+
+def invert_pd(m: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric PD matrix via Cholesky; output is symmetric."""
+    return pd_factor(m).inverse
 
 
 def swm_update_inverse(

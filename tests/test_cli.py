@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covpath.cli import main
-from covpath.data import load_json, load_matrix, write_matrix
+from covpath.data import build_state, dump_json, load_json, load_matrix, write_matrix
 
 
 def run_cli(*args):
@@ -126,6 +126,10 @@ class TestVerify:
         write_matrix(out / "X_002.csv", X)
         assert run_cli("verify", out) == 3
 
+    def test_missing_summary_is_input_error(self, tmp_path, capsys):
+        assert run_cli("verify", tmp_path) == 2
+        assert "input error:" in capsys.readouterr().err
+
 
 class TestOnlineCmd:
     def _solved_state(self, tmp_path):
@@ -167,6 +171,16 @@ class TestOnlineCmd:
         pert = tmp_path / "c.csv"
         write_matrix(pert, np.zeros((4, 4)))
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
+
+    def test_state_without_u_is_input_error(self, tmp_path, capsys):
+        state = build_state(np.eye(3), np.eye(3), 0.5, 1e-4)
+        del state["U"]
+        state_path = tmp_path / "state.json"
+        dump_json(state_path, state)
+        pert = tmp_path / "c.csv"
+        write_matrix(pert, np.zeros((3, 3)))
+        assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
+        assert "input error:" in capsys.readouterr().err
 
 
 class TestBench:

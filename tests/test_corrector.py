@@ -13,7 +13,6 @@ from covpath.corrector import (
     block_objective,
     coord_coefficients,
     corrector_run,
-    corrector_solve,
     cubic_coefficients,
     make_partition,
     row_scores,
@@ -276,7 +275,7 @@ class TestRowScores:
         p = Problem(sigma=sigma, rho=3.0)
         eps = 0.05
         U = pd_factor(initial_point(Problem(sigma=sigma, rho=3.0), eps))
-        scores = row_scores(p, U)
+        scores = row_scores(p, U.matrix, U.inverse)
         expected = eps * 3.0 / np.diag(U.matrix)
         assert np.allclose(scores, expected, rtol=1e-12)
 
@@ -284,13 +283,13 @@ class TestRowScores:
         sigma = np.diag([1.0, 2.0])
         p = Problem(sigma=sigma, rho=0.5)
         U = pd_factor(np.diag([1.5, 2.5]))  # U_ii = sigma_ii + rho
-        assert np.allclose(row_scores(p, U), 0.0, atol=1e-15)
+        assert np.allclose(row_scores(p, U.matrix, U.inverse), 0.0, atol=1e-15)
 
     def test_argmax_score_gives_largest_diagonal_improvement(self):
         rng = np.random.default_rng(27)
         p = random_instance(rng, 4)
         U = pd_factor(random_feasible_point(rng, p))
-        scores = row_scores(p, U)
+        scores = row_scores(p, U.matrix, U.inverse)
         # exact dual-objective decrease of the best diagonal-only move is
         # log(1 + delta_i); computed freshly per row as the oracle
         decreases = []
@@ -311,7 +310,7 @@ class TestCorrectorSolve:
         p = Problem(sigma=sigma, rho=rho)
         U0 = initial_point(Problem(sigma=sigma, rho=p.rho_max), 0.01)
         U0 = U0 * rho / p.rho_max + sigma * (1 - rho / p.rho_max)
-        factor = corrector_solve(p, U0, t, CorrectorConfig(tol_residual=1e-11))
+        factor = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-11))[0]
         off = factor.matrix - np.diag(np.diag(factor.matrix))
         assert np.abs(off).max() <= 1e-11
         for i in range(3):
@@ -331,9 +330,9 @@ class TestCorrectorSolve:
         p = Problem(sigma=sigma, rho=rho)
         # ||H|| has a cancellation floor ~ eps * scale / t, so the stop
         # tolerance must sit above it at this tiny t.
-        factor = corrector_solve(
+        factor = corrector_run(
             p, np.diag([1.2, 2.2]), t, CorrectorConfig(tol_residual=1e-6)
-        )
+        )[0]
         assert np.allclose(np.diag(factor.matrix), np.diag(sigma) + rho, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -342,7 +341,7 @@ class TestCorrectorSolve:
         p = random_instance(rng, 4, density=0.6)
         t = 1e-3 / 32
         U0 = random_feasible_point(rng, p)
-        factor = corrector_solve(p, U0, t, CorrectorConfig(tol_residual=1e-10))
+        factor = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-10))[0]
         ref = central_point(p, t, OracleConfig(tol=1e-10))
         assert np.linalg.norm(factor.matrix - ref.matrix) <= 1e-5
 
@@ -364,13 +363,13 @@ class TestCorrectorSolve:
     def test_infeasible_start_rejected(self):
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
         with pytest.raises(Infeasible):
-            corrector_solve(p, np.diag([2.0, 3.0]), 1e-3)
+            corrector_run(p, np.diag([2.0, 3.0]), 1e-3)
 
     def test_max_sweeps_carries_best_iterate(self):
         rng = np.random.default_rng(29)
         p = random_instance(rng, 4, density=0.6)
         with pytest.raises(MaxSweepsExceeded) as err:
-            corrector_solve(
+            corrector_run(
                 p, random_feasible_point(rng, p), 1e-4,
                 CorrectorConfig(tol_residual=1e-300, max_sweeps=2),
             )
@@ -386,7 +385,7 @@ class TestCorrectorSolve:
         cfg = CorrectorConfig(tol_residual=1e-9, sweep_fraction=0.34, max_sweeps=200)
         factor, stats = corrector_run(p, U0, t, cfg)
         assert stats.residual_norm <= 1e-9
-        full = corrector_solve(p, U0, t, CorrectorConfig(tol_residual=1e-9))
+        full = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-9))[0]
         assert np.linalg.norm(factor.matrix - full.matrix) <= 1e-7
 
     @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
@@ -398,7 +397,7 @@ class TestCorrectorSolve:
         out = {}
         for backend in ("numba", "numpy"):
             cfg = CorrectorConfig(tol_residual=1e-9, backend=backend)
-            out[backend] = corrector_solve(p, U0, t, cfg).matrix
+            out[backend] = corrector_run(p, U0, t, cfg)[0].matrix
         assert np.linalg.norm(out["numba"] - out["numpy"]) <= 1e-8
 
 
@@ -410,8 +409,8 @@ class TestBlockDual:
         rng = np.random.default_rng(31)
         p = random_instance(rng, 5, density=0.5)
         t = 1e-2
-        factor = corrector_solve(p, random_feasible_point(rng, p), t,
-                                 CorrectorConfig(tol_residual=1e-11))
+        factor = corrector_run(p, random_feasible_point(rng, p), t,
+                               CorrectorConfig(tol_residual=1e-11))[0]
         for i in range(5):
             bp = make_partition(p, factor, i)
             bd = block_dual_point(bp, p, t)

@@ -82,14 +82,14 @@ class TestBackendAgreement:
         assert np.array_equal(u, np.zeros(2))
 
 
-class TestEnvSelection:
-    def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.setenv("COVPATH_BACKEND", "numpy")
-        assert kernels._env_backend() == "numpy"
-        monkeypatch.setenv("COVPATH_BACKEND", "numba")
-        assert kernels._env_backend() == "numba"
-        monkeypatch.delenv("COVPATH_BACKEND")
-        assert kernels._env_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
+class TestDefaultBackend:
+    def test_default_follows_numba_import(self):
+        assert kernels.DEFAULT_BACKEND == ("numba" if kernels.HAVE_NUMBA else "numpy")
+        assert kernels.row_solver() is kernels.row_solver(kernels.DEFAULT_BACKEND)
+        if not kernels.HAVE_NUMBA:
+            assert kernels.row_solver() is kernels.row_inner_numpy
+            with pytest.raises(ValueError, match="not installed"):
+                kernels.row_solver("numba")
 
 
 class TestCubicRoots:

@@ -12,7 +12,6 @@ from covpath.predictor import (
     build_system,
     cg_solve,
     matvec,
-    predictor_step,
     predictor_step_detail,
 )
 from covpath.reference import explicit_system
@@ -153,7 +152,7 @@ class TestPredictorStep:
         rng = np.random.default_rng(59)
         p = random_instance(rng, 4)
         factor = pd_factor(random_feasible_point(rng, p))
-        out = predictor_step(p, factor, 1e-3, 0.0)
+        out = predictor_step_detail(p, factor, 1e-3, 0.0)[0]
         assert np.array_equal(out, factor.matrix)
 
     def test_scalar_analytic_path_second_order_accuracy(self):

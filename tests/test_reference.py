@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from conftest import random_feasible_point, random_instance
 from covpath.barrier import Problem, residual
-from covpath.corrector import CorrectorConfig, corrector_solve
+from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.exceptions import MaxItersExceeded
 from covpath.reference import (
     OracleConfig,
@@ -55,7 +55,7 @@ class TestNewtonSolve:
         t = 1e-4
         U0 = random_feasible_point(rng, p)
         newton = newton_solve(p, U0, t, OracleConfig(tol=1e-11))
-        cd = corrector_solve(p, U0, t, CorrectorConfig(tol_residual=1e-10))
+        cd = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-10))[0]
         assert np.linalg.norm(newton.matrix - cd.matrix) <= 1e-5
 
     def test_max_iters_raises(self):

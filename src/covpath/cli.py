@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data
+from . import data, kernels
 from .barrier import Problem, multipliers
 from .corrector import CorrectorConfig
 from .exceptions import (
@@ -205,6 +205,7 @@ def cmd_bench(args) -> int:
             )
     report = {
         "schema": data.BENCH_SCHEMA,
+        "backend": kernels.DEFAULT_BACKEND,
         "seed": args.seed,
         "repeats": args.repeats,
         "cells": cells,
@@ -219,15 +220,21 @@ def cmd_bench(args) -> int:
 def _verify_run_dir(run_dir: Path) -> list[str]:
     """Re-validate an emitted run; returns a list of failure messages."""
     failures = []
-    summary = data.load_json(run_dir / "summary.json")
+    summary_path = run_dir / "summary.json"
+    summary = data.load_json(summary_path)
+    if not isinstance(summary, dict):
+        raise ParseError(f"{summary_path}: not a JSON object")
     if summary.get("schema") != data.SUMMARY_SCHEMA:
         return [f"unexpected summary schema {summary.get('schema')!r}"]
-    points = summary["points"]
+    try:
+        points = summary["points"]
+        tol = float(summary["config"]["tol_residual"])
+        zero_tol = float(summary["config"]["zero_tol"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{summary_path}: no usable points/config ({exc!r})") from exc
     rhos = [pt["rho"] for pt in points]
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         failures.append("points are not strictly descending in rho")
-    tol = float(summary["config"]["tol_residual"])
-    zero_tol = float(summary["config"]["zero_tol"])
     sigma = None
     state_path = run_dir / "state.json"
     if state_path.exists():

@@ -284,7 +284,6 @@ def corrector_run(
     # with the outer tolerance.
     tol_block = min(TOL_BLOCK, tol / (100.0 * n))
     stats = CorrectorStats()
-    mask_rows = [np.arange(n) != i for i in range(n)]
     updates_since_refresh = 0
 
     while True:
@@ -296,7 +295,8 @@ def corrector_run(
                 stats.residual_norm = fresh_norm
                 return final, stats
             # Cached inverse was flattering the residual; resync and go on.
-            inv = final.inverse
+            # Row updates rewrite inv in place, so it must not be final's.
+            inv = final.inverse.copy()
             continue
         if stats.sweeps >= cfg.max_sweeps:
             raise MaxSweepsExceeded(
@@ -308,13 +308,13 @@ def corrector_run(
 
         stats.sweeps += 1
         for i in _sweep_order(p, U, inv, cfg.sweep_fraction):
-            mask = mask_rows[i]
             V_inv = sub_inverse(inv, i)
-            u = U[i, mask].copy()
+            old_row = np.concatenate((U[i, :i], U[i, i + 1:]))
+            u = old_row.copy()
             w_old = float(U[i, i])
             w_new, passes, status = solver(
-                V_inv, u, w_old, p.sigma[i, mask], float(p.sigma[i, i]),
-                p.rho, t, tol_block, MAX_INNER_PASSES, guard,
+                V_inv, u, w_old, np.concatenate((p.sigma[i, :i], p.sigma[i, i + 1:])),
+                float(p.sigma[i, i]), p.rho, t, tol_block, MAX_INNER_PASSES, guard,
             )
             stats.inner_passes += passes
             if status == kernels.STATUS_NO_DIAG_ROOT:
@@ -324,11 +324,10 @@ def corrector_run(
             if status == kernels.STATUS_INFEASIBLE:
                 raise Infeasible(f"row {i} left the feasible region")
 
-            old_row = U[i, mask]
             if w_new != w_old or not np.array_equal(u, old_row):
-                inv = swm_update_inverse(inv, i, u, w_new, old_row, w_old)
-                U[i, mask] = u
-                U[mask, i] = u
+                swm_update_inverse(inv, i, u, w_new, old_row, w_old)
+                U[i, :i] = U[:i, i] = u[:i]
+                U[i, i + 1:] = U[i + 1:, i] = u[i:]
                 U[i, i] = w_new
                 stats.row_updates += 1
                 updates_since_refresh += 1

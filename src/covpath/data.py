@@ -135,6 +135,8 @@ def _to_jsonable(value):
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":  # tolist() already yields plain Python numbers
+            return value.tolist()
         return [_to_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {k: _to_jsonable(v) for k, v in value.items()}
@@ -207,6 +209,8 @@ def build_state(sigma: np.ndarray, U: np.ndarray, rho: float, t: float) -> dict:
 
 
 def state_arrays(state: dict) -> tuple[np.ndarray, np.ndarray, float, float]:
+    if not isinstance(state, dict):
+        raise ParseError(f"state must be a JSON object, not {type(state).__name__}")
     if state.get("schema") != STATE_SCHEMA:
         raise ParseError(f"unexpected state schema {state.get('schema')!r}")
     try:

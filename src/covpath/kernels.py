@@ -13,7 +13,8 @@ to one row/column of U) by different methods:
   reference the tests hold the numpy backend to.
 * ``numpy`` -- :func:`row_inner_numpy`, damped Newton on the whole
   (m+1)-variable block with one Cholesky solve per iteration, so the work
-  is done in BLAS/LAPACK rather than in a Python loop per coordinate.
+  is done in BLAS/LAPACK rather than in a Python loop per coordinate. It
+  starts from the closed-form diagonal move of the CD kernel.
 
 The default is ``numba`` whenever numba imports and ``numpy`` otherwise;
 callers can request a backend explicitly via :func:`row_solver`. The
@@ -363,11 +364,13 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     box, Newton only doubles the small slack per step, and those steps are
     tiny long before the slack is right.
 
-    ``guard`` is accepted for the shared kernel signature; the damping keeps
-    every slack positive instead. A start outside the box returns
-    ``STATUS_INFEASIBLE`` with ``u`` untouched; a Newton system that is not
-    positive definite, or whose step is not finite, returns
-    ``STATUS_BAD_COEFFS``.
+    A feasible start first moves ``w`` to its closed-form 1-D minimizer
+    given ``u`` (:func:`_solve_diagonal`, the CD kernel's diagonal step,
+    which stays ``guard`` inside the faces); the move is kept only if that
+    solve succeeds. After it, the damping keeps every slack positive. A
+    start outside the box returns ``STATUS_INFEASIBLE`` with ``u`` and
+    ``w`` untouched; a Newton system that is not positive definite, or
+    whose step is not finite, returns ``STATUS_BAD_COEFFS``.
 
     Returns (w, passes, status), where passes counts Newton iterations.
     """
@@ -387,19 +390,33 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     passes = 0
     while passes < max_passes:
         q = V_inv @ z[:m]
-        r = z[m] - z[:m] @ q
+        s = z[:m] @ q
+        r = z[m] - s
         lo = upper - z
         hi = z - lower
         if not (r > 0.0 and lo.min() > 0.0 and hi.min() > 0.0):
             status = STATUS_INFEASIBLE
             break
+        if passes == 0:
+            # Closed-form diagonal start: move w to its 1-D minimizer given
+            # u, as the CD kernel's diagonal step does. From a diagonal slack
+            # orders of magnitude off its optimum, fraction-to-boundary
+            # damping would walk it there about 100x per Newton iteration.
+            w0, st = _solve_diagonal(s, c, rho, t, z[m], guard)
+            if st == STATUS_OK:
+                z[m] = w0
+                r = w0 - s
+                lo[m] = upper[m] - w0
+                hi[m] = w0 - lower[m]
         passes += 1
         ilo = 1.0 / lo
         ihi = 1.0 / hi
         np.multiply(q, -2.0, out=e[:m])
         g = wt * (ilo - ihi)
         g -= e / r
-        np.multiply(V_inv, 2.0 / r, out=H[:m, :m])
+        # V_inv is symmetric: its transpose is the same matrix in H's
+        # Fortran order, which makes this a contiguous copy.
+        np.multiply(V_inv.T, 2.0 / r, out=H[:m, :m])
         H[:, m] = 0.0
         _dsyr(1.0 / (r * r), e, a=H, overwrite_a=1)
         H_diag += wt * (ilo * ilo + ihi * ihi)

@@ -2,14 +2,17 @@
 
 Factorization, log-determinant, inversion, rank-structured inverse updates
 after a row/column replacement, and sub-inverse extraction. Everything
-operates on plain float64 numpy arrays; symmetry is preserved by explicit
-symmetrization where floating point could break it.
+operates on plain float64 numpy arrays. Fresh inverses are symmetrized
+explicitly; the O(n^2) updates of a symmetric inverse add ``±y y^T`` terms
+only, which keep it exactly symmetric.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dger as _dger
 
 from .exceptions import NotPositiveDefinite, SingularUpdate
 
@@ -72,6 +75,19 @@ def invert_pd(m: np.ndarray) -> np.ndarray:
     return pd_factor(m).inverse
 
 
+def _add_outer(a: np.ndarray, sign: float, y: np.ndarray) -> None:
+    """``a += sign * y y^T`` in place, with ``sign`` = +1 or -1.
+
+    Entry (i, j) receives ``±y_i y_j`` and entry (j, i) ``±y_j y_i``, the same
+    product, so an exactly symmetric ``a`` stays exactly symmetric.
+    """
+    if a.flags.c_contiguous:
+        # BLAS sees the transposed (Fortran-order) view; y y^T is symmetric.
+        _dger(sign, y, y, a=a.T, overwrite_a=1)
+    else:
+        a += sign * np.outer(y, y)
+
+
 def swm_update_inverse(
     inv: np.ndarray,
     i: int,
@@ -80,28 +96,35 @@ def swm_update_inverse(
     old_row: np.ndarray,
     old_diag: float,
 ) -> np.ndarray:
-    """Inverse of U after replacing its row/column ``i``, in O(n^2).
+    """Update ``inv`` in place to the inverse of U after replacing its
+    row/column ``i``, in O(n^2); returns ``inv``.
 
-    ``inv`` is the inverse of the current U; ``old_row``/``old_diag`` are the
-    off-diagonal entries (positions != i, ascending) and diagonal entry of
-    row i of that U, and ``new_row``/``new_diag`` the replacement values.
-    The replacement is the symmetric rank-2 update ``U + e_i d^T + d e_i^T``
-    with ``d[i] = (new_diag - old_diag)/2``, inverted with the
-    Sherman-Woodbury-Morrison identity.
+    ``inv`` is the (symmetric) inverse of the current U; ``old_row``/
+    ``old_diag`` are the off-diagonal entries (positions != i, ascending) and
+    diagonal entry of row i of that U, and ``new_row``/``new_diag`` the
+    replacement values. The replacement is the symmetric rank-2 update
+    ``U + e_i d^T + d e_i^T`` with ``d[i] = (new_diag - old_diag)/2``,
+    inverted with the Sherman-Woodbury-Morrison identity and applied as two
+    signed symmetric rank-1 updates, so a symmetric ``inv`` stays exactly
+    symmetric.
 
-    Raises SingularUpdate when the 2x2 capacitance matrix is numerically
-    singular (the updated matrix would not be PD).
+    Raises SingularUpdate, leaving ``inv`` untouched, when the 2x2
+    capacitance matrix is numerically singular (the updated matrix would not
+    be PD).
     """
     n = inv.shape[0]
-    d = np.zeros(n)
-    mask = np.arange(n) != i
-    d[mask] = np.asarray(new_row, dtype=float) - np.asarray(old_row, dtype=float)
+    new_row = np.asarray(new_row, dtype=float)
+    old_row = np.asarray(old_row, dtype=float)
+    d = np.empty(n)
+    np.subtract(new_row[:i], old_row[:i], out=d[:i])
+    np.subtract(new_row[i:], old_row[i:], out=d[i + 1:])
     d[i] = 0.5 * (new_diag - old_diag)
     if not np.any(d):
-        return inv.copy()
+        return inv
 
-    # U_new = U + A B^T with A = [e_i, d], B = [d, e_i].
-    inv_ei = inv[:, i]
+    # U_new = U + A B^T with A = [e_i, d], B = [d, e_i]. Row i of the
+    # symmetric inv is its column i; copy it, since inv is overwritten below.
+    inv_ei = inv[i].copy()
     inv_d = inv @ d
     # capacitance S = I2 + B^T inv A
     s11 = 1.0 + d @ inv_ei
@@ -112,26 +135,41 @@ def swm_update_inverse(
     scale = max(abs(s11 * s22), abs(s12 * s21), 1.0)
     if abs(det) <= 1e-14 * scale:
         raise SingularUpdate("rank-2 capacitance matrix is numerically singular")
-    # inv_new = inv - W S^{-1} Z^T with W = [inv_ei, inv_d], Z = [inv_d, inv_ei]
-    # and S^{-1} = 1/det [[s22, -s12], [-s21, s11]].
-    c11 = s22 / det
-    c12 = -s12 / det
-    c21 = -s21 / det
-    c22 = s11 / det
-    left1 = inv_ei * c11 + inv_d * c21
-    left2 = inv_ei * c12 + inv_d * c22
-    correction = np.outer(left1, inv_d) + np.outer(left2, inv_ei)
-    return symmetrize(inv - correction)
+    # inv_new = inv - W S^{-1} Z^T with W = [inv_ei, inv_d] and Z = W P, P the
+    # 2x2 swap, so the core M = S^{-1} P = 1/det [[-s12, s22], [s11, -s21]] is
+    # symmetric (s11 = s22 up to roundoff; their mean is used). Rotating W
+    # onto the eigenvectors (cos, sin) and (-sin, cos) of M leaves
+    # inv - lam1 y1 y1^T - lam2 y2 y2^T with y_k = W v_k.
+    m11 = -s12 / det
+    m12 = 0.5 * (s11 + s22) / det
+    m22 = -s21 / det
+    theta = 0.5 * math.atan2(2.0 * m12, m11 - m22)
+    cs, sn = math.cos(theta), math.sin(theta)
+    for lam, a, b in (
+        (m11 * cs * cs + 2.0 * m12 * cs * sn + m22 * sn * sn, cs, sn),
+        (m11 * sn * sn - 2.0 * m12 * cs * sn + m22 * cs * cs, -sn, cs),
+    ):
+        if lam != 0.0:
+            root = math.sqrt(abs(lam))
+            _add_outer(inv, -math.copysign(1.0, lam), (root * a) * inv_ei + (root * b) * inv_d)
+    return inv
 
 
 def sub_inverse(inv: np.ndarray, i: int) -> np.ndarray:
-    """Inverse of U with row/column ``i`` deleted, from ``inv = U^{-1}``.
+    """Inverse of U with row/column ``i`` deleted, from the symmetric
+    ``inv = U^{-1}``.
 
     Uses the Schur-complement identity
-    ``(U_del)^{-1} = inv(-i,-i) - inv(-i,i) inv(i,-i) / inv(i,i)`` in O(n^2).
+    ``(U_del)^{-1} = inv(-i,-i) - inv(-i,i) inv(i,-i) / inv(i,i)`` in O(n^2):
+    four slice copies of ``inv(-i,-i)`` and one symmetric rank-1 update.
     """
     n = inv.shape[0]
-    mask = np.arange(n) != i
-    col = inv[mask, i]
-    block = inv[np.ix_(mask, mask)]
-    return symmetrize(block - np.outer(col, col) / inv[i, i])
+    out = np.empty((n - 1, n - 1))
+    out[:i, :i] = inv[:i, :i]
+    out[:i, i:] = inv[:i, i + 1:]
+    out[i:, :i] = inv[i + 1:, :i]
+    out[i:, i:] = inv[i + 1:, i + 1:]
+    if n > 1:
+        y = np.concatenate((inv[i, :i], inv[i, i + 1:])) / math.sqrt(inv[i, i])
+        _add_outer(out, -1.0, y)
+    return out

@@ -5,6 +5,7 @@ import pytest
 
 from covpath.cli import main
 from covpath.data import build_state, dump_json, load_json, load_matrix, write_matrix
+from covpath.kernels import DEFAULT_BACKEND
 
 
 def run_cli(*args):
@@ -130,6 +131,14 @@ class TestVerify:
         assert run_cli("verify", tmp_path) == 2
         assert "input error:" in capsys.readouterr().err
 
+    def test_summary_without_points_or_config_is_input_error(self, tmp_path, capsys):
+        summary = {"schema": "covpath.summary/1"}
+        payloads = (summary, dict(summary, points=[]), dict(summary, points=[], config=[]), [1, 2])
+        for payload in payloads:
+            (tmp_path / "summary.json").write_text(json.dumps(payload))
+            assert run_cli("verify", tmp_path) == 2
+            assert "input error:" in capsys.readouterr().err
+
 
 class TestOnlineCmd:
     def _solved_state(self, tmp_path):
@@ -182,6 +191,14 @@ class TestOnlineCmd:
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
         assert "input error:" in capsys.readouterr().err
 
+    def test_state_not_an_object_is_input_error(self, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        state_path.write_text("[1, 2]\n")
+        pert = tmp_path / "c.csv"
+        write_matrix(pert, np.zeros((3, 3)))
+        assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
+        assert "input error:" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_bench_report_schema(self, tmp_path):
@@ -197,6 +214,7 @@ class TestBench:
             resources.files("covpath.schemas").joinpath("bench_report.schema.json").read_text()
         )
         jsonschema.validate(report, schema)
+        assert report["backend"] == DEFAULT_BACKEND
         assert len(report["cells"]) == 2
         for cell in report["cells"]:
             assert cell["median_wall_time"] > 0

@@ -159,6 +159,26 @@ class TestJsonArtifacts:
         assert np.array_equal(u2, U)
         assert rho == 0.7 and t == 1e-4
 
+    def test_numeric_arrays_dump_as_the_recursive_form(self, tmp_path):
+        # Numeric arrays take a tolist() fast path; an object-dtype copy of
+        # the same array still goes element by element. The bytes must match.
+        rng = np.random.default_rng(3)
+        arrays = {
+            "U": rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7)),
+            "idx": np.arange(-3, 4, dtype=np.int32),
+            "mask": rng.random(5) > 0.5,
+            "tiny": np.array([0.0, -0.0, 5e-324, 1.0 / 3.0]),
+        }
+        payload = {"schema": "x", "t": np.float64(1e-4), "nested": [arrays, (np.int64(2),)]}
+        recursive = {
+            "schema": "x", "t": np.float64(1e-4),
+            "nested": [{k: v.astype(object) for k, v in arrays.items()}, (np.int64(2),)],
+        }
+        dump_json(tmp_path / "fast.json", payload)
+        dump_json(tmp_path / "slow.json", recursive)
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "slow.json").read_bytes()
+        assert load_json(tmp_path / "fast.json")["nested"][0]["idx"] == list(range(-3, 4))
+
     def test_summary_schema_validates(self, tmp_path):
         import jsonschema
         from importlib import resources

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_pd
-from covpath import kernels
+from covpath import corrector, kernels
+from covpath.barrier import Problem, initial_point
+from covpath.data import GeneratorSpec, generate_problem
+from covpath.symmat import pd_factor
 
 
 def _random_block(rng, m):
@@ -71,6 +74,26 @@ class TestBackendAgreement:
         assert kernels.row_solver("numba") is kernels.row_inner_numba
         with pytest.raises(ValueError):
             kernels.row_solver("cython")
+
+    def test_rows_at_initial_point_take_few_newton_iterations(self):
+        # barrier.initial_point leaves each diagonal slack at 1e-2 rho_max,
+        # orders of magnitude off its optimum; the closed-form diagonal start
+        # moves it there before Newton, which took 7 iterations on some rows
+        # of this instance without it.
+        sigma, _ = generate_problem(GeneratorSpec(n=30, density=0.1, seed=3))
+        p = Problem(sigma=sigma, rho=float(np.max(np.diagonal(sigma))))
+        t = 1e-3 / (2 * p.n**2)
+        U = pd_factor(initial_point(p))
+        for i in range(p.n):
+            bp = corrector.make_partition(p, U, i)
+            _, passes, status = kernels.row_inner_numpy(
+                bp.V_inv, bp.u.copy(), bp.w, bp.b, bp.c, p.rho, t, corrector.TOL_BLOCK,
+                corrector.MAX_INNER_PASSES, corrector.GUARD_FRAC * p.rho,
+            )
+            assert status == kernels.STATUS_OK
+            assert passes <= 3
+            block = (bp.V_inv, bp.u, bp.w, bp.b, bp.c, p.rho, t)
+            _assert_row_kernels_agree(kernels._row_inner_loops, block)
 
     def test_infeasible_start_returns_status(self):
         u = np.zeros(2)

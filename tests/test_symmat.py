@@ -141,8 +141,27 @@ class TestSwmUpdate:
         assert np.linalg.norm(inv - invert_pd(U)) <= 1e-8
 
     def test_singular_update_raises(self):
+        inv = np.eye(2)
         with pytest.raises(SingularUpdate):
-            swm_update_inverse(np.eye(2), 0, np.array([1.0]), 1.0, np.array([0.0]), 1.0)
+            swm_update_inverse(inv, 0, np.array([1.0]), 1.0, np.array([0.0]), 1.0)
+        assert np.array_equal(inv, np.eye(2))  # the in-place update wrote nothing
+
+    def test_in_place_updates_keep_inverse_exactly_symmetric(self):
+        # Each update adds +-y y^T twice, so entries (i, j) and (j, i) receive
+        # the same products: symmetry is exact, not restored by averaging.
+        rng = np.random.default_rng(14)
+        n = 30
+        U = random_pd(rng, n)
+        inv = invert_pd(U)
+        for _ in range(200):
+            i = int(rng.integers(n))
+            mask = np.arange(n) != i
+            trial, new_row, new_diag = _feasible_row_update(rng, U, i)
+            out = swm_update_inverse(inv, i, new_row, new_diag, U[i, mask], U[i, i])
+            assert out is inv
+            assert np.array_equal(inv, inv.T)
+            U = trial
+        assert np.linalg.norm(inv - invert_pd(U)) <= 1e-8
 
 
 class TestSubInverse:
@@ -163,7 +182,9 @@ class TestSubInverse:
         for i in range(n):
             keep = np.arange(n) != i
             direct = invert_pd(U[np.ix_(keep, keep)])
-            assert np.linalg.norm(sub_inverse(inv, i) - direct) <= 1e-10
+            out = sub_inverse(inv, i)
+            assert np.linalg.norm(out - direct) <= 1e-10
+            assert np.array_equal(out, out.T)
 
 
 def test_symmetrize_exact_on_symmetric_input():

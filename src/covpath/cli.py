@@ -24,7 +24,7 @@ from .exceptions import (
     NonPositiveDiagonal,
     ParseError,
 )
-from .path import PathConfig, cardinality, run_online, run_path, solve_at
+from .path import PathConfig, cardinality, run_online, run_path, solve_at, support_mask
 from .symmat import invert_pd
 
 EXIT_OK = 0
@@ -90,8 +90,7 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
         zero_tol = summary["config"]["zero_tol"]
         for idx, pt in enumerate(result.points):
             data.write_matrix(out / f"X_{idx:03d}.csv", pt.X)
-            cutoff = zero_tol * np.max(np.abs(pt.X))
-            ii, jj = np.nonzero(np.triu(np.abs(pt.X) > cutoff, 1))
+            ii, jj = np.nonzero(np.triu(support_mask(pt.X, zero_tol), 1))
             np.savetxt(
                 out / f"edges_{idx:03d}.csv",
                 np.column_stack([ii, jj]).reshape(-1, 2),

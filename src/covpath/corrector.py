@@ -173,10 +173,9 @@ def cubic_coefficients(cc: CoordCoefficients, b_j: float, rho: float, t: float) 
 def solve_coordinate(
     cc: CoordCoefficients, b_j: float, rho: float, t: float, x_current: float
 ) -> float:
-    """Best feasible root of the coordinate cubic (falls back to x_current)."""
-    roots = np.empty(3)
+    """Middle root of the coordinate cubic, clamped into the box and polished."""
     x_new, status = kernels._solve_coordinate(
-        cc.alpha, cc.beta, cc.gamma, b_j, rho, t, x_current, GUARD_FRAC * rho, roots
+        cc.alpha, cc.beta, cc.gamma, b_j, rho, t, x_current, GUARD_FRAC * rho
     )
     if status == kernels.STATUS_BAD_COEFFS:
         raise NumericalBreakdown("cubic solver received non-finite coefficients")
@@ -184,10 +183,8 @@ def solve_coordinate(
 
 
 def solve_diagonal(s: float, c: float, rho: float, t: float) -> float:
-    """Feasible root of the diagonal stationarity quadratic."""
-    # Sentinel start with +inf objective so any feasible root is accepted.
-    w_sentinel = c - rho - 1.0
-    w_new, status = kernels._solve_diagonal(s, c, rho, t, w_sentinel, GUARD_FRAC * rho)
+    """Larger root of the diagonal stationarity quadratic, clamped and polished."""
+    w_new, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
     if status == kernels.STATUS_NO_DIAG_ROOT:
         raise NoFeasibleRoot("no quadratic root satisfies w > s and |w - c| < rho")
     return float(w_new)

@@ -146,7 +146,8 @@ def _to_jsonable(value):
 
 
 def dump_json(path, payload: dict) -> None:
-    text = json.dumps(_to_jsonable(payload), sort_keys=True, indent=2)
+    # Compact: an indent would push json onto its pure-Python encoder.
+    text = json.dumps(_to_jsonable(payload), sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n")
 
 

@@ -6,11 +6,14 @@ to one row/column of U) by different methods:
 * ``numba`` -- the paper's closed-form coordinate descent,
   :func:`_row_inner_loops`, compiled with ``@njit`` (the default whenever
   numba imports successfully). Every off-diagonal coordinate moves to the
-  feasible root of its stationarity cubic (Cardano/trigonometric, plus one
-  guarded Newton polish), then the diagonal entry moves to the feasible
-  root of its stationarity quadratic; passes repeat until the largest move
-  drops below tolerance. Run uncompiled, the same function is the
-  reference the tests hold the numpy backend to.
+  middle root of its stationarity cubic (trigonometric form), then the
+  diagonal entry moves to the larger root of its stationarity quadratic.
+  Each 1-D objective is strictly convex on its feasible interval, which
+  picks that root in closed form; it is clamped into the box and refined
+  by one guarded Newton polish (:func:`_polish`, shared by both moves).
+  Passes repeat until the largest move drops below tolerance. Run
+  uncompiled, the same function is the reference the tests hold the numpy
+  backend to.
 * ``numpy`` -- :func:`row_inner_numpy`, damped Newton on the whole
   (m+1)-variable block with one Cholesky solve per iteration, so the work
   is done in BLAS/LAPACK rather than in a Python loop per coordinate. It
@@ -57,30 +60,28 @@ _njit = numba.njit(cache=True) if HAVE_NUMBA else (lambda fn: fn)
 
 
 @_njit
-def _real_cubic_roots(c3, c2, c1, c0, roots):
-    """Real roots of c3 x^3 + c2 x^2 + c1 x + c0 = 0 (c3 != 0).
+def _middle_cubic_root(c3, c2, c1, c0):
+    """Middle real root of c3 x^3 + c2 x^2 + c1 x + c0 = 0 (c3 != 0).
 
-    Fills ``roots`` (length >= 3) and returns the count, or -1 on
-    non-finite coefficients. A zero constant term is deflated exactly so
-    that x = 0 comes back as an exact root.
+    With three real roots this is the trigonometric root k = 1; with a
+    single real root (which the coordinate cubic never has on feasible
+    data, see :func:`_solve_coordinate`) it is that root. Returns NaN on
+    non-finite coefficients. A zero constant term is deflated exactly, so
+    x = 0 comes back exactly when it is the middle root.
     """
     if not (math.isfinite(c3) and math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)):
-        return -1
+        return np.nan
     if c0 == 0.0:
-        roots[0] = 0.0
-        count = 1
         disc = c2 * c2 - 4.0 * c3 * c1
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            qq = -0.5 * (c2 + sq) if c2 >= 0.0 else -0.5 * (c2 - sq)
-            if qq != 0.0:
-                roots[count] = qq / c3
-                count += 1
-                root2 = c1 / qq
-                if root2 != roots[count - 1]:
-                    roots[count] = root2
-                    count += 1
-        return count
+        if disc < 0.0:
+            return 0.0
+        sq = math.sqrt(disc)
+        qq = -0.5 * (c2 + sq) if c2 >= 0.0 else -0.5 * (c2 - sq)
+        if qq == 0.0:
+            return 0.0
+        r1 = qq / c3
+        r2 = c1 / qq
+        return max(min(r1, r2), min(max(r1, r2), 0.0))
 
     a = c2 / c3
     b = c1 / c3
@@ -97,11 +98,9 @@ def _real_cubic_roots(c3, c2, c1, c0, roots):
         u1 = -half_q + sq
         u2 = -half_q - sq
         y = math.copysign(abs(u1) ** (1.0 / 3.0), u1) + math.copysign(abs(u2) ** (1.0 / 3.0), u2)
-        roots[0] = y - shift
-        return 1
+        return y - shift
     if p == 0.0:
-        roots[0] = -shift
-        return 1
+        return -shift
     r = math.sqrt(-third_p)
     arg = half_q / (r * r * r)
     if arg > 1.0:
@@ -109,10 +108,9 @@ def _real_cubic_roots(c3, c2, c1, c0, roots):
     elif arg < -1.0:
         arg = -1.0
     theta = math.acos(-arg)
-    for k in range(3):
-        y = 2.0 * r * math.cos((theta - 2.0 * math.pi * k) / 3.0)
-        roots[k] = y - shift
-    return 3
+    # The roots are 2 r cos((theta - 2 pi k) / 3) - shift, k = 0, 1, 2, in
+    # descending order for theta in [0, pi].
+    return 2.0 * r * math.cos((theta - 2.0 * math.pi) / 3.0) - shift
 
 
 @_njit
@@ -144,150 +142,96 @@ def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
 
 
 @_njit
-def _coord_objective(x, alpha, beta, gamma, bj, rho, t):
-    """1-D block objective along an off-diagonal coordinate."""
-    quad = alpha * x * x + beta * x + gamma
-    lo = rho + bj - x
-    hi = rho - bj + x
-    if quad <= 0.0 or lo <= 0.0 or hi <= 0.0:
-        return np.inf
-    return -math.log(quad) - 2.0 * t * (math.log(lo) + math.log(hi))
+def _polish(x, alpha, beta, gamma, bj, rho, wt, lo, hi):
+    """One guarded Newton step on the derivative of the 1-D objective
+    ``-log(alpha x^2 + beta x + gamma) - wt [log(rho+bj-x) + log(rho-bj+x)]``.
 
-
-@_njit
-def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard, roots):
-    """Minimize the 1-D off-diagonal objective; returns (x_new, status).
-
-    Candidates are the real roots of the stationarity cubic
-    ``p1 x^3 + p2 x^2 + p3 x + p4 = 0`` clamped into the guarded box; a
-    candidate must also keep the Schur quadratic positive. Keeps ``x_cur``
-    when no candidate improves the objective, then applies one Newton
-    polish on the derivative, accepted only if it stays feasible and does
-    not increase the objective.
+    A closed-form root carries absolute error ~eps * scale, which the
+    near-active barrier curvature amplifies into the residual. The step is
+    kept only if it lands strictly inside (lo, hi) with the quadratic
+    positive and strictly lowers |derivative|, so float noise cannot wobble
+    a converged coordinate; otherwise ``x`` comes back unchanged.
     """
-    p1, p2, p3, p4 = _cubic_coefficients(alpha, beta, gamma, bj, rho, t)
-    nroots = _real_cubic_roots(p1, p2, p3, p4, roots)
-    if nroots < 0:
-        return x_cur, STATUS_BAD_COEFFS
-
-    lo = bj - rho + guard
-    hi = bj + rho - guard
-    best_x = x_cur
-    best_f = _coord_objective(x_cur, alpha, beta, gamma, bj, rho, t)
-    for k in range(nroots):
-        x = roots[k]
-        if x < lo:
-            x = lo
-        elif x > hi:
-            x = hi
-        f = _coord_objective(x, alpha, beta, gamma, bj, rho, t)
-        if f < best_f:
-            best_f = f
-            best_x = x
-
-    x = best_x
     quad = alpha * x * x + beta * x + gamma
     slack_lo = rho + bj - x
     slack_hi = rho - bj + x
-    if quad > 0.0 and slack_lo > 0.0 and slack_hi > 0.0:
-        qp = 2.0 * alpha * x + beta
-        g1 = -qp / quad + 2.0 * t / slack_lo - 2.0 * t / slack_hi
-        g2 = (
-            -2.0 * alpha / quad
-            + (qp / quad) * (qp / quad)
-            + 2.0 * t / (slack_lo * slack_lo)
-            + 2.0 * t / (slack_hi * slack_hi)
-        )
-        # Steps below a few ulps of the coordinate scale are float noise:
-        # the point is already numerically stationary.
-        if g2 > 0.0 and abs(g1) > g2 * 4e-16 * (abs(x) + rho):
-            x_pol = x - g1 / g2
-            quad_pol = alpha * x_pol * x_pol + beta * x_pol + gamma
-            if lo < x_pol < hi and quad_pol > 0.0:
-                qp_pol = 2.0 * alpha * x_pol + beta
-                g1_pol = (
-                    -qp_pol / quad_pol
-                    + 2.0 * t / (rho + bj - x_pol)
-                    - 2.0 * t / (rho - bj + x_pol)
-                )
-                # Accept only on a strict stationarity improvement so
-                # float noise cannot wobble a converged coordinate.
-                if abs(g1_pol) < abs(g1):
-                    best_x = x_pol
-    return best_x, STATUS_OK
+    if quad <= 0.0 or slack_lo <= 0.0 or slack_hi <= 0.0:
+        return x
+    qp = 2.0 * alpha * x + beta
+    g1 = -qp / quad + wt / slack_lo - wt / slack_hi
+    g2 = (
+        -2.0 * alpha / quad
+        + (qp / quad) * (qp / quad)
+        + wt / (slack_lo * slack_lo)
+        + wt / (slack_hi * slack_hi)
+    )
+    # Steps below a few ulps of the coordinate scale are float noise: the
+    # point is already numerically stationary.
+    if not (g2 > 0.0 and abs(g1) > g2 * 4e-16 * (abs(x) + rho)):
+        return x
+    x_pol = x - g1 / g2
+    quad_pol = alpha * x_pol * x_pol + beta * x_pol + gamma
+    if not (lo < x_pol < hi and quad_pol > 0.0):
+        return x
+    g1_pol = (
+        -(2.0 * alpha * x_pol + beta) / quad_pol
+        + wt / (rho + bj - x_pol)
+        - wt / (rho - bj + x_pol)
+    )
+    return x_pol if abs(g1_pol) < abs(g1) else x
 
 
 @_njit
-def _diag_objective(w, s, c, rho, t):
-    schur = w - s
-    lo = rho + c - w
-    hi = rho - c + w
-    if schur <= 0.0 or lo <= 0.0 or hi <= 0.0:
-        return np.inf
-    return -math.log(schur) - t * (math.log(lo) + math.log(hi))
+def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
+    """Minimize the 1-D off-diagonal objective; returns (x_new, status).
+
+    The objective ``-log(alpha x^2 + beta x + gamma) - 2t[log(rho+bj-x) +
+    log(rho-bj+x)]`` (alpha < 0) is strictly convex on its feasible
+    interval, and its stationarity cubic is the derivative times positive
+    denominators: negative at the left end of the interval, positive at the
+    right end, with leading coefficient 2(1+2t) alpha < 0. Such a cubic has
+    three real roots and crosses zero upward only at the middle one, which
+    is therefore the minimizer. It is clamped ``guard`` inside the box and
+    polished once; ``x_cur`` is kept if the clamped root leaves the
+    quadratic non-positive (a feasible interval narrower than the guard).
+    """
+    p1, p2, p3, p4 = _cubic_coefficients(alpha, beta, gamma, bj, rho, t)
+    root = _middle_cubic_root(p1, p2, p3, p4)
+    if not math.isfinite(root):
+        return x_cur, STATUS_BAD_COEFFS
+    lo = bj - rho + guard
+    hi = bj + rho - guard
+    x = min(max(root, lo), hi)
+    if not (alpha * x * x + beta * x + gamma > 0.0):
+        return x_cur, STATUS_OK
+    return _polish(x, alpha, beta, gamma, bj, rho, 2.0 * t, lo, hi), STATUS_OK
 
 
 @_njit
-def _solve_diagonal(s, c, rho, t, w_cur, guard):
+def _solve_diagonal(s, c, rho, t, guard):
     """Minimize the 1-D diagonal objective; returns (w_new, status).
 
-    The stationary point solves
-    ``(1+2t) w^2 - 2(t s + c(1+t)) w + c^2 - rho^2 + 2 t c s = 0``;
-    exactly one root satisfies w > s and |w - c| < rho for feasible data.
+    The objective ``-log(w - s) - t[log(rho+c-w) + log(rho-c+w)]`` is the
+    coordinate objective with (alpha, beta, gamma) = (0, 1, -s), bj = c and
+    barrier weight t. Its stationary point solves
+    ``(1+2t) w^2 - 2(t s + c(1+t)) w + c^2 - rho^2 + 2 t c s = 0``, the
+    derivative times positive denominators, so by the same convexity
+    argument the minimizer is the larger root. It is clamped ``guard``
+    inside the box and polished once. Returns ``(nan, STATUS_NO_DIAG_ROOT)``
+    when the quadratic has no real root or the clamped root is not above s.
     """
     a = 1.0 + 2.0 * t
     half_b = -(t * s + c * (1.0 + t))
     cc = c * c - rho * rho + 2.0 * t * c * s
     disc = half_b * half_b - a * cc
     if disc < 0.0:
-        return w_cur, STATUS_NO_DIAG_ROOT
-    sq = math.sqrt(disc)
+        return np.nan, STATUS_NO_DIAG_ROOT
     lo = c - rho + guard
     hi = c + rho - guard
-    best_w = w_cur
-    best_f = _diag_objective(w_cur, s, c, rho, t)
-    improved = False
-    for sign in (1.0, -1.0):
-        w = (-half_b + sign * sq) / a
-        if w < lo:
-            w = lo
-        elif w > hi:
-            w = hi
-        if w - s <= 0.0:
-            continue
-        f = _diag_objective(w, s, c, rho, t)
-        if f <= best_f:
-            best_f = f
-            best_w = w
-            improved = True
-    if not improved and best_f == np.inf:
-        return w_cur, STATUS_NO_DIAG_ROOT
-
-    # One Newton polish on the derivative: the quadratic-formula root
-    # carries absolute error ~eps * c^2, which the near-active barrier
-    # curvature amplifies into the residual.
-    w = best_w
-    schur = w - s
-    slack_lo = rho + c - w
-    slack_hi = rho - c + w
-    if schur > 0.0 and slack_lo > 0.0 and slack_hi > 0.0:
-        g1 = -1.0 / schur + t / slack_lo - t / slack_hi
-        g2 = (
-            1.0 / (schur * schur)
-            + t / (slack_lo * slack_lo)
-            + t / (slack_hi * slack_hi)
-        )
-        if g2 > 0.0 and abs(g1) > g2 * 4e-16 * (abs(w) + rho):
-            w_pol = w - g1 / g2
-            if lo < w_pol < hi and w_pol - s > 0.0:
-                g1_pol = (
-                    -1.0 / (w_pol - s)
-                    + t / (rho + c - w_pol)
-                    - t / (rho - c + w_pol)
-                )
-                if abs(g1_pol) < abs(g1):
-                    best_w = w_pol
-    return best_w, STATUS_OK
+    w = min(max((-half_b + math.sqrt(disc)) / a, lo), hi)
+    if not (w - s > 0.0):
+        return np.nan, STATUS_NO_DIAG_ROOT
+    return _polish(w, 0.0, 1.0, -s, c, rho, t, lo, hi), STATUS_OK
 
 
 def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
@@ -301,7 +245,6 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     Returns (w, passes, status).
     """
     m = u.shape[0]
-    roots = np.empty(3)
     q = np.zeros(m)
     for j in range(m):
         acc = 0.0
@@ -319,7 +262,7 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
         max_delta = 0.0
         for j in range(m):
             alpha, beta, gamma = _coord_quadratic(V_inv[j, j], q[j], u[j], w - s)
-            x_new, st = _solve_coordinate(alpha, beta, gamma, b[j], rho, t, u[j], guard, roots)
+            x_new, st = _solve_coordinate(alpha, beta, gamma, b[j], rho, t, u[j], guard)
             if st != STATUS_OK:
                 status = st
             dx = x_new - u[j]
@@ -330,9 +273,9 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
                 u[j] = x_new
                 if abs(dx) > max_delta:
                     max_delta = abs(dx)
-        w_new, st = _solve_diagonal(s, c, rho, t, w, guard)
+        w_new, st = _solve_diagonal(s, c, rho, t, guard)
         if st != STATUS_OK:
-            status = st
+            return w, passes, st
         if abs(w_new - w) > max_delta:
             max_delta = abs(w_new - w)
         w = w_new
@@ -402,7 +345,7 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
             # u, as the CD kernel's diagonal step does. From a diagonal slack
             # orders of magnitude off its optimum, fraction-to-boundary
             # damping would walk it there about 100x per Newton iteration.
-            w0, st = _solve_diagonal(s, c, rho, t, z[m], guard)
+            w0, st = _solve_diagonal(s, c, rho, t, guard)
             if st == STATUS_OK:
                 z[m] = w0
                 r = w0 - s

@@ -19,13 +19,12 @@ from .barrier import (
     feasible,
     gap_bound,
     initial_point,
-    multipliers,
     primal_objective,
     residual,
     scaling_warm_start,
 )
 from .corrector import CorrectorConfig, corrector_run
-from .exceptions import Infeasible, MaxSweepsExceeded
+from .exceptions import CovpathError, Infeasible, MaxSweepsExceeded
 from .predictor import (
     CGConfig,
     PredictorSystem,
@@ -111,14 +110,19 @@ def default_rho_grid(sigma: np.ndarray, points: int = 50, rho_min_frac: float = 
     return np.geomspace(rho_max, rho_min_frac * rho_max, points)
 
 
-def cardinality(X: np.ndarray, zero_tol: float = 1e-4) -> int:
+def support_mask(X: np.ndarray, zero_tol: float = 1e-4) -> np.ndarray:
     """Entries of X above the relative magnitude threshold.
 
     Barrier solutions are interior points, so exact zeros never occur;
     |X_ij| <= zero_tol * max|X| counts as a structural zero.
     """
-    cutoff = zero_tol * np.max(np.abs(X))
-    return int(np.sum(np.abs(X) > cutoff))
+    absX = np.abs(X)
+    return absX > zero_tol * np.max(absX)
+
+
+def cardinality(X: np.ndarray, zero_tol: float = 1e-4) -> int:
+    """Number of entries of X that are not structural zeros (:func:`support_mask`)."""
+    return int(np.count_nonzero(support_mask(X, zero_tol)))
 
 
 def _validate_grid(grid: np.ndarray, rho_max: float) -> np.ndarray:
@@ -154,10 +158,11 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     """Trace the full regularization path over the penalty grid.
 
     The first point starts from the sparse-end diagonal matrix; every later
-    point warm-starts from its predecessor. On a corrector failure the
-    driver retries once through an intermediate penalty (geometric midpoint,
-    matching the log-spaced grid); if that also fails the path is returned
-    truncated with the failure recorded.
+    point warm-starts from its predecessor. When solving a grid value
+    raises any ``CovpathError`` (in the predictor step or in the corrector),
+    the driver retries once through an intermediate penalty (geometric
+    midpoint, matching the log-spaced grid); if that also fails the path is
+    returned truncated with the failure recorded.
     """
     cfg = cfg or PathConfig()
     if cfg.mode not in MODES:
@@ -182,26 +187,25 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         problem = Problem(sigma=sigma, rho=float(rho))
         h = float(rho) - rho_prev
         cg_iterations = 0
-        if cfg.mode == "predictor" and factor_prev is not None:
-            prev_problem = Problem(sigma=sigma, rho=rho_prev)
-            U_start, h_used, cg_res = predictor_step_detail(
-                prev_problem, factor_prev, t, h, cfg.cg
-            )
-            cg_iterations = cg_res.iterations
-            if h_used != h:
-                # Tangent backtracked short of the grid value: carry its
-                # feasible endpoint the rest of the way by rescaling.
-                U_start = scaling_warm_start(
-                    sigma, U_start, rho_prev + h_used, float(rho)
-                )
-            if not feasible(problem, U_start):
-                U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-        else:
-            U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-
         try:
+            if cfg.mode == "predictor" and factor_prev is not None:
+                prev_problem = Problem(sigma=sigma, rho=rho_prev)
+                U_start, h_used, cg_res = predictor_step_detail(
+                    prev_problem, factor_prev, t, h, cfg.cg
+                )
+                cg_iterations = cg_res.iterations
+                if h_used != h:
+                    # Tangent backtracked short of the grid value: carry its
+                    # feasible endpoint the rest of the way by rescaling.
+                    U_start = scaling_warm_start(
+                        sigma, U_start, rho_prev + h_used, float(rho)
+                    )
+                if not feasible(problem, U_start):
+                    U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
+            else:
+                U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
             factor, stats = corrector_run(problem, U_start, t, cfg.corrector)
-        except MaxSweepsExceeded as exc:
+        except CovpathError as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
                 path.truncated = True
@@ -227,7 +231,7 @@ def _retry_through_midpoint(sigma, U_prev, rho_prev, rho, t, cfg):
         factor_mid, _ = corrector_run(Problem(sigma=sigma, rho=rho_mid), U_mid, t, cfg.corrector)
         U_start = scaling_warm_start(sigma, factor_mid.matrix, rho_mid, rho)
         return corrector_run(Problem(sigma=sigma, rho=rho), U_start, t, cfg.corrector)
-    except (MaxSweepsExceeded, Infeasible):
+    except CovpathError:
         return None
 
 
@@ -277,12 +281,6 @@ def online_residual(p: Problem, C: np.ndarray, mu: float, U: PDFactor, t: float)
     return residual(shifted_problem(p, C, mu), U, t)
 
 
-def _online_rhs(p_mu: Problem, U: PDFactor, C: np.ndarray, t: float) -> np.ndarray:
-    """-dH/dmu at the current point: ((L^2 + M^2)/t) o C elementwise."""
-    state = multipliers(p_mu, U.matrix, t)
-    return ((state.L**2 + state.M**2) / t) * C
-
-
 def run_online(
     p: Problem,
     U_star: np.ndarray,
@@ -318,7 +316,8 @@ def run_online(
         step = min(1.0 / k, 1.0 - mu)
         p_mu = shifted_problem(p, C, mu)
         base = build_system(p_mu, factor, t)
-        sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=_online_rhs(p_mu, factor, C, t))
+        # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
+        sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=base.D * C)
         direction = cg_solve(sys_mu, cg_cfg).direction
         while True:
             mu_next = mu + step

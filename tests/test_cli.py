@@ -6,6 +6,7 @@ import pytest
 from covpath.cli import main
 from covpath.data import build_state, dump_json, load_json, load_matrix, write_matrix
 from covpath.kernels import DEFAULT_BACKEND
+from covpath.path import cardinality, support_mask
 
 
 def run_cli(*args):
@@ -100,6 +101,35 @@ class TestSolve:
         code = run_cli("solve", "--gen", "n=6,density=0.2,seed=1", "--output", out)
         assert code == 4
         assert load_json(out / "summary.json")["truncated"]
+
+
+    def test_failing_grid_point_truncates_with_artifacts(self, tmp_path):
+        # Symmetric with a positive diagonal but indefinite (eigenvalues
+        # -0.8, 1.9, 1.9): below some rho no feasible point exists, and the
+        # corrector rejects its start. The run keeps the solved prefix.
+        f = tmp_path / "indef.csv"
+        f.write_text("1,0.9,0.9\n0.9,1,-0.9\n0.9,-0.9,1\n")
+        out = tmp_path / "run"
+        assert run_cli("solve", "--sigma", f, "--points", 8, "--output", out) == 4
+        summary = load_json(out / "summary.json")
+        assert summary["truncated"]
+        assert len(summary["points"]) == 3
+        assert run_cli("verify", out) == 0
+
+    def test_edges_are_the_upper_support_that_cardinality_counts(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
+                       "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        zero_tol = summary["config"]["zero_tol"]
+        for idx, pt in enumerate(summary["points"]):
+            X = load_matrix(out / f"X_{idx:03d}.csv")
+            mask = support_mask(X, zero_tol)
+            lines = (out / f"edges_{idx:03d}.csv").read_text().split()
+            edges = np.array([line.split(",") for line in lines], dtype=int).reshape(-1, 2)
+            assert np.array_equal(edges, np.argwhere(np.triu(mask, 1)))
+            assert cardinality(X, zero_tol) == pt["cardinality"] == np.count_nonzero(mask)
+            assert pt["cardinality"] == np.count_nonzero(np.diag(mask)) + 2 * len(edges)
 
 
 class TestVerify:

@@ -45,14 +45,14 @@ def feasible_coord_interval(cc, b_j, rho):
     return lo, hi
 
 
-def random_coord_case(rng):
+def random_coord_case(rng, log_t_min=-5.0):
     """Coefficients with a non-empty feasible interval containing x_cur."""
     while True:
         alpha = -(10.0 ** rng.uniform(-2, 1))
         beta = rng.uniform(-2, 2)
         b_j = rng.uniform(-0.8, 0.8)
         rho = 10.0 ** rng.uniform(-1, 0.5)
-        t = 10.0 ** rng.uniform(-5, 0)
+        t = 10.0 ** rng.uniform(log_t_min, 0)
         x0 = b_j + rng.uniform(-0.9, 0.9) * rho
         # choose gamma so the quadratic is comfortably positive at x0
         gamma = rng.uniform(0.1, 2.0) - alpha * x0**2 - beta * x0
@@ -203,6 +203,22 @@ class TestCubicCoefficients:
 
 
 class TestSolveCoordinate:
+    def test_only_the_middle_root_is_feasible(self):
+        # The convexity argument behind kernels._solve_coordinate: the cubic
+        # has three real roots and only the middle one is in the feasible
+        # interval, where the closed form finds it.
+        rng = np.random.default_rng(27)
+        for _ in range(1000):
+            cc, b_j, rho, t, _ = random_coord_case(rng, log_t_min=-10.0)
+            p = cubic_coefficients(cc, b_j, rho, t)
+            roots = np.roots([p.p1, p.p2, p.p3, p.p4])
+            assert np.all(np.abs(roots.imag) <= 1e-9 * np.abs(roots))
+            r1, r2, r3 = np.sort(roots.real)
+            lo, hi = feasible_coord_interval(cc, b_j, rho)
+            assert not lo < r1 < hi and lo < r2 < hi and not lo < r3 < hi
+            mid = kernels._middle_cubic_root(p.p1, p.p2, p.p3, p.p4)
+            assert mid == pytest.approx(r2, abs=1e-9 * max(1.0, abs(r2)))
+
     def test_symmetric_returns_exact_zero(self):
         cc = CoordCoefficients(alpha=-1.0, beta=0.0, gamma=1.0)
         assert solve_coordinate(cc, 0.0, 1.0, 0.5, 0.3) == 0.0
@@ -388,8 +404,8 @@ class TestCorrectorSolve:
         full = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-9))[0]
         assert np.linalg.norm(factor.matrix - full.matrix) <= 1e-7
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_backend_choice_agrees(self):
+    @staticmethod
+    def _assert_backends_agree():
         rng = np.random.default_rng(30)
         p = random_instance(rng, 5, density=0.5)
         t = 1e-4
@@ -399,6 +415,16 @@ class TestCorrectorSolve:
             cfg = CorrectorConfig(tol_residual=1e-9, backend=backend)
             out[backend] = corrector_run(p, U0, t, cfg)[0].matrix
         assert np.linalg.norm(out["numba"] - out["numpy"]) <= 1e-8
+
+    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
+    def test_backend_choice_agrees(self):
+        self._assert_backends_agree()
+
+    def test_coordinate_descent_body_agrees_uncompiled(self, monkeypatch):
+        # The same comparison with the coordinate-descent body run as plain
+        # Python in the numba slot, so it runs without numba installed.
+        monkeypatch.setitem(kernels._SOLVERS, "numba", kernels._row_inner_loops)
+        self._assert_backends_agree()
 
 
 class TestBlockDual:

@@ -115,31 +115,33 @@ class TestDefaultBackend:
                 kernels.row_solver("numba")
 
 
-class TestCubicRoots:
-    def test_against_numpy_roots(self):
+class TestMiddleCubicRoot:
+    def test_returns_middle_of_three_real_roots(self):
         rng = np.random.default_rng(44)
-        buf = np.empty(3)
         for _ in range(500):
-            coeffs = rng.uniform(-3, 3, 4)
-            coeffs[0] = coeffs[0] if abs(coeffs[0]) > 0.1 else 1.0
-            count = kernels._real_cubic_roots(*coeffs, buf)
-            mine = sorted(buf[:count].tolist())
-            ref = np.roots(coeffs)
-            ref = sorted(float(r.real) for r in ref if abs(r.imag) < 1e-9 * max(1, abs(r)))
-            assert len(mine) >= len(ref) - 0  # same multiset up to double-root merging
-            for r in ref:
-                assert min(abs(r - x) for x in mine) <= 1e-7 * (1 + abs(r))
+            r1, r2, r3 = np.sort(rng.uniform(-3, 3, 3))
+            if min(r2 - r1, r3 - r2) < 0.05:
+                continue  # clustered roots are ill-conditioned in any closed form
+            lead = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)
+            coeffs = lead * np.poly([r1, r2, r3])
+            x = kernels._middle_cubic_root(*coeffs)
+            assert abs(x - r2) <= 1e-9 * max(abs(r1), abs(r2), abs(r3))
 
     def test_zero_constant_term_deflates_exactly(self):
-        buf = np.empty(3)
-        count = kernels._real_cubic_roots(-4.0, 0.0, 4.0, 0.0, buf)
-        assert 0.0 in buf[:count].tolist()
-        roots = sorted(buf[:count].tolist())
-        assert np.allclose(roots, [-1.0, 0.0, 1.0])
+        assert kernels._middle_cubic_root(-4.0, 0.0, 4.0, 0.0) == 0.0
 
-    def test_nonfinite_coefficients_flagged(self):
-        buf = np.empty(3)
-        assert kernels._real_cubic_roots(np.nan, 0.0, 1.0, 0.0, buf) == -1
+    def test_nonfinite_coefficients_give_nan(self):
+        assert np.isnan(kernels._middle_cubic_root(np.nan, 0.0, 1.0, 0.0))
+
+
+def test_coordinate_move_keeps_current_point_when_interval_is_inside_guard():
+    # Box (-1, 1), guard 0.1; the quadratic is positive only on
+    # (-0.98, -0.95), inside the guard band. The minimizer clamped to the
+    # guarded box, -0.9, would make the quadratic negative, so x stays put.
+    r1, r2 = -0.98, -0.95
+    alpha, beta, gamma = -1.0, r1 + r2, -r1 * r2
+    x, status = kernels._solve_coordinate(alpha, beta, gamma, 0.0, 1.0, 1e-3, -0.965, 0.1)
+    assert (x, status) == (-0.965, kernels.STATUS_OK)
 
 
 def test_warm_up_all_backends():

@@ -5,7 +5,7 @@ from conftest import random_instance
 from covpath.barrier import Problem, multipliers, residual
 from covpath.corrector import CorrectorConfig
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.exceptions import Infeasible
+from covpath.exceptions import Infeasible, StepCollapse
 from covpath.path import (
     PathConfig,
     cardinality,
@@ -15,6 +15,7 @@ from covpath.path import (
     run_path,
     solve_at,
 )
+from covpath.predictor import build_system
 from covpath.symmat import pd_factor, symmetrize
 
 
@@ -101,6 +102,21 @@ class TestRunPath:
         assert res.failure.rho == pytest.approx(float(np.max(np.diag(small_instance))))
         assert res.points == []
 
+    def test_predictor_failure_recovers_through_midpoint(self, small_instance, monkeypatch):
+        # An error in the predictor step goes through the same midpoint
+        # retry as a corrector failure; the retry warm-starts by scaling.
+        import covpath.path as path_mod
+
+        def collapse(*args, **kwargs):
+            raise StepCollapse("tangent step stayed infeasible")
+
+        monkeypatch.setattr(path_mod, "predictor_step_detail", collapse)
+        res = run_path(small_instance, PathConfig(points=4, mode="predictor"))
+        assert not res.truncated
+        assert len(res.points) == 4
+        ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
+        assert [pt.cardinality for pt in res.points] == [pt.cardinality for pt in ref.points]
+
     def test_mode_validation(self, small_instance):
         with pytest.raises(ValueError):
             run_path(small_instance, PathConfig(mode="sideways"))
@@ -167,9 +183,8 @@ class TestOnline:
         rng = np.random.default_rng(7)
         C = symmetrize(rng.standard_normal(p.sigma.shape))
         C *= 0.05 * p.rho / np.abs(C).max()
-        from covpath.path import _online_rhs
-
-        rhs = _online_rhs(p, factor, C, t)
+        # run_online's right-hand side: -dH/dmu = D o C with the tangent system's D.
+        rhs = build_system(p, factor, t).D * C
 
         def h_hat(mu):
             sig = p.sigma + mu * C

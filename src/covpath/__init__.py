@@ -3,7 +3,8 @@
 Solves the box-constrained log-det dual of the penalized maximum-likelihood
 precision estimation problem along a grid of penalties, using a barrier
 formulation with scaling warm starts or conjugate-gradient tangent steps
-and a closed-form block coordinate-descent corrector. Includes an online
+and a primal-dual Newton-CG corrector; the paper's closed-form block
+coordinate-descent corrector stays as the reference. Includes an online
 mode that carries a solved instance to a perturbed covariance.
 
 The package namespace holds the library API: the path, online and

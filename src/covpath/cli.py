@@ -32,6 +32,10 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
+# verify: largest relative Frobenius distance between a saved X and the
+# fresh inverse of the saved U.
+X_MATCH_RTOL = 1e-8
+
 INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
 
 
@@ -89,6 +93,7 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
     if write_matrices:
         zero_tol = summary["config"]["zero_tol"]
         for idx, pt in enumerate(result.points):
+            data.write_matrix(out / f"U_{idx:03d}.csv", pt.U)
             data.write_matrix(out / f"X_{idx:03d}.csv", pt.X)
             ii, jj = np.nonzero(np.triu(support_mask(pt.X, zero_tol), 1))
             np.savetxt(
@@ -102,7 +107,7 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
 def cmd_solve(args) -> int:
     sigma, meta = _load_instance(args)
     n = sigma.shape[0]
-    corrector_cfg = CorrectorConfig(sweep_fraction=args.sweep_fraction)
+    corrector_cfg = CorrectorConfig()
     cfg = PathConfig(
         points=args.points,
         rho_min_frac=args.rho_min_frac,
@@ -119,7 +124,6 @@ def cmd_solve(args) -> int:
         "t": result.t,
         "mode": args.mode,
         "zero_tol": args.zero_tol,
-        "sweep_fraction": args.sweep_fraction,
         "tol_residual": corrector_cfg.residual_tol(n),
         "seed": args.seed,
     }
@@ -251,9 +255,19 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             X = data.load_matrix(x_path)
             if cardinality(X, zero_tol) != pt["cardinality"]:
                 failures.append(f"point {idx}: cardinality mismatch on recount")
-            U = invert_pd(X)
+            # The residual is checked on the saved U: X = U^{-1} stored in
+            # float64 fixes U only to about cond(X) * eps, and the
+            # multipliers magnify that by t / slack^2.
+            u_path = run_dir / f"U_{idx:03d}.csv"
+            if not u_path.exists():
+                failures.append(f"point {idx}: {x_path.name} has no {u_path.name}")
+                continue
+            U = data.load_matrix(u_path)
+            X_fresh = invert_pd(U)
+            if np.linalg.norm(X - X_fresh) > X_MATCH_RTOL * np.linalg.norm(X_fresh):
+                failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
             state = multipliers(Problem(sigma=sigma, rho=pt["rho"]), U, pt["t"])
-            resid = float(np.linalg.norm(state.L - state.M - X))
+            resid = float(np.linalg.norm(state.L - state.M - X_fresh))
             if resid > 2.0 * tol + 1e-9:
                 failures.append(
                     f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"
@@ -287,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gap-target", type=float, default=1e-3)
     solve.add_argument("--mode", choices=["scaling", "predictor"], default="scaling")
     solve.add_argument("--zero-tol", type=float, default=1e-4)
-    solve.add_argument("--sweep-fraction", type=float, default=1.0)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--output", default="covpath_run")
     solve.add_argument("--no-matrices", action="store_true", help="skip per-point X/edge files")

@@ -1,12 +1,20 @@
-"""Block coordinate-descent corrector for the barrier problem at fixed (rho, t).
+"""Correctors that re-center the barrier problem at fixed (rho, t).
 
-Each outer sweep visits rows/columns of U (full cyclic order by default, or
-the top fraction ranked by the diagonal improvement score), solves the
-row's block subproblem with the selected row kernel (closed-form coordinate
-descent under numba, damped block Newton under numpy; see ``kernels``), and
-maintains the cached inverse through rank-2 updates. Convergence is
-declared on the Frobenius norm of the central-path residual
-H = L - M - U^{-1}.
+:func:`corrector_run`, the one the path drivers call, is damped
+primal-dual Newton on the central-path equations H = L - M - U^{-1} = 0 for
+all of U at once. Each step solves U^{-1} P U^{-1} + D o P = -H by
+preconditioned CG (``predictor.cg_solve``), with D = L~/s+ + M~/s- built
+from dual multiplier estimates L~, M~ that the run carries from step to
+step, in the manner of Li & Toh's inexact interior-point method for sparse
+covariance selection. The work is BLAS-3, with no Python loop over rows.
+
+:func:`block_cd_run` is the paper's block coordinate-descent corrector: each
+sweep visits rows/columns of U (full cyclic order by default, or the top
+fraction ranked by the diagonal improvement score), solves the row's block
+subproblem with a row kernel (closed-form coordinate descent under numba,
+damped block Newton under numpy; see ``kernels``), and maintains the cached
+inverse through rank-2 updates. No production path calls it; the tests
+hold :func:`corrector_run` to it.
 """
 
 import math
@@ -15,20 +23,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import Problem, feasible, multipliers
+from .barrier import Problem, barrier_objective, feasible, gap_bound, multipliers
 from .exceptions import (
     Infeasible,
+    LineSearchFailure,
     MaxSweepsExceeded,
     NoFeasibleRoot,
+    NotPositiveDefinite,
     NumericalBreakdown,
 )
+from .predictor import CGConfig, PredictorSystem, cg_solve
 from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse, symmetrize
 
-# Row-kernel limits. A kernel call stops at block tolerance TOL_BLOCK
-# (tightened in corrector_run along with the outer tolerance) or after
-# MAX_INNER_PASSES passes: coordinate-descent passes under the numba
-# backend, Newton iterations under the numpy backend. Closed-form moves
-# stay GUARD_FRAC * rho inside the faces of the box.
+# Newton-CG corrector. CG stops at relative residual CG_REL. Primal and
+# dual steps stop STEP_FRAC of the way to the boundary; the primal step is
+# then halved until it meets the Armijo condition with slope ARMIJO, at
+# most MAX_HALVINGS times. Dual multipliers are clipped to
+# [t/(KAPPA s), KAPPA t/s], s the matching slack.
+CG_REL = 0.1
+STEP_FRAC = 0.99
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
+KAPPA = 1e10
+# A decrease of f below F_RESOLUTION * |f| is rounding noise in f.
+F_RESOLUTION = 16.0 * np.finfo(float).eps
+
+# Block coordinate-descent corrector. A row-kernel call stops at block
+# tolerance TOL_BLOCK (tightened in block_cd_run along with the outer
+# tolerance) or after MAX_INNER_PASSES passes: coordinate-descent passes
+# under the numba backend, Newton iterations under the numpy backend.
+# Closed-form moves stay GUARD_FRAC * rho inside the faces of the box.
 TOL_BLOCK = 1e-9
 MAX_INNER_PASSES = 20
 GUARD_FRAC = 1e-12
@@ -89,20 +113,16 @@ class BlockDualValue:
 
 @dataclass
 class CorrectorConfig:
-    """Knobs for the corrector loop.
+    """Stopping rule of a corrector run.
 
     ``tol_residual`` left as None takes the default of :meth:`residual_tol`.
-    A ``sweep_fraction`` below 1 restricts each sweep to the rows with the
-    largest diagonal improvement scores (faster, less stable). ``backend``
-    names the row kernel (``"numba"`` or ``"numpy"``; None takes
-    ``kernels.DEFAULT_BACKEND``). The row-kernel limits and the inverse
-    refresh period are the module constants above.
+    ``max_sweeps`` caps the Newton steps of :func:`corrector_run` and the
+    sweeps of :func:`block_cd_run`. Every other limit is a module constant
+    above.
     """
 
     tol_residual: float | None = None
     max_sweeps: int = 500
-    sweep_fraction: float = 1.0
-    backend: str | None = None
 
     def residual_tol(self, n: int) -> float:
         """Stopping tolerance on the residual norm: ``tol_residual``, or
@@ -112,7 +132,14 @@ class CorrectorConfig:
 
 @dataclass
 class CorrectorStats:
-    """Run diagnostics: work counters and inverse-maintenance drift."""
+    """Run diagnostics: work counters and inverse-maintenance drift.
+
+    Under :func:`corrector_run`, ``sweeps`` counts Newton steps and
+    ``inner_passes`` CG iterations; it makes no row updates and keeps no
+    cached inverse, so ``row_updates`` and ``max_inverse_drift`` stay 0.
+    Under :func:`block_cd_run` they count sweeps, row updates and row-kernel
+    passes, and the largest drift found at an inverse refresh.
+    """
 
     sweeps: int = 0
     row_updates: int = 0
@@ -262,7 +289,122 @@ def _sweep_order(p: Problem, U: np.ndarray, inv: np.ndarray, fraction: float) ->
 def corrector_run(
     p: Problem, U0: np.ndarray, t: float, cfg: CorrectorConfig | None = None
 ) -> tuple[PDFactor, CorrectorStats]:
-    """Run the corrector and return the solution with its run statistics."""
+    """Re-center by damped primal-dual Newton-CG; returns the solution with
+    its run statistics.
+
+    A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
+    ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
+    estimates start at L~ = t/s+, M~ = t/s-, move along the linearized
+    complementarity conditions L~ s+ = t, M~ s- = t by their own
+    fraction-to-boundary step, and are clipped to [t/(KAPPA s), KAPPA t/s].
+    The primal step is cut to ``STEP_FRAC`` of the distance to the box
+    boundary and halved until it is positive definite and meets the Armijo
+    condition on the barrier objective f. A full step is also accepted when
+    it is feasible and the decrement -<H, P> is below the float resolution
+    of f, where the Armijo test compares rounding noise.
+
+    The run returns after a full step that leaves the residual, computed
+    with a fresh inverse, at most ``cfg.residual_tol(n)`` and the duality
+    gap tr(sigma X) + rho ||X||_1 - n at X = U^{-1}, the dual objective
+    minus the primal one, at most 2 n^2 t; so a start that already meets
+    both still takes one step. Raises MaxSweepsExceeded, carrying the
+    current iterate, after ``cfg.max_sweeps`` steps, and LineSearchFailure
+    when no step length is acceptable.
+    """
+    cfg = cfg or CorrectorConfig()
+    n = p.n
+    tol = cfg.residual_tol(n)
+    max_gap = gap_bound(n, t)
+    U0 = np.asarray(U0, dtype=float)
+    if not feasible(p, U0):
+        raise Infeasible("corrector starting point is not strictly feasible")
+
+    upper = p.rho + p.sigma
+    lower = p.sigma - p.rho
+    factor = pd_factor(symmetrize(U0))
+    f = barrier_objective(p, factor, t)
+    state = multipliers(p, factor.matrix, t)
+    L_dual, M_dual = state.L, state.M
+    cg_cfg = CGConfig(rel_drop=CG_REL)
+    stats = CorrectorStats()
+    full_step = False
+
+    while True:
+        X = factor.inverse
+        H = state.L - state.M - X
+        stats.residual_norm = float(np.linalg.norm(H))
+        if full_step and stats.residual_norm <= tol:
+            gap = float(np.sum(p.sigma * X) + p.rho * np.sum(np.abs(X)) - n)
+            if gap <= max_gap:
+                return factor, stats
+        if stats.sweeps >= cfg.max_sweeps:
+            raise MaxSweepsExceeded(
+                f"no convergence after {cfg.max_sweeps} Newton steps "
+                f"(residual {stats.residual_norm:.3e}, tol {tol:.3e})",
+                best=factor,
+                residual=stats.residual_norm,
+            )
+
+        slack_plus = upper - factor.matrix
+        slack_minus = factor.matrix - lower
+        D = L_dual / slack_plus + M_dual / slack_minus
+        cg = cg_solve(PredictorSystem(U_inv=X, D=D, rhs=-H), cg_cfg)
+        P = cg.direction
+        stats.inner_passes += cg.iterations
+        stats.sweeps += 1
+
+        dL = t / slack_plus - L_dual + (L_dual / slack_plus) * P
+        dM = t / slack_minus - M_dual - (M_dual / slack_minus) * P
+        a_dual = _step_to_boundary(max((-dL / L_dual).max(), (-dM / M_dual).max()))
+        a = _step_to_boundary(max((P / slack_plus).max(), (-P / slack_minus).max()))
+        decrement = -float(np.sum(H * P))
+        flat = decrement <= F_RESOLUTION * abs(f)
+        for _ in range(MAX_HALVINGS):
+            try:
+                trial = pd_factor(factor.matrix + a * P)
+            except NotPositiveDefinite:
+                a *= 0.5
+                continue
+            f_trial = barrier_objective(p, trial, t)
+            if f_trial <= f - ARMIJO * a * decrement or (a == 1.0 and flat):
+                break
+            a *= 0.5
+        else:
+            raise LineSearchFailure(
+                f"no acceptable Newton step (residual {stats.residual_norm:.3e})"
+            )
+        full_step = a == 1.0
+        factor, f = trial, f_trial
+        state = multipliers(p, factor.matrix, t)
+        L_dual = np.clip(L_dual + a_dual * dL, state.L / KAPPA, KAPPA * state.L)
+        M_dual = np.clip(M_dual + a_dual * dM, state.M / KAPPA, KAPPA * state.M)
+
+
+def _step_to_boundary(reach: float) -> float:
+    """Step length along a direction whose largest relative move toward
+    zero, over the quantities that must stay positive, is ``reach`` per
+    unit step: 1, or ``STEP_FRAC`` of the distance to the boundary."""
+    return 1.0 if reach <= STEP_FRAC else STEP_FRAC / reach
+
+
+def block_cd_run(
+    p: Problem,
+    U0: np.ndarray,
+    t: float,
+    cfg: CorrectorConfig | None = None,
+    *,
+    backend: str | None = None,
+    sweep_fraction: float = 1.0,
+) -> tuple[PDFactor, CorrectorStats]:
+    """Re-center by block coordinate descent over rows/columns; returns the
+    solution with its run statistics.
+
+    ``backend`` names the row kernel (``"numba"`` or ``"numpy"``; None
+    takes ``kernels.DEFAULT_BACKEND``). A ``sweep_fraction`` below 1
+    restricts each sweep to the rows with the largest diagonal improvement
+    scores. The run returns once the residual, computed with a fresh
+    inverse, is at most ``cfg.residual_tol(n)``.
+    """
     cfg = cfg or CorrectorConfig()
     n = p.n
     tol = cfg.residual_tol(n)
@@ -272,7 +414,7 @@ def corrector_run(
 
     U = symmetrize(U0)
     inv = invert_pd(U)
-    solver = kernels.row_solver(cfg.backend)
+    solver = kernels.row_solver(backend)
     guard = GUARD_FRAC * p.rho
     # A block left about tol_block from its minimizer leaves H entries of
     # that order. CD stops once no coordinate moves by tol_block; Newton
@@ -304,7 +446,7 @@ def corrector_run(
             )
 
         stats.sweeps += 1
-        for i in _sweep_order(p, U, inv, cfg.sweep_fraction):
+        for i in _sweep_order(p, U, inv, sweep_fraction):
             V_inv = sub_inverse(inv, i)
             old_row = np.concatenate((U[i, :i], U[i, i + 1:]))
             u = old_row.copy()

@@ -1,6 +1,9 @@
-"""Hot numerical kernels for the row/column block subproblem.
+"""Row kernels of the reference corrector, ``corrector.block_cd_run``.
 
-Two backends solve the same block problem (the barrier objective restricted
+The path drivers re-center with the Newton-CG ``corrector.corrector_run``,
+which calls nothing here; the row kernels serve the paper's block
+coordinate-descent corrector, which the tests hold it to. Two backends
+solve the same block problem (the barrier objective restricted
 to one row/column of U) by different methods:
 
 * ``numba`` -- the paper's closed-form coordinate descent,

@@ -3,8 +3,8 @@ continuation toward a perturbed covariance.
 
 A path run starts from the sparse-end diagonal point, carries the solution
 from one grid value to the next with a scaling warm start (default) or a
-conjugate-gradient tangent step, and re-centers with the block
-coordinate-descent corrector at every grid value.
+conjugate-gradient tangent step, and re-centers with the Newton-CG
+corrector (``corrector.corrector_run``) at every grid value.
 """
 
 import math
@@ -24,7 +24,7 @@ from .barrier import (
     scaling_warm_start,
 )
 from .corrector import CorrectorConfig, corrector_run
-from .exceptions import CovpathError, Infeasible, MaxSweepsExceeded
+from .exceptions import CovpathError, Infeasible
 from .predictor import (
     CGConfig,
     PredictorSystem,
@@ -77,10 +77,12 @@ class PathPoint:
 
 @dataclass
 class PathFailure:
-    """Record of a grid value that could not be solved."""
+    """Record of a grid value that could not be solved, with the error
+    that stopped it."""
 
     rho: float
     error: str
+    exception: CovpathError | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -209,7 +211,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
                 path.truncated = True
-                path.failure = PathFailure(rho=float(rho), error=str(exc))
+                path.failure = PathFailure(rho=float(rho), error=str(exc), exception=exc)
                 return path
             factor, stats = retried
         wall = time.perf_counter() - tick
@@ -247,7 +249,8 @@ def solve_at(
 
     Warm-starts down a short log grid from rho_max when rho sits below it;
     for rho >= rho_max the diagonal start is already feasible and a single
-    corrector run suffices.
+    corrector run suffices. When the path stops short, the error that
+    stopped it is raised again as its own type, chained to the original.
     """
     sigma = symmetrize(np.asarray(sigma, dtype=float))
     rho_max = float(np.max(np.diagonal(sigma)))
@@ -260,9 +263,10 @@ def solve_at(
     cfg = PathConfig(rho_grid=grid, t=t, corrector=cc)
     result = run_path(sigma, cfg)
     if result.truncated:
-        raise MaxSweepsExceeded(
-            f"from-scratch solve failed at rho={result.failure.rho:.6g}: {result.failure.error}"
-        )
+        failure = result.failure
+        raise type(failure.exception)(
+            f"from-scratch solve failed at rho={failure.rho:.6g}: {failure.error}"
+        ) from failure.exception
     return pd_factor(result.points[-1].U)
 
 

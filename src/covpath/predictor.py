@@ -1,9 +1,12 @@
-"""Tangent direction along the path via conjugate gradient.
+"""The structured system U^{-1} P U^{-1} + D o P = rhs and its CG solver.
 
-The path tangent dU/drho solves the linear system J vec(dU) = -vec(dH/drho)
-with J = U^{-1} (x) U^{-1} + diag(vec D). The Kronecker product is never
+The path tangent dU/drho solves J vec(dU) = -vec(dH/drho) with
+J = U^{-1} (x) U^{-1} + diag(vec D). The Kronecker product is never
 formed: the operator acts on symmetric matrices directly as
 U^{-1} P U^{-1} + D o P, one O(n^3) multiplication per CG iteration.
+The same operator, with a primal-dual D, is the Hessian of the corrector's
+Newton step (see ``corrector``), and the online mode solves it for the
+tangent in mu, so :func:`cg_solve` is the one linear solver of the program.
 """
 
 from dataclasses import dataclass
@@ -19,8 +22,9 @@ from .symmat import PDFactor, symmetrize
 class PredictorSystem:
     """Implicit operator U^{-1} P U^{-1} + D o P with its right-hand side.
 
-    D and rhs come from differentiating the multiplier maps:
-    D = (L^2 + M^2)/t elementwise and rhs = -dH/drho = (L^2 - M^2)/t.
+    For the path tangent (:func:`build_system`), D and rhs come from
+    differentiating the multiplier maps: D = (L^2 + M^2)/t elementwise and
+    rhs = -dH/drho = (L^2 - M^2)/t. The corrector builds its own D and rhs.
     """
 
     U_inv: np.ndarray
@@ -57,8 +61,23 @@ def matvec(sys: PredictorSystem, P: np.ndarray) -> np.ndarray:
     return symmetrize(sys.U_inv @ P @ sys.U_inv) + sys.D * P
 
 
+def operator_diagonal(sys: PredictorSystem) -> np.ndarray:
+    """Diagonal of the system operator on symmetric matrices, as a matrix.
+
+    In the orthonormal basis E_ii, (E_ij + E_ji)/sqrt(2) of the symmetric
+    matrices, with X = U^{-1}, entry (i, j) is X_ii X_jj + X_ij^2 + D_ij
+    off the diagonal and X_ii^2 + D_ii on it.
+    """
+    x = np.diagonal(sys.U_inv)
+    diag = np.outer(x, x) + sys.U_inv * sys.U_inv + sys.D
+    diag[np.diag_indices_from(diag)] -= x * x
+    return diag
+
+
 def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
-    """Conjugate gradient on symmetric matrices under the Frobenius product."""
+    """Jacobi-preconditioned conjugate gradient on symmetric matrices under
+    the Frobenius product; the preconditioner is :func:`operator_diagonal`.
+    The stopping rule applies to the unpreconditioned residual."""
     cfg = cfg or CGConfig()
     n = sys.rhs.shape[0]
     max_iters = cfg.max_iters if cfg.max_iters is not None else n * n
@@ -70,15 +89,17 @@ def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
         return CGResult(direction=x, iterations=0, converged=True, rel_residual=0.0)
     target = cfg.rel_drop * r0_norm
 
-    p_dir = r.copy()
-    rs = float(np.sum(r * r))
+    inv_diag = 1.0 / operator_diagonal(sys)
+    z = r * inv_diag
+    p_dir = z
+    rz = float(np.sum(r * z))
     iterations = 0
     while iterations < max_iters:
         Ap = matvec(sys, p_dir)
         denom = float(np.sum(p_dir * Ap))
         if denom <= 0.0:
             break
-        step = rs / denom
+        step = rz / denom
         x = x + step * p_dir
         r = r - step * Ap
         iterations += 1
@@ -88,9 +109,10 @@ def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
                 direction=symmetrize(x), iterations=iterations,
                 converged=True, rel_residual=r_norm / r0_norm,
             )
-        rs_new = float(np.sum(r * r))
-        p_dir = r + (rs_new / rs) * p_dir
-        rs = rs_new
+        z = r * inv_diag
+        rz_new = float(np.sum(r * z))
+        p_dir = z + (rz_new / rz) * p_dir
+        rz = rz_new
     return CGResult(
         direction=symmetrize(x), iterations=iterations,
         converged=False, rel_residual=float(np.linalg.norm(r)) / r0_norm,

@@ -15,9 +15,12 @@ import pytest
 
 from covpath.barrier import Problem, dual_objective, gap_bound
 from covpath.cli import main as cli_main
+import covpath.path
 from covpath.corrector import (
+    REFRESH_EVERY,
     CoordCoefficients,
     CorrectorConfig,
+    block_cd_run,
     solve_coordinate,
     solve_diagonal,
 )
@@ -203,12 +206,25 @@ def test_criterion_05_predictor_system_validation():
         assert wall < 30.0, f"system validation took {wall:.1f}s"
 
 
-def test_criterion_06_swm_integrity_over_full_path():
+def test_criterion_06_swm_integrity_over_full_path(monkeypatch):
     with criterion(6, "rank-2 inverse maintenance drift stays below 1e-8"):
+        # The production corrector keeps no cached inverse, so the path runs
+        # through the block coordinate-descent corrector, which does.
+        row_updates = []
+
+        def block_cd(*args, **kwargs):
+            factor, stats = block_cd_run(*args, **kwargs)
+            row_updates.append(stats.row_updates)
+            return factor, stats
+
+        monkeypatch.setattr(covpath.path, "corrector_run", block_cd)
         sigma, _ = generate_problem(GeneratorSpec(n=50, density=0.1, seed=606))
         result = run_path(sigma, PathConfig(points=50))
         assert not result.truncated
         assert len(result.points) == 50
+        assert len(row_updates) == 50 and sum(row_updates) > 0
+        # A run refreshes its inverse after every REFRESH_EVERY row updates.
+        assert max(row_updates) >= REFRESH_EVERY, max(row_updates)
         assert result.max_inverse_drift <= 1e-8, result.max_inverse_drift
 
 

@@ -157,6 +157,34 @@ class TestVerify:
         write_matrix(out / "X_002.csv", X)
         assert run_cli("verify", out) == 3
 
+    def test_residual_is_recomputed_from_the_saved_u(self, tmp_path):
+        # Point 2 of this truncated run (cond 395, min slack 8e-7) is a valid
+        # solution, but X = U^{-1} stored in float64 fixes U only to about
+        # cond * eps, and the multipliers magnify that by t / slack^2: a
+        # residual recomputed from the inverse of X moves past the 2*tol
+        # bound under ulp-level changes of X. verify reads the saved U.
+        f = tmp_path / "indef.csv"
+        f.write_text("1,0.9,0.9\n0.9,1,-0.9\n0.9,-0.9,1\n")
+        out = tmp_path / "run"
+        assert run_cli("solve", "--sigma", f, "--points", 8, "--output", out) == 4
+        X = load_matrix(out / "X_002.csv")
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            ulps = np.triu(rng.integers(-2, 3, X.shape))
+            ulps = ulps + np.triu(ulps, 1).T
+            write_matrix(out / "X_002.csv", X * (1.0 + ulps * np.finfo(float).eps))
+            assert run_cli("verify", out) == 0
+
+    def test_verify_detects_u_corruption(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out) == 0
+        U = load_matrix(out / "U_001.csv")
+        write_matrix(out / "U_001.csv", U + 1e-3 * np.eye(7))
+        assert run_cli("verify", out) == 3
+        (out / "U_001.csv").unlink()
+        assert run_cli("verify", out) == 3
+
     def test_missing_summary_is_input_error(self, tmp_path, capsys):
         assert run_cli("verify", tmp_path) == 2
         assert "input error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from covpath.corrector import (
     BlockPartition,
     CoordCoefficients,
     CorrectorConfig,
+    block_cd_run,
     block_dual_point,
     block_objective,
     coord_coefficients,
@@ -376,6 +377,38 @@ class TestCorrectorSolve:
                 values.append(barrier_objective(p, exc.best, t))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_agrees_with_block_coordinate_descent(self):
+        # Criterion 3's 1e-5 against the paper's corrector, over barrier
+        # weights down to 1e-10. Rounding leaves a residual floor of about
+        # eps * max|U| * t / slack^2, which at t = 1e-10 can exceed 1e-7, so
+        # the stop tolerance sits above the floor measured at a first solve.
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            p = random_instance(rng, n, density=0.5, rho_frac=float(rng.uniform(0.1, 0.9)))
+            t = 10.0 ** rng.uniform(-10, -2)
+            U0 = random_feasible_point(rng, p)
+            first = block_cd_run(p, U0, t)[0].matrix
+            slack = p.rho - np.abs(first - p.sigma)
+            floor = np.finfo(float).eps * np.abs(first).max() * t / slack.min() ** 2
+            cfg = CorrectorConfig(tol_residual=max(1e-8, 4.0 * floor))
+            newton = corrector_run(p, U0, t, cfg)[0]
+            block_cd = block_cd_run(p, U0, t, cfg)[0]
+            assert np.linalg.norm(newton.matrix - block_cd.matrix) <= 1e-5, (n, t)
+
+    def test_converged_start_takes_one_full_step(self):
+        rng = np.random.default_rng(32)
+        p = random_instance(rng, 5, density=0.5)
+        t = 1e-4
+        cfg = CorrectorConfig(tol_residual=1e-8)
+        start, _ = corrector_run(p, random_feasible_point(rng, p), t, cfg)
+        factor, stats = corrector_run(p, start.matrix, t, cfg)
+        assert stats.sweeps == 1
+        assert not np.array_equal(factor.matrix, start.matrix)
+        assert stats.residual_norm <= 1e-8
+        with pytest.raises(MaxSweepsExceeded):
+            corrector_run(p, start.matrix, t, CorrectorConfig(tol_residual=1e-8, max_sweeps=0))
+
     def test_infeasible_start_rejected(self):
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
         with pytest.raises(Infeasible):
@@ -398,10 +431,10 @@ class TestCorrectorSolve:
         p = Problem(sigma=sigma, rho=1.0)
         t = 1e-4
         U0 = np.diag(np.diag(sigma) + 0.9)
-        cfg = CorrectorConfig(tol_residual=1e-9, sweep_fraction=0.34, max_sweeps=200)
-        factor, stats = corrector_run(p, U0, t, cfg)
+        cfg = CorrectorConfig(tol_residual=1e-9, max_sweeps=200)
+        factor, stats = block_cd_run(p, U0, t, cfg, sweep_fraction=0.34)
         assert stats.residual_norm <= 1e-9
-        full = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-9))[0]
+        full = block_cd_run(p, U0, t, CorrectorConfig(tol_residual=1e-9))[0]
         assert np.linalg.norm(factor.matrix - full.matrix) <= 1e-7
 
     @staticmethod
@@ -412,8 +445,8 @@ class TestCorrectorSolve:
         U0 = random_feasible_point(rng, p)
         out = {}
         for backend in ("numba", "numpy"):
-            cfg = CorrectorConfig(tol_residual=1e-9, backend=backend)
-            out[backend] = corrector_run(p, U0, t, cfg)[0].matrix
+            cfg = CorrectorConfig(tol_residual=1e-9)
+            out[backend] = block_cd_run(p, U0, t, cfg, backend=backend)[0].matrix
         assert np.linalg.norm(out["numba"] - out["numpy"]) <= 1e-8
 
     @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")

@@ -5,7 +5,7 @@ from conftest import random_instance
 from covpath.barrier import Problem, multipliers, residual
 from covpath.corrector import CorrectorConfig
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.exceptions import Infeasible, StepCollapse
+from covpath.exceptions import Infeasible, MaxSweepsExceeded, StepCollapse
 from covpath.path import (
     PathConfig,
     cardinality,
@@ -68,6 +68,14 @@ class TestRunPath:
             assert -1e-10 <= gap <= pt.gap_bound + 10 * tol
             assert pt.sweeps >= 0 and pt.cardinality >= 8
 
+    def test_every_point_meets_the_gap_bound(self):
+        sigma, _ = generate_problem(GeneratorSpec(n=30, density=0.1, seed=3))
+        res = run_path(sigma, PathConfig(points=10))
+        assert len(res.points) == 10
+        for pt in res.points:
+            assert pt.gap_bound == 2 * 30 * 30 * res.t
+            assert pt.dual_obj - pt.primal_obj <= pt.gap_bound, pt.rho
+
     def test_deterministic(self, small_instance):
         a = run_path(small_instance, PathConfig(points=4))
         b = run_path(small_instance, PathConfig(points=4))
@@ -129,6 +137,16 @@ class TestSolveAt:
         factor = solve_at(small_instance, 1.5 * rho_max, t)
         p = Problem(sigma=small_instance, rho=1.5 * rho_max)
         assert np.linalg.norm(residual(p, factor, t)) <= 1e-6 * 8
+
+    def test_failure_keeps_its_type(self):
+        # Indefinite sigma (eigenvalues -0.8, 1.9, 1.9): below some rho no
+        # feasible point exists and the corrector rejects its start.
+        sigma = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        with pytest.raises(Infeasible) as err:
+            solve_at(sigma, 0.05, 1e-4)
+        assert not isinstance(err.value, MaxSweepsExceeded)
+        assert isinstance(err.value.__cause__, Infeasible)
+        assert "from-scratch solve failed" in str(err.value)
 
     def test_matches_path_final_point(self, small_instance):
         rho = 0.2 * float(np.max(np.diag(small_instance)))

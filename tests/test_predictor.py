@@ -12,6 +12,7 @@ from covpath.predictor import (
     build_system,
     cg_solve,
     matvec,
+    operator_diagonal,
     predictor_step_detail,
 )
 from covpath.reference import explicit_system
@@ -116,6 +117,24 @@ class TestCgSolve:
         assert res.iterations == 1
         assert res.converged
         assert np.allclose(res.direction, rhs / 2.0, atol=1e-12)
+
+    def test_preconditioner_is_the_operator_diagonal(self):
+        # Diagonal of criterion 5's explicit operator on symmetric matrices:
+        # E_ii, and (E_ij + E_ji)/sqrt(2) off the diagonal.
+        rng = np.random.default_rng(57)
+        n = 5
+        p = random_instance(rng, n)
+        factor = pd_factor(random_feasible_point(rng, p))
+        t = 1e-3
+        K = explicit_system(p, factor, t)
+        expected = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                B = np.zeros((n, n))
+                B[i, j] = B[j, i] = 1.0 if i == j else 2**-0.5
+                expected[i, j] = B.reshape(-1) @ K @ B.reshape(-1)
+        got = operator_diagonal(build_system(p, factor, t))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_zero_rhs(self):
         sys = PredictorSystem(U_inv=np.eye(3), D=np.ones((3, 3)), rhs=np.zeros((3, 3)))

@@ -10,7 +10,9 @@ mode that carries a solved instance to a perturbed covariance.
 The package namespace holds the library API: the path, online and
 single-penalty solvers, the instance loaders and generator, their
 configuration, problem and result types, and the exceptions. Building
-blocks (kernels, corrector pieces, CG, oracles) live in the submodules.
+blocks live in the submodules: the Newton-CG corrector and the reference
+block coordinate-descent corrector with its row kernel (``corrector``,
+``kernels``), CG, and the oracles.
 """
 
 from .barrier import Problem

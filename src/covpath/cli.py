@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, kernels
+from . import data
 from .barrier import Problem, multipliers
 from .corrector import CorrectorConfig
 from .exceptions import (
@@ -35,6 +35,10 @@ EXIT_PARTIAL = 4
 # verify: largest relative Frobenius distance between a saved X and the
 # fresh inverse of the saved U.
 X_MATCH_RTOL = 1e-8
+# verify: the numbers every entry of summary["points"] must hold.
+POINT_FIELDS = (
+    "rho", "t", "cardinality", "sweeps", "cg_iterations", "dual_obj", "primal_obj", "gap_bound"
+)
 
 INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
 
@@ -208,7 +212,6 @@ def cmd_bench(args) -> int:
             )
     report = {
         "schema": data.BENCH_SCHEMA,
-        "backend": kernels.DEFAULT_BACKEND,
         "seed": args.seed,
         "repeats": args.repeats,
         "cells": cells,
@@ -218,6 +221,10 @@ def cmd_bench(args) -> int:
     data.dump_json(out / "bench_report.json", report)
     print(f"report -> {out / 'bench_report.json'}")
     return EXIT_OK
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _verify_run_dir(run_dir: Path) -> list[str]:
@@ -235,6 +242,14 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         zero_tol = float(summary["config"]["zero_tol"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{summary_path}: no usable points/config ({exc!r})") from exc
+    if not isinstance(points, list):
+        raise ParseError(f"{summary_path}: points is not a list")
+    for idx, pt in enumerate(points):
+        if not (isinstance(pt, dict) and all(_is_number(pt.get(key)) for key in POINT_FIELDS)):
+            raise ParseError(
+                f"{summary_path}: point {idx} is not an object with numbers "
+                f"{', '.join(POINT_FIELDS)}"
+            )
     rhos = [pt["rho"] for pt in points]
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         failures.append("points are not strictly descending in rho")

@@ -2,36 +2,28 @@
 
 The path drivers re-center with the Newton-CG ``corrector.corrector_run``,
 which calls nothing here; the row kernels serve the paper's block
-coordinate-descent corrector, which the tests hold it to. Two backends
-solve the same block problem (the barrier objective restricted
-to one row/column of U) by different methods:
+coordinate-descent corrector, which the tests hold it to. Each kernel
+solves the block problem (the barrier objective restricted to one
+row/column of U):
 
-* ``numba`` -- the paper's closed-form coordinate descent,
-  :func:`_row_inner_loops`, compiled with ``@njit`` (the default whenever
-  numba imports successfully). Every off-diagonal coordinate moves to the
-  middle root of its stationarity cubic (trigonometric form), then the
-  diagonal entry moves to the larger root of its stationarity quadratic.
-  Each 1-D objective is strictly convex on its feasible interval, which
-  picks that root in closed form; it is clamped into the box and refined
-  by one guarded Newton polish (:func:`_polish`, shared by both moves).
-  Passes repeat until the largest move drops below tolerance. Run
-  uncompiled, the same function is the reference the tests hold the numpy
-  backend to.
-* ``numpy`` -- :func:`row_inner_numpy`, damped Newton on the whole
-  (m+1)-variable block with one Cholesky solve per iteration, so the work
-  is done in BLAS/LAPACK rather than in a Python loop per coordinate. It
-  starts from the closed-form diagonal move of the CD kernel.
+* :func:`row_inner_numpy`, the one that ``block_cd_run`` runs (see
+  :func:`row_solver`): damped Newton on the whole (m+1)-variable block with
+  one Cholesky solve per iteration, so the work is done in BLAS/LAPACK
+  rather than in a Python loop per coordinate. It starts from the
+  closed-form diagonal move of the CD body.
+* :func:`_row_inner_loops`, the paper's closed-form coordinate descent in
+  scalar loops, run uncompiled as the oracle that the tests hold the
+  Newton kernel to. Every off-diagonal coordinate moves to the middle root
+  of its stationarity cubic (trigonometric form), then the diagonal entry
+  moves to the larger root of its stationarity quadratic. Each 1-D
+  objective is strictly convex on its feasible interval, which picks that
+  root in closed form; it is clamped into the box and refined by one
+  guarded Newton polish (:func:`_polish`, shared by both moves). Passes
+  repeat until the largest move drops below tolerance.
 
-The default is ``numba`` whenever numba imports and ``numpy`` otherwise;
-callers can request a backend explicitly via :func:`row_solver`. The
-scalar helpers carry ``@_njit``, which compiles them under numba and leaves
-them plain Python without it; the corrector's coordinate-level functions
-call the same helpers, so each closed form is written once.
-
-Both backends stop at the block tolerance, so they agree on the block
+Both kernels stop at the block tolerance, so they agree on the block
 minimizer to that tolerance, not to roundoff, and their pass counts differ
 (coordinate sweeps against Newton iterations).
-``benchmarks/compare_backends.py`` times one against the other.
 """
 
 import math
@@ -40,29 +32,17 @@ import numpy as np
 from scipy.linalg.blas import dsyr as _dsyr
 from scipy.linalg.lapack import dposv as _dposv
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
 STATUS_OK = 0
 STATUS_NO_DIAG_ROOT = 1
 STATUS_BAD_COEFFS = 2
 STATUS_INFEASIBLE = 3
 
-_njit = numba.njit(cache=True) if HAVE_NUMBA else (lambda fn: fn)
-
 
 # --------------------------------------------------------------------------
-# Scalar coordinate-descent kernels, written in njit-compatible style and
-# compiled in place when numba is available.
+# Scalar coordinate-descent moves of the CD body.
 # --------------------------------------------------------------------------
 
 
-@_njit
 def _middle_cubic_root(c3, c2, c1, c0):
     """Middle real root of c3 x^3 + c2 x^2 + c1 x + c0 = 0 (c3 != 0).
 
@@ -116,7 +96,6 @@ def _middle_cubic_root(c3, c2, c1, c0):
     return 2.0 * r * math.cos((theta - 2.0 * math.pi) / 3.0) - shift
 
 
-@_njit
 def _coord_quadratic(vjj, qj, uj, schur):
     """Quadratic alpha x^2 + beta x + gamma tracing w - u^T V_inv u in x = u_j.
 
@@ -129,7 +108,6 @@ def _coord_quadratic(vjj, qj, uj, schur):
     return alpha, beta, gamma
 
 
-@_njit
 def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
     """Stationarity cubic p1 x^3 + p2 x^2 + p3 x + p4 of the coordinate objective.
 
@@ -144,7 +122,6 @@ def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
     return p1, p2, p3, p4
 
 
-@_njit
 def _polish(x, alpha, beta, gamma, bj, rho, wt, lo, hi):
     """One guarded Newton step on the derivative of the 1-D objective
     ``-log(alpha x^2 + beta x + gamma) - wt [log(rho+bj-x) + log(rho-bj+x)]``.
@@ -184,7 +161,6 @@ def _polish(x, alpha, beta, gamma, bj, rho, wt, lo, hi):
     return x_pol if abs(g1_pol) < abs(g1) else x
 
 
-@_njit
 def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     """Minimize the 1-D off-diagonal objective; returns (x_new, status).
 
@@ -210,7 +186,6 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     return _polish(x, alpha, beta, gamma, bj, rho, 2.0 * t, lo, hi), STATUS_OK
 
 
-@_njit
 def _solve_diagonal(s, c, rho, t, guard):
     """Minimize the 1-D diagonal objective; returns (w_new, status).
 
@@ -240,10 +215,10 @@ def _solve_diagonal(s, c, rho, t, guard):
 def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     """Closed-form coordinate descent over one row block; mutates ``u``.
 
-    Scalar loops, compiled for the numba backend; run uncompiled, this is
-    the reference for :func:`row_inner_numpy`. Maintains q = V_inv @ u and
-    the quadratic term s = u^T V_inv u incrementally; the identity
-    alpha x^2 + beta x + gamma = w - s(x) refreshes s in O(1) per move.
+    Scalar loops, the reference for :func:`row_inner_numpy`. Maintains
+    q = V_inv @ u and the quadratic term s = u^T V_inv u incrementally; the
+    identity alpha x^2 + beta x + gamma = w - s(x) refreshes s in O(1) per
+    move.
 
     Returns (w, passes, status).
     """
@@ -401,31 +376,10 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     return float(z[m]), passes, status
 
 
-row_inner_numba = _njit(_row_inner_loops) if HAVE_NUMBA else None
+# The one row kernel's name, which benchmark environment records read.
+DEFAULT_BACKEND = "numpy"
 
 
-_SOLVERS = {"numpy": row_inner_numpy, "numba": row_inner_numba}
-
-DEFAULT_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def row_solver(backend: str | None = None):
-    """Return the row-block kernel for ``backend`` (default ``DEFAULT_BACKEND``)."""
-    name = backend or DEFAULT_BACKEND
-    if name not in _SOLVERS:
-        raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    fn = _SOLVERS[name]
-    if fn is None:
-        raise ValueError("numba backend requested but numba is not installed")
-    return fn
-
-
-def warm_up(backend: str | None = None) -> None:
-    """Trigger JIT compilation on a tiny, strictly feasible block so later
-    timings are honest."""
-    fn = row_solver(backend)
-    fn(np.eye(2), np.zeros(2), 0.5, np.zeros(2), 0.0, 1.0, 0.1, 1e-9, 2, 1e-12)
+def row_solver():
+    """Return the row-block kernel that ``block_cd_run`` runs."""
+    return row_inner_numpy

@@ -20,7 +20,6 @@ from .barrier import (
     gap_bound,
     initial_point,
     primal_objective,
-    residual,
     scaling_warm_start,
 )
 from .corrector import CorrectorConfig, corrector_run
@@ -169,6 +168,8 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     cfg = cfg or PathConfig()
     if cfg.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not 0.0 <= cfg.zero_tol < 1.0:
+        raise ValueError(f"zero_tol must lie in [0, 1), got {cfg.zero_tol}")
     sigma = symmetrize(np.asarray(sigma, dtype=float))
     n = sigma.shape[0]
     rho_max = float(np.max(np.diagonal(sigma)))
@@ -278,11 +279,6 @@ def solve_at(
 def shifted_problem(p: Problem, C: np.ndarray, mu: float) -> Problem:
     """The instance with covariance sigma + mu C at the same penalty."""
     return Problem(sigma=p.sigma + mu * C, rho=p.rho)
-
-
-def online_residual(p: Problem, C: np.ndarray, mu: float, U: PDFactor, t: float) -> np.ndarray:
-    """Central-path residual of the mu-parametrized (shifted) problem."""
-    return residual(shifted_problem(p, C, mu), U, t)
 
 
 def run_online(

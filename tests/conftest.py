@@ -1,17 +1,7 @@
 import numpy as np
-import pytest
 
-from covpath import kernels
 from covpath.barrier import Problem, feasible
 from covpath.symmat import symmetrize
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels up front so timed tests measure math."""
-    for backend in kernels.available_backends():
-        kernels.warm_up(backend)
-
 
 def random_pd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))

@@ -13,17 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from covpath import kernels
 from covpath.barrier import Problem, dual_objective, gap_bound
 from covpath.cli import main as cli_main
 import covpath.path
-from covpath.corrector import (
-    REFRESH_EVERY,
-    CoordCoefficients,
-    CorrectorConfig,
-    block_cd_run,
-    solve_coordinate,
-    solve_diagonal,
-)
+from covpath.corrector import GUARD_FRAC, REFRESH_EVERY, CorrectorConfig, block_cd_run
 from covpath.data import GeneratorSpec, generate_problem, load_json
 from covpath.path import PathConfig, run_online, run_path, solve_at
 from covpath.reference import OracleConfig, central_point, explicit_system, golden_section
@@ -119,19 +113,21 @@ def test_criterion_03_corrector_newton_equivalence():
 def test_criterion_04_closed_form_1d_solves():
     with criterion(4, "cubic and quadratic solves match the golden-section oracle"):
         tick = time.perf_counter()
-        assert solve_coordinate(
-            CoordCoefficients(alpha=-1.0, beta=0.0, gamma=1.0), 0.0, 1.0, 0.5, 0.3
-        ) == 0.0
-        assert solve_diagonal(0.0, 0.0, 1.0, 0.5) == 2.0**-0.5
+        ok = kernels.STATUS_OK
+        assert kernels._solve_coordinate(
+            -1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC
+        ) == (0.0, ok)
+        assert kernels._solve_diagonal(0.0, 0.0, 1.0, 0.5, GUARD_FRAC) == (2.0**-0.5, ok)
 
         rng = np.random.default_rng(404)
         for _ in range(1000):
-            cc, b_j, rho, t, x0 = random_coord_case(rng)
-            x = solve_coordinate(cc, b_j, rho, t, x0)
-            lo, hi = feasible_coord_interval(cc, b_j, rho)
+            quad, b_j, rho, t, x0 = random_coord_case(rng)
+            x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
+            assert status == ok
+            lo, hi = feasible_coord_interval(quad, b_j, rho)
             pad = 1e-11 * (hi - lo)
             ref = golden_section(
-                lambda z: coord_objective(z, cc, b_j, rho, t), lo + pad, hi - pad, tol=1e-10
+                lambda z: coord_objective(z, quad, b_j, rho, t), lo + pad, hi - pad, tol=1e-10
             )
             assert abs(x - ref) <= 1e-6, (x, ref)
 
@@ -145,7 +141,8 @@ def test_criterion_04_closed_form_1d_solves():
             if hi - lo < 1e-4:
                 continue
             count += 1
-            w = solve_diagonal(s, c, rho, t)
+            w, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
+            assert status == ok
             pad = 1e-10 * (hi - lo)
             ref = golden_section(
                 lambda z: diag_objective(z, s, c, rho, t), lo + pad, hi - pad, tol=1e-11

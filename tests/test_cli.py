@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from covpath.cli import main
+from covpath.cli import POINT_FIELDS, main
 from covpath.data import build_state, dump_json, load_json, load_matrix, write_matrix
-from covpath.kernels import DEFAULT_BACKEND
 from covpath.path import cardinality, support_mask
 
 
@@ -85,6 +84,15 @@ class TestSolve:
 
     def test_no_input_flag(self):
         assert run_cli("solve") == 2
+
+    def test_zero_tol_outside_unit_interval_is_input_error(self, tmp_path, capsys):
+        for zero_tol in ("-1", "1", "nan"):
+            out = tmp_path / f"run{zero_tol}"
+            code = run_cli("solve", "--gen", "n=8,seed=2", "--zero-tol", zero_tol,
+                           "--points", 3, "--output", out)
+            assert code == 2
+            assert "zero_tol" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_partial_path_exit_code(self, tmp_path, monkeypatch):
         import covpath.cli as cli_mod
@@ -191,7 +199,17 @@ class TestVerify:
 
     def test_summary_without_points_or_config_is_input_error(self, tmp_path, capsys):
         summary = {"schema": "covpath.summary/1"}
-        payloads = (summary, dict(summary, points=[]), dict(summary, points=[], config=[]), [1, 2])
+        config = {"tol_residual": 1e-6, "zero_tol": 1e-4}
+        payloads = (
+            summary,
+            dict(summary, points=[]),
+            dict(summary, points=[], config=[]),
+            [1, 2],
+            dict(summary, config=config, points=[{"rho": 1.0}]),
+            dict(summary, config=config, points=[1, 2]),
+            dict(summary, config=config, points=5),
+            dict(summary, config=config, points=[dict(dict.fromkeys(POINT_FIELDS, 0), rho=None)]),
+        )
         for payload in payloads:
             (tmp_path / "summary.json").write_text(json.dumps(payload))
             assert run_cli("verify", tmp_path) == 2
@@ -272,7 +290,6 @@ class TestBench:
             resources.files("covpath.schemas").joinpath("bench_report.schema.json").read_text()
         )
         jsonschema.validate(report, schema)
-        assert report["backend"] == DEFAULT_BACKEND
         assert len(report["cells"]) == 2
         for cell in report["cells"]:
             assert cell["median_wall_time"] > 0

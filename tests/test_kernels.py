@@ -5,7 +5,7 @@ from conftest import random_pd
 from covpath import corrector, kernels
 from covpath.barrier import Problem, initial_point
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.symmat import pd_factor
+from covpath.symmat import pd_factor, sub_inverse
 
 
 def _random_block(rng, m):
@@ -23,9 +23,6 @@ def _random_block(rng, m):
     return V_inv, u, w, b, c, rho, t
 
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
 def _assert_row_kernels_agree(reference, block, tol=1e-12, ref_passes=30):
     """The numpy Newton kernel and a CD reference reach the same block minimizer."""
     V_inv, u, w, b, c, rho, t = block
@@ -38,9 +35,9 @@ def _assert_row_kernels_agree(reference, block, tol=1e-12, ref_passes=30):
 
 
 class TestBackendAgreement:
-    """Both backends solve the same block problem by different methods (closed-form
-    coordinate descent vs damped Newton), so they agree on the minimizer, not on
-    the number of passes."""
+    """The Newton kernel and the coordinate-descent body solve the same block
+    problem by different methods (damped Newton vs closed-form coordinate
+    descent), so they agree on the minimizer, not on the number of passes."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
     def test_row_inner_matches_python_reference(self, m):
@@ -62,19 +59,6 @@ class TestBackendAgreement:
                 kernels._row_inner_loops, block, tol=1e-13, ref_passes=300
             )
 
-    @needs_numba
-    @pytest.mark.parametrize("m", [0, 1, 2, 5, 12])
-    def test_row_inner_matches_across_backends(self, m):
-        block = _random_block(np.random.default_rng(40 + m), m)
-        _assert_row_kernels_agree(kernels.row_inner_numba, block)
-
-    @needs_numba
-    def test_solver_registry(self):
-        assert kernels.row_solver("numpy") is kernels.row_inner_numpy
-        assert kernels.row_solver("numba") is kernels.row_inner_numba
-        with pytest.raises(ValueError):
-            kernels.row_solver("cython")
-
     def test_rows_at_initial_point_take_few_newton_iterations(self):
         # barrier.initial_point leaves each diagonal slack at 1e-2 rho_max,
         # orders of magnitude off its optimum; the closed-form diagonal start
@@ -85,14 +69,18 @@ class TestBackendAgreement:
         t = 1e-3 / (2 * p.n**2)
         U = pd_factor(initial_point(p))
         for i in range(p.n):
-            bp = corrector.make_partition(p, U, i)
+            keep = np.arange(p.n) != i
+            block = (
+                sub_inverse(U.inverse, i), U.matrix[i, keep], U.matrix[i, i],
+                p.sigma[i, keep], p.sigma[i, i], p.rho, t,
+            )
+            V_inv, u, w, b, c, rho, _ = block
             _, passes, status = kernels.row_inner_numpy(
-                bp.V_inv, bp.u.copy(), bp.w, bp.b, bp.c, p.rho, t, corrector.TOL_BLOCK,
-                corrector.MAX_INNER_PASSES, corrector.GUARD_FRAC * p.rho,
+                V_inv, u.copy(), w, b, c, rho, t, corrector.TOL_BLOCK,
+                corrector.MAX_INNER_PASSES, corrector.GUARD_FRAC * rho,
             )
             assert status == kernels.STATUS_OK
             assert passes <= 3
-            block = (bp.V_inv, bp.u, bp.w, bp.b, bp.c, p.rho, t)
             _assert_row_kernels_agree(kernels._row_inner_loops, block)
 
     def test_infeasible_start_returns_status(self):
@@ -106,13 +94,9 @@ class TestBackendAgreement:
 
 
 class TestDefaultBackend:
-    def test_default_follows_numba_import(self):
-        assert kernels.DEFAULT_BACKEND == ("numba" if kernels.HAVE_NUMBA else "numpy")
-        assert kernels.row_solver() is kernels.row_solver(kernels.DEFAULT_BACKEND)
-        if not kernels.HAVE_NUMBA:
-            assert kernels.row_solver() is kernels.row_inner_numpy
-            with pytest.raises(ValueError, match="not installed"):
-                kernels.row_solver("numba")
+    def test_row_solver_is_the_newton_kernel(self):
+        assert kernels.DEFAULT_BACKEND == "numpy"
+        assert kernels.row_solver() is kernels.row_inner_numpy
 
 
 class TestMiddleCubicRoot:
@@ -142,8 +126,3 @@ def test_coordinate_move_keeps_current_point_when_interval_is_inside_guard():
     alpha, beta, gamma = -1.0, r1 + r2, -r1 * r2
     x, status = kernels._solve_coordinate(alpha, beta, gamma, 0.0, 1.0, 1e-3, -0.965, 0.1)
     assert (x, status) == (-0.965, kernels.STATUS_OK)
-
-
-def test_warm_up_all_backends():
-    for backend in kernels.available_backends():
-        kernels.warm_up(backend)

@@ -62,17 +62,29 @@ def feasible(p: Problem, U: np.ndarray) -> bool:
     return is_pd(U)
 
 
-def multipliers(p: Problem, U: np.ndarray, t: float) -> BarrierState:
+def slacks(p: Problem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box slacks (slack+, slack-) = (rho + sigma - U, rho - sigma + U).
+
+    Raises Infeasible unless every slack is positive (a NaN is not).
+    """
+    slack_plus = p.rho + p.sigma - U
+    slack_minus = p.rho - p.sigma + U
+    if not (np.all(slack_plus > 0.0) and np.all(slack_minus > 0.0)):
+        raise Infeasible("box slack is non-positive")
+    return slack_plus, slack_minus
+
+
+def multipliers(
+    p: Problem, U: np.ndarray, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
+) -> BarrierState:
     """Elementwise barrier multipliers L = t/slack+, M = t/slack-.
 
-    Raises Infeasible when any box slack is non-positive.
+    ``slack`` is ``slacks(p, U)`` when the caller already has it. Raises
+    Infeasible when any box slack is non-positive.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    slack_plus = p.rho + p.sigma - U
-    slack_minus = p.rho - p.sigma + U
-    if np.any(slack_plus <= 0.0) or np.any(slack_minus <= 0.0):
-        raise Infeasible("box slack is non-positive")
+    slack_plus, slack_minus = slacks(p, U) if slack is None else slack
     return BarrierState(t=t, L=t / slack_plus, M=t / slack_minus)
 
 
@@ -93,17 +105,17 @@ def primal_objective(p: Problem, X: np.ndarray) -> float:
     return float(logdet - np.sum(p.sigma * X) - p.rho * np.sum(np.abs(X)))
 
 
-def barrier_objective(p: Problem, U: PDFactor, t: float) -> float:
+def barrier_objective(
+    p: Problem, U: PDFactor, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
     """Barrier function value at U.
 
     The barrier sums log slacks over all n^2 ordered index pairs, so each
     off-diagonal face is counted twice; this convention is what produces
     the factor 2t on off-diagonal terms in the row/column block problem.
+    ``slack`` is ``slacks(p, U.matrix)`` when the caller already has it.
     """
-    slack_plus = p.rho + p.sigma - U.matrix
-    slack_minus = p.rho - p.sigma + U.matrix
-    if np.any(slack_plus <= 0.0) or np.any(slack_minus <= 0.0):
-        raise Infeasible("box slack is non-positive")
+    slack_plus, slack_minus = slacks(p, U.matrix) if slack is None else slack
     return float(-U.logdet - t * (np.sum(np.log(slack_plus)) + np.sum(np.log(slack_minus))))
 
 

@@ -190,13 +190,17 @@ def cmd_bench(args) -> int:
         sigma, _ = data.generate_problem(spec)
         for points in lengths:
             cfg = PathConfig(points=points, gap_target=args.gap_target)
-            walls = []
+            walls, newton_steps, cg_iterations = [], [], []
             for _ in range(args.repeats):
                 tick = time.perf_counter()
                 result = run_path(sigma, cfg)
                 walls.append(time.perf_counter() - tick)
                 if result.truncated:
                     raise CovpathError(f"bench cell n={n}, points={points} truncated")
+                newton_steps.append(sum(pt.sweeps for pt in result.points))
+                cg_iterations.append(
+                    sum(pt.cg_iterations + pt.corrector_cg_iterations for pt in result.points)
+                )
             cells.append(
                 {
                     "n": n,
@@ -204,11 +208,13 @@ def cmd_bench(args) -> int:
                     "density": args.density,
                     "wall_times": walls,
                     "median_wall_time": statistics.median(walls),
+                    "newton_steps": newton_steps,
+                    "cg_iterations": cg_iterations,
                 }
             )
             print(
                 f"n={n:>4d} points={points:>3d} median={statistics.median(walls):8.3f}s "
-                f"min={min(walls):8.3f}s"
+                f"min={min(walls):8.3f}s newton_steps={newton_steps[0]} cg={cg_iterations[0]}"
             )
     report = {
         "schema": data.BENCH_SCHEMA,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import Problem, barrier_objective, feasible, gap_bound, multipliers
+from .barrier import Problem, barrier_objective, feasible, gap_bound, multipliers, slacks
 from .exceptions import (
     Infeasible,
     LineSearchFailure,
@@ -108,9 +108,12 @@ def corrector_run(
 
     A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
     ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
-    estimates start at L~ = t/s+, M~ = t/s-, move along the linearized
-    complementarity conditions L~ s+ = t, M~ s- = t by their own
-    fraction-to-boundary step, and are clipped to [t/(KAPPA s), KAPPA t/s].
+    estimates start from X = U0^{-1}, at L~ = max(t/s+, X) and
+    M~ = max(t/s-, -X), capped at KAPPA t/s: at the solution H = 0 makes
+    the positive and negative parts of X the face multipliers. They move
+    along the linearized complementarity conditions L~ s+ = t, M~ s- = t
+    by their own fraction-to-boundary step, and are clipped to
+    [t/(KAPPA s), KAPPA t/s].
     The primal step is cut to ``STEP_FRAC`` of the distance to the box
     boundary and halved until it is positive definite and meets the Armijo
     condition on the barrier objective f. A full step is also accepted when
@@ -129,16 +132,19 @@ def corrector_run(
     n = p.n
     tol = cfg.residual_tol(n)
     max_gap = gap_bound(n, t)
-    U0 = np.asarray(U0, dtype=float)
-    if not feasible(p, U0):
-        raise Infeasible("corrector starting point is not strictly feasible")
+    U0 = symmetrize(np.asarray(U0, dtype=float))
+    if U0.shape != p.sigma.shape:
+        raise Infeasible("corrector starting point has the wrong shape")
+    slack = slacks(p, U0)
+    try:
+        factor = pd_factor(U0)
+    except NotPositiveDefinite as exc:
+        raise Infeasible("corrector starting point is not positive definite") from exc
 
-    upper = p.rho + p.sigma
-    lower = p.sigma - p.rho
-    factor = pd_factor(symmetrize(U0))
-    f = barrier_objective(p, factor, t)
-    state = multipliers(p, factor.matrix, t)
-    L_dual, M_dual = state.L, state.M
+    f = barrier_objective(p, factor, t, slack)
+    state = multipliers(p, factor.matrix, t, slack)
+    L_dual = np.clip(factor.inverse, state.L, KAPPA * state.L)
+    M_dual = np.clip(-factor.inverse, state.M, KAPPA * state.M)
     cg_cfg = CGConfig(rel_drop=CG_REL)
     stats = CorrectorStats()
     full_step = False
@@ -159,8 +165,7 @@ def corrector_run(
                 residual=stats.residual_norm,
             )
 
-        slack_plus = upper - factor.matrix
-        slack_minus = factor.matrix - lower
+        slack_plus, slack_minus = slack
         D = L_dual / slack_plus + M_dual / slack_minus
         cg = cg_solve(PredictorSystem(U_inv=X, D=D, rhs=-H), cg_cfg)
         P = cg.direction
@@ -179,7 +184,8 @@ def corrector_run(
             except NotPositiveDefinite:
                 a *= 0.5
                 continue
-            f_trial = barrier_objective(p, trial, t)
+            trial_slack = slacks(p, trial.matrix)
+            f_trial = barrier_objective(p, trial, t, trial_slack)
             if f_trial <= f - ARMIJO * a * decrement or (a == 1.0 and flat):
                 break
             a *= 0.5
@@ -188,8 +194,8 @@ def corrector_run(
                 f"no acceptable Newton step (residual {stats.residual_norm:.3e})"
             )
         full_step = a == 1.0
-        factor, f = trial, f_trial
-        state = multipliers(p, factor.matrix, t)
+        factor, f, slack = trial, f_trial, trial_slack
+        state = multipliers(p, factor.matrix, t, slack)
         L_dual = np.clip(L_dual + a_dual * dL, state.L / KAPPA, KAPPA * state.L)
         M_dual = np.clip(M_dual + a_dual * dM, state.M / KAPPA, KAPPA * state.M)
 

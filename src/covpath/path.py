@@ -23,7 +23,7 @@ from .barrier import (
     scaling_warm_start,
 )
 from .corrector import CorrectorConfig, corrector_run
-from .exceptions import CovpathError, Infeasible
+from .exceptions import CovpathError, Infeasible, StepCollapse
 from .predictor import (
     CGConfig,
     PredictorSystem,
@@ -60,7 +60,12 @@ class PathConfig:
 
 @dataclass
 class PathPoint:
-    """One solved grid value with its diagnostics."""
+    """One solved grid value with its diagnostics.
+
+    ``cg_iterations`` counts the predictor's tangent CG iterations;
+    ``sweeps`` and ``corrector_cg_iterations`` the corrector's Newton steps
+    and the CG iterations they took.
+    """
 
     rho: float
     U: np.ndarray
@@ -71,6 +76,7 @@ class PathPoint:
     gap_bound: float
     cg_iterations: int
     sweeps: int
+    corrector_cg_iterations: int
     wall_time: float
 
 
@@ -139,7 +145,7 @@ def _validate_grid(grid: np.ndarray, rho_max: float) -> np.ndarray:
     return grid
 
 
-def _make_point(problem, factor, t, cfg, cg_iterations, sweeps, wall_time) -> PathPoint:
+def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> PathPoint:
     X = factor.inverse
     return PathPoint(
         rho=problem.rho,
@@ -150,7 +156,8 @@ def _make_point(problem, factor, t, cfg, cg_iterations, sweeps, wall_time) -> Pa
         primal_obj=primal_objective(problem, X),
         gap_bound=gap_bound(problem.n, t),
         cg_iterations=cg_iterations,
-        sweeps=sweeps,
+        sweeps=stats.sweeps,
+        corrector_cg_iterations=stats.inner_passes,
         wall_time=wall_time,
     )
 
@@ -159,9 +166,11 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     """Trace the full regularization path over the penalty grid.
 
     The first point starts from the sparse-end diagonal matrix; every later
-    point warm-starts from its predecessor. When solving a grid value
-    raises any ``CovpathError`` (in the predictor step or in the corrector),
-    the driver retries once through an intermediate penalty (geometric
+    point warm-starts from its predecessor. In predictor mode, a tangent
+    step that collapses (``StepCollapse``) or ends infeasible gives way to
+    the scaling warm start. When solving a grid value raises any other
+    ``CovpathError`` (in the predictor step or in the corrector), the
+    driver retries once through an intermediate penalty (geometric
     midpoint, matching the log-spaced grid); if that also fails the path is
     returned truncated with the failure recorded.
     """
@@ -191,21 +200,25 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         h = float(rho) - rho_prev
         cg_iterations = 0
         try:
+            U_start = None
             if cfg.mode == "predictor" and factor_prev is not None:
                 prev_problem = Problem(sigma=sigma, rho=rho_prev)
-                U_start, h_used, cg_res = predictor_step_detail(
-                    prev_problem, factor_prev, t, h, cfg.cg
-                )
-                cg_iterations = cg_res.iterations
-                if h_used != h:
-                    # Tangent backtracked short of the grid value: carry its
-                    # feasible endpoint the rest of the way by rescaling.
-                    U_start = scaling_warm_start(
-                        sigma, U_start, rho_prev + h_used, float(rho)
+                try:
+                    U_start, h_used, cg_res = predictor_step_detail(
+                        prev_problem, factor_prev, t, h, cfg.cg
                     )
-                if not feasible(problem, U_start):
-                    U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-            else:
+                except StepCollapse:
+                    pass  # the scaling start below stands in for the tangent
+                else:
+                    cg_iterations = cg_res.iterations
+                    if h_used != h:
+                        # Tangent backtracked short of the grid value: carry
+                        # its feasible endpoint the rest of the way by
+                        # rescaling.
+                        U_start = scaling_warm_start(
+                            sigma, U_start, rho_prev + h_used, float(rho)
+                        )
+            if U_start is None or not feasible(problem, U_start):
                 U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
             factor, stats = corrector_run(problem, U_start, t, cfg.corrector)
         except CovpathError as exc:
@@ -218,7 +231,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         wall = time.perf_counter() - tick
         path.max_inverse_drift = max(path.max_inverse_drift, stats.max_inverse_drift)
         path.points.append(
-            _make_point(problem, factor, t, cfg, cg_iterations, stats.sweeps, wall)
+            _make_point(problem, factor, t, cfg, cg_iterations, stats, wall)
         )
         factor_prev = factor
         U_prev = factor.matrix
@@ -310,11 +323,10 @@ def run_online(
         return factor
 
     cc = corrector_cfg or CorrectorConfig()
-    mu = 0.0
+    mu, p_mu = 0.0, p
     min_step = 2.0**-10
     while mu < 1.0:
         step = min(1.0 / k, 1.0 - mu)
-        p_mu = shifted_problem(p, C, mu)
         base = build_system(p_mu, factor, t)
         # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
         sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=base.D * C)
@@ -335,6 +347,6 @@ def run_online(
                 raise Infeasible(
                     "homotopy left the feasible region; reduce the perturbation per call"
                 )
-        factor, _ = corrector_run(shifted_problem(p, C, mu_next), U_try, t, cc)
-        mu = mu_next
+        factor, _ = corrector_run(p_next, U_try, t, cc)
+        mu, p_mu = mu_next, p_next
     return factor

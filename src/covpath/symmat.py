@@ -2,21 +2,24 @@
 
 Factorization, log-determinant, inversion, rank-structured inverse updates
 after a row/column replacement, and sub-inverse extraction. Everything
-operates on plain float64 numpy arrays. Fresh inverses are symmetrized
-explicitly; the O(n^2) updates of a symmetric inverse add ``±y y^T`` terms
-only, which keep it exactly symmetric.
+operates on plain float64 numpy arrays. A fresh inverse comes from one
+LAPACK Cholesky factorization and its triangle is mirrored, so it is exactly
+symmetric; the O(n^2) updates of a symmetric inverse add ``±y y^T`` terms
+only, which keep it so.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dger as _dger
+from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dpotri as _dpotri
 
 from .exceptions import NotPositiveDefinite, SingularUpdate
 
-# A Cholesky pivot at or below PIVOT_RTOL * max(diag) counts as not PD.
+# A Cholesky pivot d with d^2 not above PIVOT_RTOL * max(diag) counts as
+# not PD; so does a non-finite pivot.
 PIVOT_RTOL = 1e-12
 
 
@@ -26,17 +29,18 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and log-determinant of a symmetric PD matrix.
+    """Lower Cholesky factor (Fortran order, upper triangle zero) and
+    log-determinant of a symmetric PD matrix; reads the lower triangle.
 
-    Raises NotPositiveDefinite if the factorization fails or any pivot
-    falls at or below ``PIVOT_RTOL * max(diag(m))``.
+    Raises NotPositiveDefinite if the factorization fails or any squared
+    pivot is not above ``PIVOT_RTOL * max(diag(m))``, which a NaN or
+    infinite entry never is.
     """
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    chol, info = _dpotrf(m, lower=1, clean=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (info {info})")
     d = np.diagonal(chol)
-    if np.any(d * d <= PIVOT_RTOL * np.max(np.diagonal(m))):
+    if not np.all(d * d > PIVOT_RTOL * np.max(np.diagonal(m))):
         raise NotPositiveDefinite("pivot below relative tolerance")
     return chol, float(2.0 * np.sum(np.log(d)))
 
@@ -64,14 +68,25 @@ class PDFactor:
 
 
 def pd_factor(m: np.ndarray) -> PDFactor:
-    """Factor a symmetric PD matrix, caching inverse and log-determinant."""
+    """Factor a symmetric PD matrix, caching inverse and log-determinant.
+
+    The inverse is LAPACK's from the Cholesky factor, with its lower
+    triangle mirrored: exactly symmetric, and C-contiguous, as the in-place
+    rank-1 updates of ``_add_outer`` want it.
+    """
     chol, logdet = cholesky_logdet(m)
-    inv = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m.shape[0])))
+    inv, info = _dpotri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"inversion from the Cholesky factor failed (info {info})")
+    inv += inv.T
+    inv = inv.T
+    inv.reshape(-1)[:: inv.shape[0] + 1] *= 0.5  # the diagonal was doubled
     return PDFactor(matrix=np.array(m, dtype=float), logdet=logdet, inverse=inv)
 
 
 def invert_pd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric PD matrix via Cholesky; output is symmetric."""
+    """Inverse of a symmetric PD matrix via Cholesky; output is exactly
+    symmetric."""
     return pd_factor(m).inverse
 
 

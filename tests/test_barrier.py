@@ -47,6 +47,16 @@ class TestFeasible:
         U = np.array([[0.5, 1.0], [1.0, 0.5]])  # inside the box, indefinite
         assert not feasible(p, U)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_infeasible(self, value):
+        p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
+        for i, j in ((0, 0), (0, 1)):
+            U = np.diag([1.2, 2.1])
+            U[i, j] = U[j, i] = value
+            assert not feasible(p, U)
+            with pytest.raises(Infeasible):
+                multipliers(p, U, 1e-3)
+
 
 class TestMultipliers:
     def test_centered_box(self):

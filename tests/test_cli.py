@@ -293,3 +293,6 @@ class TestBench:
         assert len(report["cells"]) == 2
         for cell in report["cells"]:
             assert cell["median_wall_time"] > 0
+            assert len(cell["newton_steps"]) == len(cell["cg_iterations"]) == 1
+            assert cell["newton_steps"][0] >= 3  # at least one step per point
+            assert cell["cg_iterations"][0] >= cell["newton_steps"][0]

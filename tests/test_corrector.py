@@ -307,6 +307,13 @@ class TestCorrectorSolve:
         with pytest.raises(Infeasible):
             corrector_run(p, np.diag([2.0, 3.0]), 1e-3)
 
+    @pytest.mark.parametrize("off", [np.nan, np.inf, 1.0])
+    def test_non_finite_or_indefinite_start_rejected(self, off):
+        # off = 1.0 is inside the box but leaves the start indefinite.
+        p = Problem(sigma=np.diag([1.0, 1.0]), rho=2.0)
+        with pytest.raises(Infeasible):
+            corrector_run(p, np.array([[0.5, off], [off, 0.5]]), 1e-3)
+
     def test_max_sweeps_carries_best_iterate(self):
         rng = np.random.default_rng(29)
         p = random_instance(rng, 4, density=0.6)

@@ -112,19 +112,61 @@ class TestRunPath:
         assert res.points == []
 
     def test_predictor_failure_recovers_through_midpoint(self, small_instance, monkeypatch):
-        # An error in the predictor step goes through the same midpoint
-        # retry as a corrector failure; the retry warm-starts by scaling.
+        # An error in the predictor step other than StepCollapse goes through
+        # the same midpoint retry as a corrector failure; the retry
+        # warm-starts by scaling.
+        import covpath.path as path_mod
+
+        def broken(*args, **kwargs):
+            raise Infeasible("tangent system left the box")
+
+        retries = []
+        retry = path_mod._retry_through_midpoint
+
+        def counted_retry(*args, **kwargs):
+            retries.append(args[3])
+            return retry(*args, **kwargs)
+
+        monkeypatch.setattr(path_mod, "predictor_step_detail", broken)
+        monkeypatch.setattr(path_mod, "_retry_through_midpoint", counted_retry)
+        res = run_path(small_instance, PathConfig(points=4, mode="predictor"))
+        assert not res.truncated
+        assert len(res.points) == 4
+        assert len(retries) == 3  # every point after the first
+        ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
+        assert [pt.cardinality for pt in res.points] == [pt.cardinality for pt in ref.points]
+
+    def test_step_collapse_falls_back_to_the_scaling_start(self, small_instance, monkeypatch):
+        # A collapsed tangent step costs no midpoint retry: the point starts
+        # from the scaling warm start, so its solve is scaling mode's.
         import covpath.path as path_mod
 
         def collapse(*args, **kwargs):
             raise StepCollapse("tangent step stayed infeasible")
 
+        def no_retry(*args, **kwargs):
+            raise AssertionError("the midpoint retry ran")
+
         monkeypatch.setattr(path_mod, "predictor_step_detail", collapse)
+        monkeypatch.setattr(path_mod, "_retry_through_midpoint", no_retry)
         res = run_path(small_instance, PathConfig(points=4, mode="predictor"))
         assert not res.truncated
         assert len(res.points) == 4
         ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
-        assert [pt.cardinality for pt in res.points] == [pt.cardinality for pt in ref.points]
+        for pt, ref_pt in zip(res.points, ref.points):
+            assert np.array_equal(pt.U, ref_pt.U)
+            assert pt.cg_iterations == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_newton_steps_on_generated_path(self, mode):
+        # Regression bound on the corrector's work: 71 steps in scaling mode
+        # and 67 in predictor mode when written (95 and 92 with the dual
+        # estimates started at the barrier values t/s).
+        sigma, _ = generate_problem(GeneratorSpec(n=30, density=0.1, seed=3))
+        res = run_path(sigma, PathConfig(points=10, mode=mode))
+        assert [pt.cardinality for pt in res.points] == [30, 34, 36, 42, 42, 50, 60, 78, 96, 100]
+        assert sum(pt.sweeps for pt in res.points) <= 80
+        assert all(pt.corrector_cg_iterations >= pt.sweeps for pt in res.points)
 
     def test_mode_validation(self, small_instance):
         with pytest.raises(ValueError):
@@ -219,6 +261,24 @@ class TestOnline:
         fd = (h_hat(d) - h_hat(-d)) / (2 * d)
         scale = max(1.0, np.abs(rhs).max())
         assert np.abs(fd - (-rhs)).max() <= 1e-6 * scale
+
+    def test_one_shifted_problem_per_mu_step(self, monkeypatch):
+        import covpath.path as path_mod
+
+        p, factor, t, cc = self._solved_base()
+        rng = np.random.default_rng(6)
+        C = symmetrize(rng.standard_normal(p.sigma.shape))
+        C *= 1e-3 * np.linalg.norm(p.sigma) / np.linalg.norm(C)
+        built = []
+        shifted = path_mod.shifted_problem
+
+        def counted(p, C, mu):
+            built.append(mu)
+            return shifted(p, C, mu)
+
+        monkeypatch.setattr(path_mod, "shifted_problem", counted)
+        run_online(p, factor.matrix, C, k=3, t=t, corrector_cfg=cc)
+        assert built == pytest.approx([1 / 3, 2 / 3, 1.0])
 
     def test_infeasible_when_perturbation_huge(self):
         p, factor, t, cc = self._solved_base()

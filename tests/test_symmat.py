@@ -6,6 +6,7 @@ from covpath.exceptions import NotPositiveDefinite, SingularUpdate
 from covpath.symmat import (
     cholesky_logdet,
     invert_pd,
+    is_pd,
     pd_factor,
     sub_inverse,
     swm_update_inverse,
@@ -84,6 +85,35 @@ class TestPDFactor:
         rel = np.linalg.norm(factor.inverse @ m - np.eye(6)) / np.linalg.norm(np.eye(6))
         assert rel <= 1e-10
         assert factor.logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_inverse_is_exactly_symmetric_and_c_contiguous(self, n):
+        rng = np.random.default_rng(100 + n)
+        m = random_pd(rng, n)
+        factor = pd_factor(m)
+        inv = factor.inverse
+        assert np.array_equal(inv, inv.T)
+        assert inv.flags.c_contiguous
+        ref = np.linalg.inv(m)
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert factor.logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12, abs=1e-12)
+
+
+# Symmetric placements of a non-finite value: on the diagonal, off it.
+NON_FINITE = [
+    np.array([[v, 0.0], [0.0, 1.0]]) for v in (np.nan, np.inf, -np.inf)
+] + [
+    np.array([[1.0, v], [v, 1.0]]) for v in (np.nan, np.inf, -np.inf)
+] + [np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, np.nan]])]
+
+
+@pytest.mark.parametrize("m", NON_FINITE)
+def test_non_finite_matrix_is_not_pd(m):
+    assert not is_pd(m)
+    with pytest.raises(NotPositiveDefinite):
+        pd_factor(m)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_logdet(m)
 
 
 def _feasible_row_update(rng, U, i, scale=0.05):

@@ -27,13 +27,19 @@ class Problem:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
+        # Most callers pass an exactly symmetric sigma; only the rest pay
+        # for the tolerance check and the averaging. NaN fails both tests.
+        if np.array_equal(sigma, sigma.T):
+            sigma = sigma.copy()
+        elif np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
+            sigma = symmetrize(sigma)
+        else:
             raise ValueError("sigma must be symmetric")
         if np.any(np.diagonal(sigma) <= 0.0):
             raise ValueError("sigma must have a positive diagonal")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
-        object.__setattr__(self, "sigma", symmetrize(sigma))
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure, 4 partial path
 """
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -92,19 +93,16 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
         [[math.log10(pt.rho), pt.cardinality / result.sigma.shape[0] ** 2] for pt in result.points]
     )
     cg_rows = np.array([[pt.cardinality, pt.cg_iterations] for pt in result.points])
-    np.savetxt(out / "plot_cardinality.csv", card_rows.reshape(-1, 2), delimiter=",", fmt=data.FLOAT_FMT)
-    np.savetxt(out / "plot_cg.csv", cg_rows.reshape(-1, 2), delimiter=",", fmt=data.FLOAT_FMT)
+    data.write_csv(out / "plot_cardinality.csv", card_rows.reshape(-1, 2))
+    data.write_csv(out / "plot_cg.csv", cg_rows.reshape(-1, 2))
     if write_matrices:
         zero_tol = summary["config"]["zero_tol"]
         for idx, pt in enumerate(result.points):
             data.write_matrix(out / f"U_{idx:03d}.csv", pt.U)
             data.write_matrix(out / f"X_{idx:03d}.csv", pt.X)
             ii, jj = np.nonzero(np.triu(support_mask(pt.X, zero_tol), 1))
-            np.savetxt(
-                out / f"edges_{idx:03d}.csv",
-                np.column_stack([ii, jj]).reshape(-1, 2),
-                delimiter=",",
-                fmt="%d",
+            data.write_csv(
+                out / f"edges_{idx:03d}.csv", np.column_stack([ii, jj]).reshape(-1, 2), "%d"
             )
 
 
@@ -306,6 +304,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covpath",
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--output", default="covpath_run")
     solve.add_argument("--no-matrices", action="store_true", help="skip per-point X/edge files")
-    solve.set_defaults(fn=cmd_solve)
 
     online = sub.add_parser("online", help="re-solve after a covariance perturbation")
     online.add_argument("--state", required=True, help="state.json from a previous run")
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--k", type=int, default=1, help="continuation steps in mu")
     online.add_argument("--verify", action="store_true", help="compare with a from-scratch solve")
     online.add_argument("--output", default="covpath_online")
-    online.set_defaults(fn=cmd_online)
 
     bench = sub.add_parser("bench", help="wall-time benchmark on generated instances")
     bench.add_argument("--sizes", default="20,50,100,200")
@@ -343,18 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gap-target", type=float, default=1e-3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--output", default="covpath_bench")
-    bench.set_defaults(fn=cmd_bench)
 
     verify = sub.add_parser("verify", help="re-validate an emitted run directory")
     verify.add_argument("run_dir")
-    verify.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, not stored in the cached parser, so that a
+    # wrapper installed on a cmd_* function later still runs.
+    commands = {"solve": cmd_solve, "online": cmd_online, "bench": cmd_bench, "verify": cmd_verify}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

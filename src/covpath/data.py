@@ -3,7 +3,9 @@
 Matrices travel as plain CSV (one row per line, 17 significant digits, so
 doubles round-trip exactly); run summaries and reports are versioned JSON.
 Wall-clock timings live in a separate artifact so that summaries are
-byte-identical across repeated runs with the same flags and seed.
+byte-identical across repeated runs with the same flags and seed. The
+writers format each distinct entry of a symmetric matrix once, and write
+the bytes that ``np.savetxt`` and ``json`` would.
 """
 
 import json
@@ -72,8 +74,38 @@ def load_samples(path) -> np.ndarray:
     return samples_covariance(load_matrix(path))
 
 
+def _text_rows(m: np.ndarray, fmt: str) -> list[str]:
+    """Rows of the 2-D array ``m`` as text: each entry printed with the
+    printf format ``fmt``, entries joined by commas.
+
+    A float64 matrix that is bitwise symmetric has only n(n+1)/2 distinct
+    entries, so those are formatted once and the mirrored strings reused.
+    Bits decide symmetry because 0.0 == -0.0, yet the two print apart.
+    """
+    n = m.shape[0]
+    if m.dtype == np.float64 and m.shape == (n, n):
+        bits = m.view(np.uint64)
+        if np.array_equal(bits, bits.T):
+            upper = ~np.tri(n, k=-1, dtype=bool)
+            # One % over the whole triangle; NUL never occurs in a number.
+            cells = ("\0".join([fmt] * (n * (n + 1) // 2)) % tuple(m[upper].tolist())).split("\0")
+            pos = np.cumsum(upper).reshape(n, n) - 1
+            mirrored = np.array(cells, dtype=object)[np.where(upper, pos, pos.T)]
+            return [",".join(row) for row in mirrored.tolist()]
+    row_fmt = ",".join([fmt] * m.shape[1])
+    return [row_fmt % tuple(row) for row in m.tolist()]
+
+
+def write_csv(path, m: np.ndarray, fmt: str = FLOAT_FMT) -> None:
+    """Write a 2-D array as the bytes of ``np.savetxt(path, m, delimiter=",", fmt=fmt)``."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got {m.ndim}-D")
+    Path(path).write_text("".join(row + "\n" for row in _text_rows(m, fmt)))
+
+
 def write_matrix(path, m: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt=FLOAT_FMT)
+    write_csv(path, np.asarray(m, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -145,10 +177,28 @@ def _to_jsonable(value):
     return value
 
 
-def dump_json(path, payload: dict) -> None:
+def _json_text(value) -> str:
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 2
+        and value.dtype == np.float64
+        and value.size
+        and np.isfinite(value).all()
+    ):
+        # json writes a finite float as float.__repr__, which is %r.
+        return "[[" + "],[".join(_text_rows(value, "%r")) + "]]"
     # Compact: an indent would push json onto its pure-Python encoder.
-    text = json.dumps(_to_jsonable(payload), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n")
+    return json.dumps(_to_jsonable(value), sort_keys=True, separators=(",", ":"))
+
+
+def dump_json(path, payload: dict) -> None:
+    """Write ``payload`` (string keys) as ``json.dumps`` would with sorted
+    keys and compact separators; top-level matrices go through the CSV
+    row formatter."""
+    if not all(isinstance(key, str) for key in payload):
+        raise TypeError("JSON artifact keys must be strings")
+    fields = (json.dumps(key) + ":" + _json_text(payload[key]) for key in sorted(payload))
+    Path(path).write_text("{" + ",".join(fields) + "}\n")
 
 
 def load_json(path) -> dict:

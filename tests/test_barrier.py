@@ -24,6 +24,23 @@ from covpath.reference import OracleConfig, central_point
 from covpath.symmat import pd_factor
 
 
+class TestProblem:
+    def test_sigma_is_stored_symmetric_and_validated(self):
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        p = Problem(sigma=sigma, rho=0.1)
+        sigma[0, 1] = sigma[1, 0] = 9.0
+        assert p.sigma[0, 1] == p.sigma[1, 0] == 0.5
+
+        near = np.array([[2.0, 0.5 + 1e-13], [0.5, 1.0]])
+        q = Problem(sigma=near, rho=0.1)
+        assert q.sigma[0, 1] == q.sigma[1, 0] == 0.5 * (near[0, 1] + near[1, 0])
+
+        nan = np.array([[2.0, np.nan], [np.nan, 1.0]])
+        for bad in (nan, np.array([[2.0, 0.5], [0.4, 1.0]])):
+            with pytest.raises(ValueError, match="symmetric"):
+                Problem(sigma=bad, rho=0.1)
+
+
 class TestFeasible:
     def test_diagonal_margin(self):
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)

@@ -85,6 +85,15 @@ class TestSolve:
     def test_no_input_flag(self):
         assert run_cli("solve") == 2
 
+    def test_command_replaced_after_first_call_is_the_one_run(self, tmp_path, monkeypatch):
+        # The parser is built once per process; it must not pin the
+        # command functions that existed when it was built.
+        import covpath.cli as cli_mod
+
+        assert run_cli("solve") == 2
+        monkeypatch.setattr(cli_mod, "cmd_verify", lambda args: 7)
+        assert run_cli("verify", tmp_path) == 7
+
     def test_zero_tol_outside_unit_interval_is_input_error(self, tmp_path, capsys):
         for zero_tol in ("-1", "1", "nan"):
             out = tmp_path / f"run{zero_tol}"
@@ -138,6 +147,33 @@ class TestSolve:
             assert np.array_equal(edges, np.argwhere(np.triu(mask, 1)))
             assert cardinality(X, zero_tol) == pt["cardinality"] == np.count_nonzero(mask)
             assert pt["cardinality"] == np.count_nonzero(np.diag(mask)) + 2 * len(edges)
+
+    def test_artifacts_are_savetxt_and_json_bytes(self, tmp_path):
+        # Pins the artifact format: each CSV round-trips through load_matrix
+        # to the bytes np.savetxt writes, each JSON file to json.dumps's.
+        run = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
+                       "--mode", "predictor", "--output", run) == 0
+        pert = tmp_path / "pert.csv"
+        x = np.linspace(-1.0, 1.0, 12)
+        write_matrix(pert, 1e-3 * np.outer(x, x))
+        online = tmp_path / "online"
+        assert run_cli("online", "--state", run / "state.json", "--perturbation", pert,
+                       "--output", online) == 0
+        ref = tmp_path / "ref.csv"
+        csvs = sorted(run.glob("*.csv"))
+        assert len(csvs) == 2 + 3 * 5
+        for f in csvs:
+            fmt = "%d" if f.name.startswith("edges_") else "%.17g"
+            m = load_matrix(f) if f.stat().st_size else np.empty((0, 2))
+            np.savetxt(ref, m, delimiter=",", fmt=fmt)
+            assert f.read_bytes() == ref.read_bytes(), f.name
+        jsons = [f for f in [*run.glob("*.json"), *online.glob("*.json")]
+                 if f.name != "timings.json"]
+        assert len(jsons) == 4
+        for f in jsons:
+            expected = json.dumps(load_json(f), sort_keys=True, separators=(",", ":"))
+            assert f.read_text() == expected + "\n", f.name
 
 
 class TestVerify:

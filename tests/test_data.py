@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covpath.data import (
     GeneratorSpec,
+    _to_jsonable,
     build_state,
     build_summary,
     dump_json,
@@ -16,6 +20,7 @@ from covpath.data import (
     load_samples,
     samples_covariance,
     state_arrays,
+    write_csv,
     write_matrix,
 )
 from covpath.exceptions import AsymmetricInput, NonPositiveDiagonal, ParseError
@@ -97,6 +102,65 @@ class TestRoundTrip:
         assert np.array_equal(load_matrix(f), m)
 
 
+# Wide exponents (to +-300), subnormals, signed zeros, NaN and inf.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda mant, e: mant * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0 / 3.0]),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def float_matrices(draw, elements=ANY_FLOAT):
+    """Random float64 matrices, half of them bitwise symmetric by construction,
+    some with a 0.0 / -0.0 mirrored pair (equal values, different bits)."""
+    n = draw(st.integers(1, 6))
+    symmetric = draw(st.booleans())
+    cols = n if symmetric else draw(st.integers(1, 6))
+    m = draw(hnp.arrays(np.float64, (n, cols), elements=elements))
+    if symmetric:
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T[lower]
+        if n > 1 and draw(st.booleans()):
+            m[0, 1], m[1, 0] = 0.0, -0.0
+    return m
+
+
+def savetxt_bytes(path, m, fmt):
+    np.savetxt(path, m, delimiter=",", fmt=fmt)
+    return path.read_bytes()
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(m=float_matrices())
+    def test_float_bytes_equal_savetxt(self, tmp_path_factory, m):
+        d = tmp_path_factory.mktemp("csv")
+        write_csv(d / "m.csv", m)
+        assert (d / "m.csv").read_bytes() == savetxt_bytes(d / "ref.csv", m, "%.17g")
+
+    @settings(max_examples=50, deadline=None)
+    @given(m=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)))
+    def test_int_bytes_equal_savetxt(self, tmp_path_factory, m):
+        d = tmp_path_factory.mktemp("csv")
+        write_csv(d / "m.csv", m, "%d")
+        assert (d / "m.csv").read_bytes() == savetxt_bytes(d / "ref.csv", m, "%d")
+
+    @pytest.mark.parametrize(
+        "m, fmt",
+        [
+            (np.empty((0, 2)), "%.17g"),
+            (np.empty((0, 2), dtype=np.int64), "%d"),
+            (np.array([[-0.0]]), "%.17g"),
+            (np.array([[7]]), "%d"),
+        ],
+    )
+    def test_empty_and_one_by_one(self, tmp_path, m, fmt):
+        write_csv(tmp_path / "m.csv", m, fmt)
+        assert (tmp_path / "m.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", m, fmt)
+
+
 class TestGenerator:
     def test_zero_density_is_diagonal(self):
         sigma, gt = generate_problem(GeneratorSpec(n=6, density=0.0, seed=1))
@@ -133,7 +197,34 @@ class TestGenerator:
             GeneratorSpec(n=5, density=1.5)
 
 
+JSON_VALUES = st.one_of(
+    float_matrices(FINITE),
+    float_matrices(),
+    st.sampled_from([np.empty((0, 3)), np.empty((3, 0)), np.empty((0, 0))]),
+    st.integers(),
+    ANY_FLOAT,
+    ANY_FLOAT.map(np.float64),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.one_of(st.integers(), ANY_FLOAT), max_size=4),
+    st.lists(st.lists(FINITE, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
 class TestJsonArtifacts:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, payload):
+        f = tmp_path_factory.mktemp("json") / "p.json"
+        dump_json(f, payload)
+        expected = json.dumps(_to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+        assert f.read_text() == expected + "\n"
+
+    def test_non_string_key_is_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            dump_json(tmp_path / "p.json", {1: 2.0})
+
     def test_summary_roundtrip_and_determinism(self, tmp_path):
         sigma, _ = generate_problem(GeneratorSpec(n=5, density=0.3, seed=4))
         res = run_path(sigma, PathConfig(points=3))

@@ -43,7 +43,6 @@ from .path import (
     run_path,
     solve_at,
 )
-from .predictor import CGConfig
 from .symmat import PDFactor
 
 __version__ = "0.1.0"

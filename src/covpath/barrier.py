@@ -37,7 +37,7 @@ class Problem:
             raise ValueError("sigma must be symmetric")
         if np.any(np.diagonal(sigma) <= 0.0):
             raise ValueError("sigma must have a positive diagonal")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         object.__setattr__(self, "sigma", sigma)
 
@@ -88,7 +88,7 @@ def multipliers(
     ``slack`` is ``slacks(p, U)`` when the caller already has it. Raises
     Infeasible when any box slack is non-positive.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     slack_plus, slack_minus = slacks(p, U) if slack is None else slack
     return BarrierState(t=t, L=t / slack_plus, M=t / slack_minus)
@@ -127,7 +127,7 @@ def barrier_objective(
 
 def gap_bound(n: int, t: float) -> float:
     """Surrogate duality gap bound 2 n^2 t for the barrier solution."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     return 2.0 * n * n * t
 

@@ -25,7 +25,7 @@ from .exceptions import (
     NonPositiveDiagonal,
     ParseError,
 )
-from .path import PathConfig, cardinality, run_online, run_path, solve_at, support_mask
+from .path import MODES, PathConfig, cardinality, run_online, run_path, solve_at, support_mask
 from .symmat import invert_pd
 
 EXIT_OK = 0
@@ -43,25 +43,37 @@ POINT_FIELDS = (
 
 INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
 
+# --gen key -> (GeneratorSpec field, parser).
+GEN_KEYS = {
+    "n": ("n", int),
+    "density": ("density", float),
+    "seed": ("seed", int),
+    "margin": ("identity_shift_margin", float),
+}
+
 
 def _parse_gen_spec(text: str, fallback_seed: int) -> data.GeneratorSpec:
+    """GeneratorSpec from ``key=value`` items; ``seed`` falls back to
+    ``fallback_seed`` and the other omitted keys to GeneratorSpec's defaults.
+    Unknown and repeated keys are input errors."""
     fields = {}
     for item in text.split(","):
         if not item:
             continue
         key, _, value = item.partition("=")
+        key = key.strip()
         if not value:
             raise ValueError(f"bad --gen item {item!r}; expected key=value")
-        fields[key.strip()] = value.strip()
-    try:
-        return data.GeneratorSpec(
-            n=int(fields["n"]),
-            density=float(fields.get("density", 0.10)),
-            seed=int(fields.get("seed", fallback_seed)),
-            identity_shift_margin=float(fields.get("margin", 0.1)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"--gen needs n=<int> (missing {exc})") from exc
+        if key not in GEN_KEYS:
+            raise ValueError(f"unknown --gen key {key!r}; expected one of {', '.join(GEN_KEYS)}")
+        name, parse = GEN_KEYS[key]
+        if name in fields:
+            raise ValueError(f"--gen key {key!r} given more than once")
+        fields[name] = parse(value.strip())
+    if "n" not in fields:
+        raise ValueError("--gen needs n=<int>")
+    fields.setdefault("seed", fallback_seed)
+    return data.GeneratorSpec(**fields)
 
 
 def _load_instance(args) -> tuple[np.ndarray, dict]:
@@ -315,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="trace a full regularization path")
     solve.add_argument("--sigma", help="covariance matrix CSV")
     solve.add_argument("--samples", help="m x n sample matrix CSV")
-    solve.add_argument("--gen", help="random instance, e.g. n=30,density=0.1,seed=1")
-    solve.add_argument("--points", type=int, default=50)
-    solve.add_argument("--rho-min-frac", type=float, default=0.01)
-    solve.add_argument("--gap-target", type=float, default=1e-3)
-    solve.add_argument("--mode", choices=["scaling", "predictor"], default="scaling")
-    solve.add_argument("--zero-tol", type=float, default=1e-4)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument(
+        "--gen", help="random instance from keys n, density, seed, margin; e.g. n=30,seed=1"
+    )
+    solve.add_argument("--points", type=int, default=PathConfig.points)
+    solve.add_argument("--rho-min-frac", type=float, default=PathConfig.rho_min_frac)
+    solve.add_argument("--gap-target", type=float, default=PathConfig.gap_target)
+    solve.add_argument("--mode", choices=MODES, default=PathConfig.mode)
+    solve.add_argument("--zero-tol", type=float, default=PathConfig.zero_tol)
+    solve.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     solve.add_argument("--output", default="covpath_run")
     solve.add_argument("--no-matrices", action="store_true", help="skip per-point X/edge files")
 
@@ -336,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", default="20,50,100,200")
     bench.add_argument("--lengths", default="10,50")
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--density", type=float, default=0.1)
-    bench.add_argument("--gap-target", type=float, default=1e-3)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--density", type=float, default=data.GeneratorSpec.density)
+    bench.add_argument("--gap-target", type=float, default=PathConfig.gap_target)
+    bench.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     bench.add_argument("--output", default="covpath_bench")
 
     verify = sub.add_parser("verify", help="re-validate an emitted run directory")

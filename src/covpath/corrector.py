@@ -30,7 +30,7 @@ from .exceptions import (
     NotPositiveDefinite,
     NumericalBreakdown,
 )
-from .predictor import CGConfig, PredictorSystem, cg_solve
+from .predictor import PredictorSystem, cg_solve
 from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse, symmetrize
 
 # Newton-CG corrector. CG stops at relative residual CG_REL. Primal and
@@ -145,7 +145,6 @@ def corrector_run(
     state = multipliers(p, factor.matrix, t, slack)
     L_dual = np.clip(factor.inverse, state.L, KAPPA * state.L)
     M_dual = np.clip(-factor.inverse, state.M, KAPPA * state.M)
-    cg_cfg = CGConfig(rel_drop=CG_REL)
     stats = CorrectorStats()
     full_step = False
 
@@ -167,7 +166,7 @@ def corrector_run(
 
         slack_plus, slack_minus = slack
         D = L_dual / slack_plus + M_dual / slack_minus
-        cg = cg_solve(PredictorSystem(U_inv=X, D=D, rhs=-H), cg_cfg)
+        cg = cg_solve(PredictorSystem(U_inv=X, D=D, rhs=-H), CG_REL)
         P = cg.direction
         stats.inner_passes += cg.iterations
         stats.sweeps += 1

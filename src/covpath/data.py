@@ -14,14 +14,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import AsymmetricInput, NonPositiveDiagonal, ParseError
-from .symmat import invert_pd, symmetrize
+from .exceptions import AsymmetricInput, DegenerateInstance, NonPositiveDiagonal, ParseError
+from .symmat import invert_pd, is_pd, symmetrize
 
 SUMMARY_SCHEMA = "covpath.summary/1"
 STATE_SCHEMA = "covpath.state/1"
 BENCH_SCHEMA = "covpath.bench/1"
 
 FLOAT_FMT = "%.17g"
+
+# A loaded covariance must stay positive definite after this shift, relative
+# to its largest diagonal entry: it accepts the rounding-level negative
+# eigenvalues of a sample covariance from fewer samples than dimensions.
+PSD_SHIFT = 1e-10
 
 
 def load_matrix(path) -> np.ndarray:
@@ -48,10 +53,15 @@ def _check_symmetric(m: np.ndarray, path) -> np.ndarray:
 
 
 def load_covariance(path) -> np.ndarray:
-    """Covariance CSV: symmetrized, asymmetry- and diagonal-checked."""
+    """Covariance CSV: symmetrized, asymmetry- and diagonal-checked, and
+    positive semidefinite (to ``PSD_SHIFT``), which the scaling warm start
+    needs to stay feasible."""
     m = _check_symmetric(load_matrix(path), path)
-    if np.any(np.diagonal(m) <= 0.0):
+    diag = np.diagonal(m)
+    if np.any(diag <= 0.0):
         raise NonPositiveDiagonal(f"{path}: covariance diagonal must be positive")
+    if not is_pd(m + PSD_SHIFT * diag.max() * np.eye(m.shape[0])):
+        raise DegenerateInstance(f"{path}: covariance is not positive semidefinite")
     return m
 
 
@@ -122,7 +132,7 @@ class GeneratorSpec:
             raise ValueError("n must be at least 2")
         if not (0.0 <= self.density <= 1.0):
             raise ValueError("density must lie in [0, 1]")
-        if self.identity_shift_margin <= 0.0:
+        if not self.identity_shift_margin > 0.0:
             raise ValueError("identity_shift_margin must be positive")
 
 
@@ -231,7 +241,6 @@ def build_summary(path_result, instance: dict, config: dict) -> dict:
         "mode": path_result.mode,
         "points": points,
         "truncated": path_result.truncated,
-        "max_inverse_drift": path_result.max_inverse_drift,
     }
     if path_result.failure is not None:
         summary["failure"] = {
@@ -267,6 +276,13 @@ def state_arrays(state: dict) -> tuple[np.ndarray, np.ndarray, float, float]:
     try:
         sigma = np.asarray(state["sigma"], dtype=float)
         U = np.asarray(state["U"], dtype=float)
-        return sigma, U, float(state["rho"]), float(state["t"])
+        rho, t = float(state["rho"]), float(state["t"])
     except KeyError as exc:
         raise ParseError(f"state is missing the key {exc}") from exc
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ParseError(f"state sigma must be a square matrix, got shape {sigma.shape}")
+    if U.shape != sigma.shape:
+        raise ParseError(f"state U has shape {U.shape}, sigma {sigma.shape}")
+    if not (0.0 < rho < np.inf and 0.0 < t < np.inf):
+        raise ParseError(f"state rho and t must be finite and positive, got {rho} and {t}")
+    return sigma, U, rho, t

@@ -18,7 +18,9 @@ class Infeasible(CovpathError):
 
 
 class DegenerateInstance(CovpathError):
-    """Some |sigma_ij| >= max_i sigma_ii: the diagonal start is infeasible."""
+    """The instance admits no path start: some |sigma_ij| >= max_i sigma_ii,
+    so the diagonal start is infeasible, or sigma is not positive
+    semidefinite, so the scaling warm start can leave the feasible set."""
 
 
 class NoFeasibleRoot(CovpathError):

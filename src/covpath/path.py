@@ -24,26 +24,28 @@ from .barrier import (
 )
 from .corrector import CorrectorConfig, corrector_run
 from .exceptions import CovpathError, Infeasible, StepCollapse
-from .predictor import (
-    CGConfig,
-    PredictorSystem,
-    build_system,
-    cg_solve,
-    predictor_step_detail,
-)
+from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
 from .symmat import PDFactor, pd_factor, symmetrize
 
 MODES = ("scaling", "predictor")
+# Grid values on the way down from rho_max in a from-scratch solve_at.
+SOLVE_AT_POINTS = 10
 
 
 @dataclass
 class PathConfig:
-    """Configuration of a full path run.
+    """Configuration of a full path run; the defaults here are the CLI's.
 
-    ``rho_grid`` defaults to 50 log-spaced penalties from rho_max down to
-    ``rho_min_frac * rho_max`` (strictly descending). The barrier weight is
-    ``t`` when given, otherwise it is set from ``gap_target`` so that the
-    surrogate duality gap bound 2 n^2 t equals ``gap_target`` at every point.
+    ``rho_grid``, when given, is the penalty grid: finite, positive,
+    strictly descending and starting at or below rho_max = max_i sigma_ii.
+    Otherwise the grid is ``points`` log-spaced penalties from rho_max down
+    to ``rho_min_frac * rho_max``. The barrier weight is ``t`` when given,
+    otherwise it is set from ``gap_target`` so that the surrogate duality
+    gap bound 2 n^2 t equals ``gap_target`` at every point; either way it
+    must be finite and positive. ``mode`` is one of :data:`MODES`: the warm
+    start from one grid value to the next. ``zero_tol`` is the relative
+    threshold of :func:`support_mask`, and ``corrector`` the stopping rule
+    of each re-centering.
     """
 
     rho_grid: np.ndarray | None = None
@@ -52,10 +54,8 @@ class PathConfig:
     t: float | None = None
     gap_target: float = 1e-3
     mode: str = "scaling"
-    eps: float = 0.01
     zero_tol: float = 1e-4
     corrector: CorrectorConfig = field(default_factory=CorrectorConfig)
-    cg: CGConfig = field(default_factory=CGConfig)
 
 
 @dataclass
@@ -100,24 +100,25 @@ class RegularizationPath:
     points: list[PathPoint] = field(default_factory=list)
     truncated: bool = False
     failure: PathFailure | None = None
-    max_inverse_drift: float = 0.0
 
     @property
     def rhos(self) -> np.ndarray:
         return np.array([pt.rho for pt in self.points])
 
 
-def default_rho_grid(sigma: np.ndarray, points: int = 50, rho_min_frac: float = 0.01) -> np.ndarray:
+def default_rho_grid(sigma: np.ndarray, points: int, rho_min_frac: float) -> np.ndarray:
     """Log-spaced descending penalty grid from rho_max to rho_min_frac*rho_max."""
     rho_max = float(np.max(np.diagonal(sigma)))
     if points < 1:
         raise ValueError("need at least one grid point")
+    if not 0.0 < rho_min_frac <= 1.0:
+        raise ValueError(f"rho_min_frac must lie in (0, 1], got {rho_min_frac}")
     if points == 1:
         return np.array([rho_max])
     return np.geomspace(rho_max, rho_min_frac * rho_max, points)
 
 
-def support_mask(X: np.ndarray, zero_tol: float = 1e-4) -> np.ndarray:
+def support_mask(X: np.ndarray, zero_tol: float) -> np.ndarray:
     """Entries of X above the relative magnitude threshold.
 
     Barrier solutions are interior points, so exact zeros never occur;
@@ -127,7 +128,7 @@ def support_mask(X: np.ndarray, zero_tol: float = 1e-4) -> np.ndarray:
     return absX > zero_tol * np.max(absX)
 
 
-def cardinality(X: np.ndarray, zero_tol: float = 1e-4) -> int:
+def cardinality(X: np.ndarray, zero_tol: float) -> int:
     """Number of entries of X that are not structural zeros (:func:`support_mask`)."""
     return int(np.count_nonzero(support_mask(X, zero_tol)))
 
@@ -136,8 +137,8 @@ def _validate_grid(grid: np.ndarray, rho_max: float) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a non-empty 1-D array")
-    if np.any(grid <= 0.0):
-        raise ValueError("rho grid values must be positive")
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise ValueError("rho grid values must be finite and positive")
     if grid.size > 1 and np.any(np.diff(grid) >= 0.0):
         raise ValueError("rho grid must be strictly descending")
     if grid[0] > rho_max * (1.0 + 1e-12):
@@ -182,16 +183,20 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     sigma = symmetrize(np.asarray(sigma, dtype=float))
     n = sigma.shape[0]
     rho_max = float(np.max(np.diagonal(sigma)))
-    grid = (
+    grid = _validate_grid(
         default_rho_grid(sigma, cfg.points, cfg.rho_min_frac)
         if cfg.rho_grid is None
-        else _validate_grid(cfg.rho_grid, rho_max)
+        else cfg.rho_grid,
+        rho_max,
     )
     t = cfg.t if cfg.t is not None else cfg.gap_target / (2.0 * n * n)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be finite and positive, got {t}")
 
     path = RegularizationPath(sigma=sigma, t=t, mode=cfg.mode)
-    U_prev = initial_point(Problem(sigma=sigma, rho=rho_max), cfg.eps)
+    U_prev = initial_point(Problem(sigma=sigma, rho=rho_max))
     factor_prev: PDFactor | None = None
+    problem_prev: Problem | None = None
     rho_prev = rho_max
 
     for rho in grid:
@@ -202,10 +207,9 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         try:
             U_start = None
             if cfg.mode == "predictor" and factor_prev is not None:
-                prev_problem = Problem(sigma=sigma, rho=rho_prev)
                 try:
                     U_start, h_used, cg_res = predictor_step_detail(
-                        prev_problem, factor_prev, t, h, cfg.cg
+                        problem_prev, factor_prev, t, h
                     )
                 except StepCollapse:
                     pass  # the scaling start below stands in for the tangent
@@ -229,11 +233,11 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
                 return path
             factor, stats = retried
         wall = time.perf_counter() - tick
-        path.max_inverse_drift = max(path.max_inverse_drift, stats.max_inverse_drift)
         path.points.append(
             _make_point(problem, factor, t, cfg, cg_iterations, stats, wall)
         )
         factor_prev = factor
+        problem_prev = problem
         U_prev = factor.matrix
         rho_prev = float(rho)
     return path
@@ -256,8 +260,6 @@ def solve_at(
     rho: float,
     t: float,
     corrector_cfg: CorrectorConfig | None = None,
-    points: int = 10,
-    eps: float = 0.01,
 ) -> PDFactor:
     """From-scratch solve at a single penalty.
 
@@ -270,10 +272,10 @@ def solve_at(
     rho_max = float(np.max(np.diagonal(sigma)))
     cc = corrector_cfg or CorrectorConfig()
     if rho >= rho_max:
-        U0 = initial_point(Problem(sigma=sigma, rho=rho_max), eps)
+        U0 = initial_point(Problem(sigma=sigma, rho=rho_max))
         factor, _ = corrector_run(Problem(sigma=sigma, rho=rho), U0, t, cc)
         return factor
-    grid = np.geomspace(rho_max, rho, points)
+    grid = np.geomspace(rho_max, rho, SOLVE_AT_POINTS)
     cfg = PathConfig(rho_grid=grid, t=t, corrector=cc)
     result = run_path(sigma, cfg)
     if result.truncated:
@@ -301,7 +303,6 @@ def run_online(
     k: int = 1,
     t: float = 1e-5,
     corrector_cfg: CorrectorConfig | None = None,
-    cg_cfg: CGConfig | None = None,
 ) -> PDFactor:
     """Carry a solved instance to the perturbed covariance sigma + C.
 
@@ -330,7 +331,7 @@ def run_online(
         base = build_system(p_mu, factor, t)
         # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
         sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=base.D * C)
-        direction = cg_solve(sys_mu, cg_cfg).direction
+        direction = cg_solve(sys_mu).direction
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)

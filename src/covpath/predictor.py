@@ -17,6 +17,10 @@ from .barrier import Problem, feasible, multipliers
 from .exceptions import StepCollapse
 from .symmat import PDFactor, symmetrize
 
+# Relative residual at which CG stops for the path tangent and the online
+# tangent in mu; the corrector passes its own (``corrector.CG_REL``).
+TANGENT_REL = 1e-2
+
 
 @dataclass(frozen=True)
 class PredictorSystem:
@@ -30,14 +34,6 @@ class PredictorSystem:
     U_inv: np.ndarray
     D: np.ndarray
     rhs: np.ndarray
-
-
-@dataclass
-class CGConfig:
-    """Stopping rule: residual drop by ``rel_drop`` or ``max_iters`` (n^2)."""
-
-    rel_drop: float = 1e-2
-    max_iters: int | None = None
 
 
 @dataclass
@@ -74,27 +70,25 @@ def operator_diagonal(sys: PredictorSystem) -> np.ndarray:
     return diag
 
 
-def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
+def cg_solve(sys: PredictorSystem, rel_drop: float = TANGENT_REL) -> CGResult:
     """Jacobi-preconditioned conjugate gradient on symmetric matrices under
     the Frobenius product; the preconditioner is :func:`operator_diagonal`.
-    The stopping rule applies to the unpreconditioned residual."""
-    cfg = cfg or CGConfig()
+    Stops once the unpreconditioned residual has dropped by ``rel_drop``,
+    or unconverged after n^2 iterations."""
     n = sys.rhs.shape[0]
-    max_iters = cfg.max_iters if cfg.max_iters is not None else n * n
-
     x = np.zeros_like(sys.rhs)
     r = sys.rhs.copy()
     r0_norm = float(np.linalg.norm(r))
     if r0_norm == 0.0:
         return CGResult(direction=x, iterations=0, converged=True, rel_residual=0.0)
-    target = cfg.rel_drop * r0_norm
+    target = rel_drop * r0_norm
 
     inv_diag = 1.0 / operator_diagonal(sys)
     z = r * inv_diag
     p_dir = z
     rz = float(np.sum(r * z))
     iterations = 0
-    while iterations < max_iters:
+    while iterations < n * n:
         Ap = matvec(sys, p_dir)
         denom = float(np.sum(p_dir * Ap))
         if denom <= 0.0:
@@ -120,7 +114,7 @@ def cg_solve(sys: PredictorSystem, cfg: CGConfig | None = None) -> CGResult:
 
 
 def predictor_step_detail(
-    p: Problem, U: PDFactor, t: float, h: float, cfg: CGConfig | None = None
+    p: Problem, U: PDFactor, t: float, h: float
 ) -> tuple[np.ndarray, float, CGResult]:
     """Tangent step with feasibility backtracking.
 
@@ -129,11 +123,7 @@ def predictor_step_detail(
     target penalty rho + h_used moving with it) until the result is
     strictly feasible, at most 30 times; StepCollapse is raised beyond that.
     """
-    if h == 0.0:
-        return U.matrix.copy(), 0.0, CGResult(
-            direction=np.zeros_like(U.matrix), iterations=0, converged=True, rel_residual=0.0
-        )
-    result = cg_solve(build_system(p, U, t), cfg)
+    result = cg_solve(build_system(p, U, t))
     h_used = h
     for _ in range(31):
         rho_new = p.rho + h_used

@@ -149,7 +149,7 @@ def central_point(
     cfg = cfg or OracleConfig()
     if U0 is None:
         rho_max = p.rho_max
-        U0 = initial_point(Problem(sigma=p.sigma, rho=rho_max), 0.01)
+        U0 = initial_point(Problem(sigma=p.sigma, rho=rho_max))
         if p.rho < rho_max:
             U0 = scaling_warm_start(p.sigma, U0, rho_max, p.rho)
     U = np.asarray(U0, dtype=float)

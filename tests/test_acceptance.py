@@ -21,7 +21,7 @@ from covpath.corrector import GUARD_FRAC, REFRESH_EVERY, CorrectorConfig, block_
 from covpath.data import GeneratorSpec, generate_problem, load_json
 from covpath.path import PathConfig, run_online, run_path, solve_at
 from covpath.reference import OracleConfig, central_point, explicit_system, golden_section
-from covpath.predictor import CGConfig, build_system, cg_solve, matvec
+from covpath.predictor import build_system, cg_solve, matvec
 from covpath.symmat import symmetrize
 
 from test_corrector import (
@@ -195,7 +195,7 @@ def test_criterion_05_predictor_system_validation():
                     col[i, j] += sys_fd.D[i, j]
                     assert np.abs(fd - col).max() <= 1e-6 * max(1.0, np.abs(col).max())
 
-            res = cg_solve(sys, CGConfig(rel_drop=1e-10))
+            res = cg_solve(sys, rel_drop=1e-10)
             dense = np.linalg.solve(K, sys.rhs.reshape(-1)).reshape(n, n)
             rel = np.linalg.norm(res.direction - dense) / np.linalg.norm(dense)
             assert rel <= 1e-4
@@ -207,11 +207,11 @@ def test_criterion_06_swm_integrity_over_full_path(monkeypatch):
     with criterion(6, "rank-2 inverse maintenance drift stays below 1e-8"):
         # The production corrector keeps no cached inverse, so the path runs
         # through the block coordinate-descent corrector, which does.
-        row_updates = []
+        runs = []
 
         def block_cd(*args, **kwargs):
             factor, stats = block_cd_run(*args, **kwargs)
-            row_updates.append(stats.row_updates)
+            runs.append(stats)
             return factor, stats
 
         monkeypatch.setattr(covpath.path, "corrector_run", block_cd)
@@ -219,10 +219,12 @@ def test_criterion_06_swm_integrity_over_full_path(monkeypatch):
         result = run_path(sigma, PathConfig(points=50))
         assert not result.truncated
         assert len(result.points) == 50
+        row_updates = [stats.row_updates for stats in runs]
         assert len(row_updates) == 50 and sum(row_updates) > 0
         # A run refreshes its inverse after every REFRESH_EVERY row updates.
         assert max(row_updates) >= REFRESH_EVERY, max(row_updates)
-        assert result.max_inverse_drift <= 1e-8, result.max_inverse_drift
+        drift = max(stats.max_inverse_drift for stats in runs)
+        assert drift <= 1e-8, drift
 
 
 def test_criterion_07_path_trends(n100_predictor_path):

@@ -3,13 +3,31 @@ import json
 import numpy as np
 import pytest
 
+import covpath.path
+from covpath import cli
 from covpath.cli import POINT_FIELDS, main
-from covpath.data import build_state, dump_json, load_json, load_matrix, write_matrix
-from covpath.path import cardinality, support_mask
+from covpath.corrector import CorrectorConfig
+from covpath.data import (
+    GeneratorSpec,
+    build_state,
+    build_summary,
+    dump_json,
+    load_covariance,
+    load_json,
+    load_matrix,
+    write_matrix,
+)
+from covpath.exceptions import NumericalBreakdown
+from covpath.path import PathConfig, cardinality, default_rho_grid, run_path, support_mask
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+# Symmetric with a positive diagonal but indefinite (eigenvalues -0.8, 1.9,
+# 1.9): below some rho no feasible point exists.
+INDEFINITE = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
 
 
 @pytest.fixture()
@@ -85,6 +103,60 @@ class TestSolve:
     def test_no_input_flag(self):
         assert run_cli("solve") == 2
 
+    def test_indefinite_sigma_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "indef.csv"
+        write_matrix(f, INDEFINITE)
+        out = tmp_path / "run"
+        assert run_cli("solve", "--sigma", f, "--output", out) == 2
+        assert "positive semidefinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_sample_covariance_is_accepted(self, tmp_path):
+        # m < n samples: PSD but singular; rounding can leave its smallest
+        # eigenvalues slightly negative.
+        for n, m in ((30, 10), (100, 20)):
+            x = np.random.default_rng(n).standard_normal((m, n))
+            x -= x.mean(axis=0)
+            f = tmp_path / f"sigma{n}.csv"
+            write_matrix(f, x.T @ x / m)
+            sigma = load_covariance(f)
+            assert abs(np.linalg.eigvalsh(sigma)[0]) <= 1e-12 * np.diagonal(sigma).max()
+
+    @pytest.mark.parametrize("spec", [
+        "n=6,densty=0.5,seed=1",
+        "n=6,seed=1,seed=2",
+        "n=6,density=0.3,density=0.3",
+        "density=0.3,seed=1",
+        "n=6,margin=nan",
+    ])
+    def test_bad_gen_spec_is_input_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", spec, "--points", 3, "--output", out) == 2
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_keys_map_to_generator_fields(self):
+        assert cli._parse_gen_spec("n=6", 7) == GeneratorSpec(n=6, seed=7)
+        assert cli._parse_gen_spec(" margin = 0.5,seed=2,n=6,density=0.3,", 7) == GeneratorSpec(
+            n=6, density=0.3, seed=2, identity_shift_margin=0.5
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho-min-frac", "1"),
+        ("--rho-min-frac", "-0.5"),
+        ("--rho-min-frac", "nan"),
+        ("--gap-target", "nan"),
+        ("--gap-target", "-1"),
+        ("--gap-target", "inf"),
+    ])
+    def test_bad_grid_or_barrier_weight_is_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        code = run_cli("solve", "--gen", "n=6,density=0.3,seed=1", "--points", 3,
+                       flag, value, "--output", out)
+        assert code == 2
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_command_replaced_after_first_call_is_the_one_run(self, tmp_path, monkeypatch):
         # The parser is built once per process; it must not pin the
         # command functions that existed when it was built.
@@ -120,12 +192,21 @@ class TestSolve:
         assert load_json(out / "summary.json")["truncated"]
 
 
-    def test_failing_grid_point_truncates_with_artifacts(self, tmp_path):
-        # Symmetric with a positive diagonal but indefinite (eigenvalues
-        # -0.8, 1.9, 1.9): below some rho no feasible point exists, and the
-        # corrector rejects its start. The run keeps the solved prefix.
-        f = tmp_path / "indef.csv"
-        f.write_text("1,0.9,0.9\n0.9,1,-0.9\n0.9,-0.9,1\n")
+    def test_failing_grid_point_truncates_with_artifacts(self, tmp_path, monkeypatch):
+        # Every corrector run below the third grid value breaks down, the
+        # midpoint retry included. The run keeps the solved prefix.
+        sigma = np.diag([1.0, 2.0, 3.0]) + 0.2
+        f = tmp_path / "sigma.csv"
+        write_matrix(f, sigma)
+        third = default_rho_grid(sigma, 8, PathConfig.rho_min_frac)[2]
+        corrector_run = covpath.path.corrector_run
+
+        def broken(problem, *args):
+            if problem.rho < third:
+                raise NumericalBreakdown("injected breakdown")
+            return corrector_run(problem, *args)
+
+        monkeypatch.setattr(covpath.path, "corrector_run", broken)
         out = tmp_path / "run"
         assert run_cli("solve", "--sigma", f, "--points", 8, "--output", out) == 4
         summary = load_json(out / "summary.json")
@@ -207,10 +288,16 @@ class TestVerify:
         # cond * eps, and the multipliers magnify that by t / slack^2: a
         # residual recomputed from the inverse of X moves past the 2*tol
         # bound under ulp-level changes of X. verify reads the saved U.
-        f = tmp_path / "indef.csv"
-        f.write_text("1,0.9,0.9\n0.9,1,-0.9\n0.9,-0.9,1\n")
+        # The CLI rejects this sigma at load, so the run is written here.
+        result = run_path(INDEFINITE, PathConfig(points=8))
+        assert result.truncated and len(result.points) == 3
+        config = {
+            "zero_tol": PathConfig.zero_tol,
+            "tol_residual": CorrectorConfig().residual_tol(3),
+        }
+        meta = {"n": 3, "source": "indefinite", "seed": None}
         out = tmp_path / "run"
-        assert run_cli("solve", "--sigma", f, "--points", 8, "--output", out) == 4
+        cli._write_run_artifacts(out, result, build_summary(result, meta, config), True)
         X = load_matrix(out / "X_002.csv")
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -302,6 +389,22 @@ class TestOnlineCmd:
         write_matrix(pert, np.zeros((3, 3)))
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, scale", [("t", 1e-3), ("t", 0.0), ("rho", 1e-3), ("U", 1e-3)])
+    def test_bad_state_is_input_error(self, tmp_path, capsys, key, scale):
+        # A NaN t or rho, or a 5x5 U for the 6x6 sigma. A zero perturbation
+        # (scale 0) returns the state without a solve.
+        state_path = self._solved_state(tmp_path)
+        state = load_json(state_path)
+        state[key] = [row[:5] for row in state["U"][:5]] if key == "U" else float("nan")
+        state_path.write_text(json.dumps(state))
+        pert = tmp_path / "c.csv"
+        write_matrix(pert, scale * np.eye(6))
+        out = tmp_path / "online"
+        assert run_cli("online", "--state", state_path, "--perturbation", pert,
+                       "--output", out) == 2
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_state_not_an_object_is_input_error(self, tmp_path, capsys):
         state_path = tmp_path / "state.json"

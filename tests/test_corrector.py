@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_feasible_point, random_instance
@@ -210,6 +212,56 @@ class TestSolveDiagonal:
         w, status = kernels._solve_diagonal(5.0, 1.0, 0.5, 0.1, GUARD_FRAC * 0.5)
         assert np.isnan(w)
         assert status == kernels.STATUS_NO_DIAG_ROOT
+
+
+def _no_worse_than_golden_section(f, x, lo, hi):
+    """f(x) is at most f at golden section's minimizer on [lo, hi], padded
+    off the faces, up to rounding in f (at most 2.5 ulps over 16000 draws
+    per move). Near a face the minimizer is resolvable only to golden
+    section's tolerance, so values are compared, not points."""
+    pad = 1e-11 * (hi - lo)
+    f_ref = f(golden_section(f, lo + pad, hi - pad, tol=1e-10))
+    assert f(x) <= f_ref + 8.0 * np.finfo(float).eps * (1.0 + abs(f_ref)), (x, f(x), f_ref)
+
+
+class TestMovesAtPathBarrierWeights:
+    """Criterion 4 draws t in [1e-5, 1]; a path runs at t = gap/(2 n^2),
+    5.6e-7 at n=30 and 5e-8 at n=100. These draw t down to 1e-10."""
+
+    @given(
+        log_alpha=st.floats(-2.0, 1.0),
+        beta=st.floats(-2.0, 2.0),
+        b_j=st.floats(-0.8, 0.8),
+        log_rho=st.floats(-1.0, 0.5),
+        x_frac=st.floats(-0.9, 0.9),
+        q0=st.floats(0.1, 2.0),
+        log_t=st.floats(-10.0, 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_coordinate_move(self, log_alpha, beta, b_j, log_rho, x_frac, q0, log_t):
+        alpha, rho, t = -(10.0**log_alpha), 10.0**log_rho, 10.0**log_t
+        x0 = b_j + x_frac * rho
+        quad = (alpha, beta, q0 - alpha * x0**2 - beta * x0)
+        lo, hi = feasible_coord_interval(quad, b_j, rho)
+        assume(hi - lo > 1e-6 and lo < x0 < hi)
+        x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
+        assert status == kernels.STATUS_OK
+        _no_worse_than_golden_section(lambda z: coord_objective(z, quad, b_j, rho, t), x, lo, hi)
+
+    @given(
+        s=st.floats(0.0, 2.0),
+        c=st.floats(-1.0, 3.0),
+        log_rho=st.floats(-1.0, 0.7),
+        log_t=st.floats(-10.0, 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_move(self, s, c, log_rho, log_t):
+        rho, t = 10.0**log_rho, 10.0**log_t
+        lo, hi = max(s, c - rho), c + rho
+        assume(hi - lo >= 1e-4)
+        w, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
+        assert status == kernels.STATUS_OK
+        _no_worse_than_golden_section(lambda z: diag_objective(z, s, c, rho, t), w, lo, hi)
 
 
 class TestCorrectorSolve:

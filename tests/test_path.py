@@ -43,6 +43,13 @@ class TestGrid:
             run_path(sigma, PathConfig(rho_grid=np.array([3.0, 1.0])))
         with pytest.raises(ValueError):
             run_path(sigma, PathConfig(rho_grid=np.array([-1.0])))
+        with pytest.raises(ValueError, match="finite"):
+            run_path(sigma, PathConfig(rho_grid=np.array([2.0, np.nan])))
+        with pytest.raises(ValueError, match="strictly descending"):
+            run_path(sigma, PathConfig(points=3, rho_min_frac=1.0))
+        for t in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="t must be"):
+                run_path(sigma, PathConfig(t=t))
 
 
 class TestCardinality:

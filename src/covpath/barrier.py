@@ -8,20 +8,26 @@ H = L - M - U^{-1}, objectives, feasibility tests, and the two warm starts
 (sparse-end diagonal start and penalty rescaling).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DegenerateInstance, Infeasible
-from .symmat import PDFactor, cholesky_logdet, is_pd, symmetrize
+from .exceptions import DegenerateInstance, Infeasible, NotPositiveDefinite
+from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize
 
 
 @dataclass(frozen=True)
 class Problem:
-    """One covariance-selection instance: sample covariance plus penalty."""
+    """One covariance-selection instance: sample covariance plus penalty.
+
+    ``upper`` = sigma + rho and ``lower`` = sigma - rho are the faces of
+    the dual box, computed once.
+    """
 
     sigma: np.ndarray
     rho: float
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -29,17 +35,19 @@ class Problem:
             raise ValueError("sigma must be a square matrix")
         # Most callers pass an exactly symmetric sigma; only the rest pay
         # for the tolerance check and the averaging. NaN fails both tests.
-        if np.array_equal(sigma, sigma.T):
+        if (sigma == sigma.T).all():
             sigma = sigma.copy()
         elif np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
             sigma = symmetrize(sigma)
         else:
             raise ValueError("sigma must be symmetric")
-        if np.any(np.diagonal(sigma) <= 0.0):
+        if (sigma.diagonal() <= 0.0).any():
             raise ValueError("sigma must have a positive diagonal")
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "upper", sigma + self.rho)
+        object.__setattr__(self, "lower", sigma - self.rho)
 
     @property
     def n(self) -> int:
@@ -59,23 +67,33 @@ class BarrierState:
     M: np.ndarray
 
 
-def feasible(p: Problem, U: np.ndarray) -> bool:
-    """Strict dual feasibility: |U - sigma| < rho elementwise and U PD."""
-    if U.shape != p.sigma.shape:
-        return False
-    if not np.all(np.abs(U - p.sigma) < p.rho):
-        return False
-    return is_pd(U)
+def feasible(p: Problem, U: np.ndarray | PDFactor) -> PDFactor | None:
+    """Strict dual feasibility: every box slack positive (:func:`slacks`)
+    and U PD.
+
+    Returns the factorization of a feasible U, and None otherwise, so the
+    caller that goes on to use U does not factor it a second time. A
+    PDFactor is already factored: only its box is tested, and it comes
+    back as it is.
+    """
+    matrix = U.matrix if isinstance(U, PDFactor) else U
+    if matrix.shape != p.sigma.shape:
+        return None
+    try:
+        slacks(p, matrix)
+        return U if isinstance(U, PDFactor) else pd_factor(U)
+    except (Infeasible, NotPositiveDefinite):
+        return None
 
 
 def slacks(p: Problem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box slacks (slack+, slack-) = (rho + sigma - U, rho - sigma + U).
+    """Box slacks (slack+, slack-) = (sigma + rho - U, U - (sigma - rho)).
 
     Raises Infeasible unless every slack is positive (a NaN is not).
     """
-    slack_plus = p.rho + p.sigma - U
-    slack_minus = p.rho - p.sigma + U
-    if not (np.all(slack_plus > 0.0) and np.all(slack_minus > 0.0)):
+    slack_plus = p.upper - U
+    slack_minus = U - p.lower
+    if not (slack_plus.min() > 0.0 and slack_minus.min() > 0.0):
         raise Infeasible("box slack is non-positive")
     return slack_plus, slack_minus
 
@@ -105,10 +123,14 @@ def dual_objective(U: PDFactor) -> float:
     return -U.logdet - U.n
 
 
-def primal_objective(p: Problem, X: np.ndarray) -> float:
-    """Penalized log-likelihood log det X - tr(sigma X) - rho ||X||_1."""
-    _, logdet = cholesky_logdet(X)
-    return float(logdet - np.sum(p.sigma * X) - p.rho * np.sum(np.abs(X)))
+def primal_objective(p: Problem, X: np.ndarray, logdet: float | None = None) -> float:
+    """Penalized log-likelihood log det X - tr(sigma X) - rho ||X||_1.
+
+    ``logdet`` is log det X when the caller already has it.
+    """
+    if logdet is None:
+        _, logdet = cholesky_logdet(X)
+    return float(logdet - np.vdot(p.sigma, X) - p.rho * np.abs(X).sum())
 
 
 def barrier_objective(
@@ -122,7 +144,7 @@ def barrier_objective(
     ``slack`` is ``slacks(p, U.matrix)`` when the caller already has it.
     """
     slack_plus, slack_minus = slacks(p, U.matrix) if slack is None else slack
-    return float(-U.logdet - t * (np.sum(np.log(slack_plus)) + np.sum(np.log(slack_minus))))
+    return float(-U.logdet - t * np.log(slack_plus * slack_minus).sum())
 
 
 def gap_bound(n: int, t: float) -> float:

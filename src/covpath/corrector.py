@@ -101,10 +101,14 @@ def _residual_norm(p: Problem, U: np.ndarray, inv: np.ndarray, t: float) -> floa
 
 
 def corrector_run(
-    p: Problem, U0: np.ndarray, t: float, cfg: CorrectorConfig | None = None
+    p: Problem, U0: np.ndarray | PDFactor, t: float, cfg: CorrectorConfig | None = None
 ) -> tuple[PDFactor, CorrectorStats]:
     """Re-center by damped primal-dual Newton-CG; returns the solution with
     its run statistics.
+
+    ``U0`` is the start, or its factorization when the caller already has
+    one: a PDFactor start is not factored again. Either way its box is
+    tested, and an array start must pass the Cholesky pivot test.
 
     A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
     ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
@@ -120,6 +124,17 @@ def corrector_run(
     it is feasible and the decrement -<H, P> is below the float resolution
     of f, where the Armijo test compares rounding noise.
 
+    Slack bookkeeping: each iterate comes with its slacks s+/- from the
+    test that admitted it, the start's box test or the line search
+    (``barrier.slacks``; the line search also takes the barrier objective
+    from them). The step computes 1/s+/- and the multipliers
+    L, M = t/s+/- (``barrier.multipliers``) from them once, and builds from
+    these alone the residual H = L - M - X, the two parts L~/s+ and M~/s-
+    of D, the dual directions dL = L - L~ + (L~/s+) o P and
+    dM = M - M~ - (M~/s-) o P, and both step-to-boundary ratios. Inner
+    products and norms are BLAS dots, and the dual estimates are updated
+    in place.
+
     The run returns after a full step that leaves the residual, computed
     with a fresh inverse, at most ``cfg.residual_tol(n)`` and the duality
     gap tr(sigma X) + rho ||X||_1 - n at X = U^{-1}, the dual objective
@@ -132,28 +147,31 @@ def corrector_run(
     n = p.n
     tol = cfg.residual_tol(n)
     max_gap = gap_bound(n, t)
-    U0 = symmetrize(np.asarray(U0, dtype=float))
+    factor = U0 if isinstance(U0, PDFactor) else None
+    U0 = factor.matrix if factor is not None else symmetrize(np.asarray(U0, dtype=float))
     if U0.shape != p.sigma.shape:
         raise Infeasible("corrector starting point has the wrong shape")
     slack = slacks(p, U0)
-    try:
-        factor = pd_factor(U0)
-    except NotPositiveDefinite as exc:
-        raise Infeasible("corrector starting point is not positive definite") from exc
+    if factor is None:
+        try:
+            factor = pd_factor(U0)
+        except NotPositiveDefinite as exc:
+            raise Infeasible("corrector starting point is not positive definite") from exc
 
     f = barrier_objective(p, factor, t, slack)
-    state = multipliers(p, factor.matrix, t, slack)
-    L_dual = np.clip(factor.inverse, state.L, KAPPA * state.L)
-    M_dual = np.clip(-factor.inverse, state.M, KAPPA * state.M)
+    state = multipliers(p, U0, t, slack)
+    L_dual = _clip(factor.inverse, state.L, KAPPA * state.L)
+    M_dual = _clip(-factor.inverse, state.M, KAPPA * state.M)
     stats = CorrectorStats()
     full_step = False
 
     while True:
         X = factor.inverse
-        H = state.L - state.M - X
-        stats.residual_norm = float(np.linalg.norm(H))
+        H = state.L - state.M
+        H -= X
+        stats.residual_norm = math.sqrt(np.vdot(H, H))
         if full_step and stats.residual_norm <= tol:
-            gap = float(np.sum(p.sigma * X) + p.rho * np.sum(np.abs(X)) - n)
+            gap = float(np.vdot(p.sigma, X) + p.rho * np.abs(X).sum() - n)
             if gap <= max_gap:
                 return factor, stats
         if stats.sweeps >= cfg.max_sweeps:
@@ -164,18 +182,27 @@ def corrector_run(
                 residual=stats.residual_norm,
             )
 
-        slack_plus, slack_minus = slack
-        D = L_dual / slack_plus + M_dual / slack_minus
-        cg = cg_solve(PredictorSystem(U_inv=X, D=D, rhs=-H), CG_REL)
+        inv_plus, inv_minus = 1.0 / slack[0], 1.0 / slack[1]
+        D_plus = L_dual * inv_plus
+        D_minus = M_dual * inv_minus
+        cg = cg_solve(PredictorSystem(U_inv=X, D=D_plus + D_minus, rhs=-H), CG_REL)
         P = cg.direction
         stats.inner_passes += cg.iterations
         stats.sweeps += 1
 
-        dL = t / slack_plus - L_dual + (L_dual / slack_plus) * P
-        dM = t / slack_minus - M_dual - (M_dual / slack_minus) * P
-        a_dual = _step_to_boundary(max((-dL / L_dual).max(), (-dM / M_dual).max()))
-        a = _step_to_boundary(max((P / slack_plus).max(), (-P / slack_minus).max()))
-        decrement = -float(np.sum(H * P))
+        # The parts of D and the reciprocal slacks are not needed again:
+        # they take their products with P in place.
+        dL = state.L - L_dual
+        D_plus *= P
+        dL += D_plus
+        dM = state.M - M_dual
+        D_minus *= P
+        dM -= D_minus
+        a_dual = _step_to_boundary(-min((dL / L_dual).min(), (dM / M_dual).min()))
+        inv_plus *= P
+        inv_minus *= P
+        a = _step_to_boundary(max(inv_plus.max(), -inv_minus.min()))
+        decrement = -float(np.vdot(H, P))
         flat = decrement <= F_RESOLUTION * abs(f)
         for _ in range(MAX_HALVINGS):
             try:
@@ -195,8 +222,19 @@ def corrector_run(
         full_step = a == 1.0
         factor, f, slack = trial, f_trial, trial_slack
         state = multipliers(p, factor.matrix, t, slack)
-        L_dual = np.clip(L_dual + a_dual * dL, state.L / KAPPA, KAPPA * state.L)
-        M_dual = np.clip(M_dual + a_dual * dM, state.M / KAPPA, KAPPA * state.M)
+        dL *= a_dual
+        L_dual += dL
+        _clip(L_dual, state.L / KAPPA, KAPPA * state.L, out=L_dual)
+        dM *= a_dual
+        M_dual += dM
+        _clip(M_dual, state.M / KAPPA, KAPPA * state.M, out=M_dual)
+
+
+def _clip(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None):
+    """``np.clip(a, lo, hi, out=out)`` for lo <= hi, as two ufunc passes;
+    np.clip with array bounds takes three times as long."""
+    out = np.maximum(a, lo, out=out)
+    return np.minimum(out, hi, out=out)
 
 
 def _step_to_boundary(reach: float) -> float:

@@ -17,9 +17,8 @@ row/column of U):
   of its stationarity cubic (trigonometric form), then the diagonal entry
   moves to the larger root of its stationarity quadratic. Each 1-D
   objective is strictly convex on its feasible interval, which picks that
-  root in closed form; it is clamped into the box and refined by one
-  guarded Newton polish (:func:`_polish`, shared by both moves). Passes
-  repeat until the largest move drops below tolerance.
+  root in closed form; it is clamped into the box. Passes repeat until the
+  largest move drops below tolerance.
 
 Both kernels stop at the block tolerance, so they agree on the block
 minimizer to that tolerance, not to roundoff, and their pass counts differ
@@ -122,45 +121,6 @@ def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
     return p1, p2, p3, p4
 
 
-def _polish(x, alpha, beta, gamma, bj, rho, wt, lo, hi):
-    """One guarded Newton step on the derivative of the 1-D objective
-    ``-log(alpha x^2 + beta x + gamma) - wt [log(rho+bj-x) + log(rho-bj+x)]``.
-
-    A closed-form root carries absolute error ~eps * scale, which the
-    near-active barrier curvature amplifies into the residual. The step is
-    kept only if it lands strictly inside (lo, hi) with the quadratic
-    positive and strictly lowers |derivative|, so float noise cannot wobble
-    a converged coordinate; otherwise ``x`` comes back unchanged.
-    """
-    quad = alpha * x * x + beta * x + gamma
-    slack_lo = rho + bj - x
-    slack_hi = rho - bj + x
-    if quad <= 0.0 or slack_lo <= 0.0 or slack_hi <= 0.0:
-        return x
-    qp = 2.0 * alpha * x + beta
-    g1 = -qp / quad + wt / slack_lo - wt / slack_hi
-    g2 = (
-        -2.0 * alpha / quad
-        + (qp / quad) * (qp / quad)
-        + wt / (slack_lo * slack_lo)
-        + wt / (slack_hi * slack_hi)
-    )
-    # Steps below a few ulps of the coordinate scale are float noise: the
-    # point is already numerically stationary.
-    if not (g2 > 0.0 and abs(g1) > g2 * 4e-16 * (abs(x) + rho)):
-        return x
-    x_pol = x - g1 / g2
-    quad_pol = alpha * x_pol * x_pol + beta * x_pol + gamma
-    if not (lo < x_pol < hi and quad_pol > 0.0):
-        return x
-    g1_pol = (
-        -(2.0 * alpha * x_pol + beta) / quad_pol
-        + wt / (rho + bj - x_pol)
-        - wt / (rho - bj + x_pol)
-    )
-    return x_pol if abs(g1_pol) < abs(g1) else x
-
-
 def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     """Minimize the 1-D off-diagonal objective; returns (x_new, status).
 
@@ -170,9 +130,9 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     denominators: negative at the left end of the interval, positive at the
     right end, with leading coefficient 2(1+2t) alpha < 0. Such a cubic has
     three real roots and crosses zero upward only at the middle one, which
-    is therefore the minimizer. It is clamped ``guard`` inside the box and
-    polished once; ``x_cur`` is kept if the clamped root leaves the
-    quadratic non-positive (a feasible interval narrower than the guard).
+    is therefore the minimizer. It is clamped ``guard`` inside the box;
+    ``x_cur`` is kept if the clamped root leaves the quadratic non-positive
+    (a feasible interval narrower than the guard).
     """
     p1, p2, p3, p4 = _cubic_coefficients(alpha, beta, gamma, bj, rho, t)
     root = _middle_cubic_root(p1, p2, p3, p4)
@@ -183,7 +143,7 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     x = min(max(root, lo), hi)
     if not (alpha * x * x + beta * x + gamma > 0.0):
         return x_cur, STATUS_OK
-    return _polish(x, alpha, beta, gamma, bj, rho, 2.0 * t, lo, hi), STATUS_OK
+    return x, STATUS_OK
 
 
 def _solve_diagonal(s, c, rho, t, guard):
@@ -195,8 +155,8 @@ def _solve_diagonal(s, c, rho, t, guard):
     ``(1+2t) w^2 - 2(t s + c(1+t)) w + c^2 - rho^2 + 2 t c s = 0``, the
     derivative times positive denominators, so by the same convexity
     argument the minimizer is the larger root. It is clamped ``guard``
-    inside the box and polished once. Returns ``(nan, STATUS_NO_DIAG_ROOT)``
-    when the quadratic has no real root or the clamped root is not above s.
+    inside the box. Returns ``(nan, STATUS_NO_DIAG_ROOT)`` when the
+    quadratic has no real root or the clamped root is not above s.
     """
     a = 1.0 + 2.0 * t
     half_b = -(t * s + c * (1.0 + t))
@@ -209,7 +169,7 @@ def _solve_diagonal(s, c, rho, t, guard):
     w = min(max((-half_b + math.sqrt(disc)) / a, lo), hi)
     if not (w - s > 0.0):
         return np.nan, STATUS_NO_DIAG_ROOT
-    return _polish(w, 0.0, 1.0, -s, c, rho, t, lo, hi), STATUS_OK
+    return w, STATUS_OK
 
 
 def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):

@@ -25,7 +25,8 @@ from .barrier import (
 from .corrector import CorrectorConfig, corrector_run
 from .exceptions import CovpathError, Infeasible, StepCollapse
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
-from .symmat import PDFactor, pd_factor, symmetrize
+# perfbench/tracing.py wraps path.pd_factor, so the name stays here.
+from .symmat import PDFactor, pd_factor, symmetrize  # noqa: F401
 
 MODES = ("scaling", "predictor")
 # Grid values on the way down from rho_max in a from-scratch solve_at.
@@ -62,14 +63,14 @@ class PathConfig:
 class PathPoint:
     """One solved grid value with its diagnostics.
 
+    ``factor`` is the solution U with its inverse X and log-determinant.
     ``cg_iterations`` counts the predictor's tangent CG iterations;
     ``sweeps`` and ``corrector_cg_iterations`` the corrector's Newton steps
     and the CG iterations they took.
     """
 
     rho: float
-    U: np.ndarray
-    X: np.ndarray
+    factor: PDFactor
     cardinality: int
     dual_obj: float
     primal_obj: float
@@ -78,6 +79,14 @@ class PathPoint:
     sweeps: int
     corrector_cg_iterations: int
     wall_time: float
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.factor.matrix
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.factor.inverse
 
 
 @dataclass
@@ -150,11 +159,11 @@ def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> Pat
     X = factor.inverse
     return PathPoint(
         rho=problem.rho,
-        U=factor.matrix,
-        X=X,
+        factor=factor,
         cardinality=cardinality(X, cfg.zero_tol),
         dual_obj=dual_objective(factor),
-        primal_obj=primal_objective(problem, X),
+        # At a path point log det X = -log det U, which the factor holds.
+        primal_obj=primal_objective(problem, X, logdet=-factor.logdet),
         gap_bound=gap_bound(problem.n, t),
         cg_iterations=cg_iterations,
         sweeps=stats.sweeps,
@@ -205,26 +214,26 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         h = float(rho) - rho_prev
         cg_iterations = 0
         try:
-            U_start = None
+            start = None
             if cfg.mode == "predictor" and factor_prev is not None:
                 try:
-                    U_start, h_used, cg_res = predictor_step_detail(
+                    start, h_used, cg_res = predictor_step_detail(
                         problem_prev, factor_prev, t, h
                     )
                 except StepCollapse:
                     pass  # the scaling start below stands in for the tangent
                 else:
                     cg_iterations = cg_res.iterations
-                    if h_used != h:
-                        # Tangent backtracked short of the grid value: carry
-                        # its feasible endpoint the rest of the way by
-                        # rescaling.
-                        U_start = scaling_warm_start(
-                            sigma, U_start, rho_prev + h_used, float(rho)
-                        )
-            if U_start is None or not feasible(problem, U_start):
-                U_start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-            factor, stats = corrector_run(problem, U_start, t, cfg.corrector)
+                    if rho_prev + h_used != rho:
+                        # Tangent backtracked short of the grid value (or
+                        # rounding moved its penalty): carry its feasible
+                        # endpoint the rest of the way by rescaling.
+                        start = feasible(problem, scaling_warm_start(
+                            sigma, start.matrix, rho_prev + h_used, float(rho)
+                        ))
+            if start is None:
+                start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
+            factor, stats = corrector_run(problem, start, t, cfg.corrector)
         except CovpathError as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
@@ -283,7 +292,7 @@ def solve_at(
         raise type(failure.exception)(
             f"from-scratch solve failed at rho={failure.rho:.6g}: {failure.error}"
         ) from failure.exception
-    return pd_factor(result.points[-1].U)
+    return result.points[-1].factor
 
 
 # --------------------------------------------------------------------------
@@ -316,10 +325,9 @@ def run_online(
     if k < 1:
         raise ValueError("k must be at least 1")
     C = symmetrize(np.asarray(C, dtype=float))
-    U = symmetrize(np.asarray(U_star, dtype=float))
-    if not feasible(p, U):
+    factor = feasible(p, symmetrize(np.asarray(U_star, dtype=float)))
+    if factor is None:
         raise Infeasible("U_star is not feasible for the unperturbed problem")
-    factor = pd_factor(U)
     if not np.any(C):
         return factor
 
@@ -335,19 +343,19 @@ def run_online(
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)
-            U_try = symmetrize(factor.matrix + step * direction)
-            if feasible(p_next, U_try):
-                break
-            # Tangent point left the box at this step length; the plain
-            # carry-over may still be inside for a short enough step.
-            if feasible(p_next, factor.matrix):
-                U_try = factor.matrix.copy()
+            # Tangent point first; if it left the box at this step length,
+            # the plain carry-over (already factored) may still be inside
+            # for a short enough step.
+            start = feasible(p_next, symmetrize(factor.matrix + step * direction))
+            if start is None:
+                start = feasible(p_next, factor)
+            if start is not None:
                 break
             step *= 0.5
             if step < min_step:
                 raise Infeasible(
                     "homotopy left the feasible region; reduce the perturbation per call"
                 )
-        factor, _ = corrector_run(p_next, U_try, t, cc)
+        factor, _ = corrector_run(p_next, start, t, cc)
         mu, p_mu = mu_next, p_next
     return factor

@@ -9,6 +9,7 @@ Newton step (see ``corrector``), and the online mode solves it for the
 tangent in mu, so :func:`cg_solve` is the one linear solver of the program.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,11 @@ def build_system(p: Problem, U: PDFactor, t: float) -> PredictorSystem:
 
 def matvec(sys: PredictorSystem, P: np.ndarray) -> np.ndarray:
     """Apply the system operator to a symmetric matrix."""
-    return symmetrize(sys.U_inv @ P @ sys.U_inv) + sys.D * P
+    out = sys.U_inv @ P @ sys.U_inv
+    out += out.T  # symmetric part, as in symmat.symmetrize
+    out *= 0.5
+    out += sys.D * P
+    return out
 
 
 def operator_diagonal(sys: PredictorSystem) -> np.ndarray:
@@ -64,9 +69,12 @@ def operator_diagonal(sys: PredictorSystem) -> np.ndarray:
     matrices, with X = U^{-1}, entry (i, j) is X_ii X_jj + X_ij^2 + D_ij
     off the diagonal and X_ii^2 + D_ii on it.
     """
-    x = np.diagonal(sys.U_inv)
-    diag = np.outer(x, x) + sys.U_inv * sys.U_inv + sys.D
-    diag[np.diag_indices_from(diag)] -= x * x
+    X = sys.U_inv
+    x = X.diagonal()
+    diag = x[:, None] * x
+    diag += X * X
+    diag += sys.D
+    diag.reshape(-1)[:: x.shape[0] + 1] -= x * x
     return diag
 
 
@@ -74,52 +82,59 @@ def cg_solve(sys: PredictorSystem, rel_drop: float = TANGENT_REL) -> CGResult:
     """Jacobi-preconditioned conjugate gradient on symmetric matrices under
     the Frobenius product; the preconditioner is :func:`operator_diagonal`.
     Stops once the unpreconditioned residual has dropped by ``rel_drop``,
-    or unconverged after n^2 iterations."""
+    or unconverged after n^2 iterations. The iterate, residual and search
+    direction are updated in place; ``sys`` is left as it is."""
     n = sys.rhs.shape[0]
     x = np.zeros_like(sys.rhs)
     r = sys.rhs.copy()
-    r0_norm = float(np.linalg.norm(r))
+    r0_norm = math.sqrt(np.vdot(r, r))
     if r0_norm == 0.0:
         return CGResult(direction=x, iterations=0, converged=True, rel_residual=0.0)
     target = rel_drop * r0_norm
 
-    inv_diag = 1.0 / operator_diagonal(sys)
+    inv_diag = operator_diagonal(sys)
+    np.reciprocal(inv_diag, out=inv_diag)
     z = r * inv_diag
-    p_dir = z
-    rz = float(np.sum(r * z))
+    p_dir = z.copy()
+    rz = float(np.vdot(r, z))
     iterations = 0
+    r_norm = r0_norm
+    converged = False
     while iterations < n * n:
         Ap = matvec(sys, p_dir)
-        denom = float(np.sum(p_dir * Ap))
+        denom = float(np.vdot(p_dir, Ap))
         if denom <= 0.0:
             break
         step = rz / denom
-        x = x + step * p_dir
-        r = r - step * Ap
+        x += step * p_dir
+        Ap *= step
+        r -= Ap
         iterations += 1
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(np.vdot(r, r))
         if r_norm <= target:
-            return CGResult(
-                direction=symmetrize(x), iterations=iterations,
-                converged=True, rel_residual=r_norm / r0_norm,
-            )
-        z = r * inv_diag
-        rz_new = float(np.sum(r * z))
-        p_dir = z + (rz_new / rz) * p_dir
+            converged = True
+            break
+        np.multiply(r, inv_diag, out=z)
+        rz_new = float(np.vdot(r, z))
+        p_dir *= rz_new / rz
+        p_dir += z
         rz = rz_new
+    x += x.T  # symmetric part, as in symmat.symmetrize
+    x *= 0.5
     return CGResult(
-        direction=symmetrize(x), iterations=iterations,
-        converged=False, rel_residual=float(np.linalg.norm(r)) / r0_norm,
+        direction=x, iterations=iterations,
+        converged=converged, rel_residual=r_norm / r0_norm,
     )
 
 
 def predictor_step_detail(
     p: Problem, U: PDFactor, t: float, h: float
-) -> tuple[np.ndarray, float, CGResult]:
+) -> tuple[PDFactor, float, CGResult]:
     """Tangent step with feasibility backtracking.
 
-    Returns (U_new, h_used, cg_result), where cg_result is the CG solve of
-    the tangent system at ``U``. The step is halved (direction reused,
+    Returns (U_new, h_used, cg_result): U_new is the new point's
+    factorization, from :func:`barrier.feasible`, and cg_result the CG
+    solve of the tangent system at ``U``. The step is halved (direction reused,
     target penalty rho + h_used moving with it) until the result is
     strictly feasible, at most 30 times; StepCollapse is raised beyond that.
     """
@@ -128,8 +143,11 @@ def predictor_step_detail(
     for _ in range(31):
         rho_new = p.rho + h_used
         if rho_new > 0.0:
-            U_try = symmetrize(U.matrix + h_used * result.direction)
-            if feasible(Problem(sigma=p.sigma, rho=rho_new), U_try):
-                return U_try, h_used, result
+            U_new = feasible(
+                Problem(sigma=p.sigma, rho=rho_new),
+                symmetrize(U.matrix + h_used * result.direction),
+            )
+            if U_new is not None:
+                return U_new, h_used, result
         h_used *= 0.5
     raise StepCollapse("predictor step infeasible even after 30 halvings")

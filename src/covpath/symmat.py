@@ -39,10 +39,10 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     chol, info = _dpotrf(m, lower=1, clean=1)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (info {info})")
-    d = np.diagonal(chol)
-    if not np.all(d * d > PIVOT_RTOL * np.max(np.diagonal(m))):
+    d = chol.diagonal()
+    if not (d * d).min() > PIVOT_RTOL * m.diagonal().max():
         raise NotPositiveDefinite("pivot below relative tolerance")
-    return chol, float(2.0 * np.sum(np.log(d)))
+    return chol, 2.0 * float(np.log(d).sum())
 
 
 def is_pd(m: np.ndarray) -> bool:

@@ -1,6 +1,12 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import covpath.path as path_mod
+import covpath.symmat as symmat_mod
 from conftest import random_instance
 from covpath import corrector, kernels
 from covpath.barrier import Problem, multipliers, residual
@@ -17,7 +23,7 @@ from covpath.path import (
     solve_at,
 )
 from covpath.predictor import build_system
-from covpath.symmat import pd_factor, symmetrize
+from covpath.symmat import PDFactor, pd_factor, symmetrize
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +304,86 @@ class TestOnline:
         bad = factor.matrix + 2 * p.rho * np.eye(p.n)
         with pytest.raises(Infeasible):
             run_online(p, bad, np.zeros_like(p.sigma), k=1, t=t, corrector_cfg=cc)
+
+    @given(
+        log_size=st.floats(-4.0, -2.0),
+        rho_frac=st.floats(0.2, 0.8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=20, deadline=timedelta(seconds=5))
+    def test_matches_from_scratch_over_sizes_and_penalties(self, log_size, rho_frac, seed):
+        # Criterion 8's bound, over perturbation sizes |C|/|sigma| from 1e-4
+        # to 1e-2 and penalties across the path. C moves sigma toward the
+        # outer product of a sample, as a streaming update does, so sigma + C
+        # stays PSD.
+        n = 8
+        sigma, _ = generate_problem(GeneratorSpec(n=n, density=0.3, seed=5))
+        rho = rho_frac * float(np.max(np.diag(sigma)))
+        t = 1e-3 / (2 * n * n)
+        cc = CorrectorConfig(tol_residual=1e-9)
+        base = solve_at(sigma, rho, t, cc)
+        x = np.linalg.cholesky(sigma) @ np.random.default_rng(seed).standard_normal(n)
+        d = np.outer(x, x) - sigma
+        C = 10.0**log_size * np.linalg.norm(sigma) / np.linalg.norm(d) * d
+        p = Problem(sigma=sigma, rho=rho)
+        online = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
+        scratch = solve_at(sigma + C, rho, t, cc)
+        assert np.linalg.norm(online.matrix - scratch.matrix) <= 1e-6
+
+
+class TestFactorizations:
+    """Each start is factored once, by whoever tests it first; inside a
+    corrector run every Cholesky factorization is a line-search trial."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        factored = []  # bytes of every matrix handed to LAPACK dpotrf
+        runs = []  # (start, its matrix bytes, factorizations before and after the run)
+        dpotrf = symmat_mod._dpotrf
+        run = path_mod.corrector_run
+
+        def counted_dpotrf(m, *args, **kwargs):
+            factored.append(np.asarray(m, dtype=float).tobytes())
+            return dpotrf(m, *args, **kwargs)
+
+        def recorded_run(problem, U0, *args, **kwargs):
+            before = len(factored)
+            out = run(problem, U0, *args, **kwargs)
+            start = U0.matrix if isinstance(U0, PDFactor) else symmetrize(np.asarray(U0))
+            runs.append((U0, start.tobytes(), before, len(factored)))
+            return out
+
+        monkeypatch.setattr(symmat_mod, "_dpotrf", counted_dpotrf)
+        monkeypatch.setattr(path_mod, "corrector_run", recorded_run)
+        return factored, runs
+
+    def test_online_update(self, monkeypatch):
+        p, factor, t, cc = TestOnline()._solved_base()
+        rng = np.random.default_rng(6)
+        C = symmetrize(rng.standard_normal(p.sigma.shape))
+        C *= 1e-3 * np.linalg.norm(p.sigma) / np.linalg.norm(C)
+        factored, runs = self._record(monkeypatch)
+        run_online(p, factor.matrix, C, k=1, t=t, corrector_cfg=cc)
+
+        [(start, start_bytes, before, after)] = runs
+        assert isinstance(start, PDFactor)
+        # Outside the corrector: U_star, then the tangent start, once each.
+        assert factored[:before] == [factor.matrix.tobytes(), start_bytes]
+        assert after == len(factored) and after - before >= 1
+        assert start_bytes not in factored[before:]
+
+    def test_predictor_path_points(self, monkeypatch):
+        sigma, _ = generate_problem(GeneratorSpec(n=10, density=0.2, seed=8))
+        factored, runs = self._record(monkeypatch)
+        res = run_path(sigma, PathConfig(points=8, mode="predictor"))
+        assert not res.truncated
+
+        # The first point starts from the diagonal matrix, which only the
+        # corrector factors; every later one from a factored tangent point.
+        assert not isinstance(runs[0][0], PDFactor)
+        assert all(isinstance(start, PDFactor) for start, *_ in runs[1:])
+        assert len(runs) == len(res.points)
+        for start, start_bytes, before, after in runs:
+            assert factored.count(start_bytes) == 1
+        for start, start_bytes, before, after in runs[1:]:
+            assert start_bytes not in factored[before:after]

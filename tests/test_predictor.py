@@ -166,13 +166,45 @@ class TestCgSolve:
         assert res.rel_residual > 0
 
 
+class TestInPlaceUpdates:
+    """matvec, operator_diagonal and cg_solve update only arrays of their
+    own: the system's come back bitwise unchanged, and the operator image
+    and the CG direction come back exactly symmetric."""
+
+    @staticmethod
+    def _system(seed):
+        rng = np.random.default_rng(seed)
+        p = random_instance(rng, 6)
+        factor = pd_factor(random_feasible_point(rng, p))
+        sys = build_system(p, factor, 1e-3)
+        return sys, symmetrize(rng.standard_normal((6, 6)))
+
+    @pytest.mark.parametrize("rel_drop", [1e-1, 1e-10, 0.0])
+    def test_inputs_are_left_alone(self, rel_drop):
+        sys, P = self._system(61)
+        inputs = (sys.U_inv, sys.D, sys.rhs, P)
+        before = [a.tobytes() for a in inputs]
+        matvec(sys, P)
+        operator_diagonal(sys)
+        cg_solve(sys, rel_drop)
+        assert [a.tobytes() for a in inputs] == before
+
+    @pytest.mark.parametrize("rel_drop", [1e-1, 1e-10, 0.0])
+    def test_outputs_are_exactly_symmetric(self, rel_drop):
+        sys, P = self._system(62)
+        image = matvec(sys, P)
+        assert np.array_equal(image, image.T)
+        direction = cg_solve(sys, rel_drop).direction
+        assert np.array_equal(direction, direction.T)
+
+
 class TestPredictorStep:
     def test_zero_step_returns_input(self):
         rng = np.random.default_rng(59)
         p = random_instance(rng, 4)
         factor = pd_factor(random_feasible_point(rng, p))
         out = predictor_step_detail(p, factor, 1e-3, 0.0)[0]
-        assert np.array_equal(out, factor.matrix)
+        assert np.array_equal(out.matrix, factor.matrix)
 
     def test_scalar_analytic_path_second_order_accuracy(self):
         # for a 1x1 instance the central path solves
@@ -192,7 +224,7 @@ class TestPredictorStep:
             U = pd_factor(np.array([[u_central(rho0)]]))
             out, h_used, _ = predictor_step_detail(p, U, t, h)
             assert h_used == h
-            errors.append(abs(out[0, 0] - u_central(rho0 + h)))
+            errors.append(abs(out.matrix[0, 0] - u_central(rho0 + h)))
         ratio = errors[0] / errors[1]
         assert 2.5 <= ratio <= 6.5
 
@@ -204,7 +236,7 @@ class TestPredictorStep:
         h = -0.9 * p.rho  # aggressive move toward the dense end
         out, h_used, _ = predictor_step_detail(p, factor, t, h)
         assert abs(h_used) <= abs(h)
-        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out)
+        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out.matrix)
 
     def test_predictor_warm_start_not_worse_than_scaling(self):
         sigma, _ = generate_problem(GeneratorSpec(n=20, density=0.15, seed=5))
@@ -216,6 +248,7 @@ class TestPredictorStep:
         rho1 = rho0 + h
         p1 = Problem(sigma=sigma, rho=rho1)
         U_pred, h_used, _ = predictor_step_detail(p0, factor, t, h)
+        U_pred = U_pred.matrix
         if h_used != h:
             U_pred = scaling_warm_start(sigma, U_pred, rho0 + h_used, rho1)
         U_scal = scaling_warm_start(sigma, factor.matrix, rho0, rho1)

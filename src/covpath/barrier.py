@@ -67,21 +67,23 @@ class BarrierState:
     M: np.ndarray
 
 
-def feasible(p: Problem, U: np.ndarray | PDFactor) -> PDFactor | None:
+def feasible(
+    p: Problem, U: np.ndarray | PDFactor
+) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]] | None:
     """Strict dual feasibility: every box slack positive (:func:`slacks`)
     and U PD.
 
-    Returns the factorization of a feasible U, and None otherwise, so the
-    caller that goes on to use U does not factor it a second time. A
-    PDFactor is already factored: only its box is tested, and it comes
-    back as it is.
+    Returns the factorization of a feasible U with its slacks, and None
+    otherwise, so the caller that goes on to use U neither factors it nor
+    computes its slacks a second time. A PDFactor is already factored:
+    only its box is tested, and it comes back as it is.
     """
     matrix = U.matrix if isinstance(U, PDFactor) else U
     if matrix.shape != p.sigma.shape:
         return None
     try:
-        slacks(p, matrix)
-        return U if isinstance(U, PDFactor) else pd_factor(U)
+        slack = slacks(p, matrix)
+        return (U if isinstance(U, PDFactor) else pd_factor(U)), slack
     except (Infeasible, NotPositiveDefinite):
         return None
 

@@ -45,6 +45,11 @@ MAX_HALVINGS = 60
 KAPPA = 1e10
 # A decrease of f below F_RESOLUTION * |f| is rounding noise in f.
 F_RESOLUTION = 16.0 * np.finfo(float).eps
+# The path drivers solve a grid value over the components of the graph
+# |sigma_ij| >= rho when the residual that a block-diagonal U leaves across
+# components is at most CROSS_LIMIT times the residual tolerance
+# (``path.recenter``).
+CROSS_LIMIT = 0.5
 
 # Block coordinate-descent corrector. A row-kernel call stops at block
 # tolerance TOL_BLOCK (tightened in block_cd_run along with the outer
@@ -100,15 +105,43 @@ def _residual_norm(p: Problem, U: np.ndarray, inv: np.ndarray, t: float) -> floa
     return float(np.linalg.norm(state.L - state.M - inv))
 
 
+def duality_gap(p: Problem, X: np.ndarray) -> float:
+    """tr(sigma X) + rho ||X||_1 - n: at X = U^{-1}, the dual objective
+    minus the primal one."""
+    return float(np.vdot(p.sigma, X) + p.rho * np.abs(X).sum() - p.n)
+
+
+def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
+    """The return test of :func:`corrector_run` without its full-step
+    condition: U = ``factor.matrix`` is strictly inside the box, the
+    residual with X = ``factor.inverse`` is at most ``tol``, and the
+    duality gap at X is at most 2 n^2 t."""
+    try:
+        state = multipliers(p, factor.matrix, t)
+    except Infeasible:
+        return False
+    H = state.L - state.M
+    H -= factor.inverse
+    if math.sqrt(np.vdot(H, H)) > tol:
+        return False
+    return duality_gap(p, factor.inverse) <= gap_bound(p.n, t)
+
+
 def corrector_run(
-    p: Problem, U0: np.ndarray | PDFactor, t: float, cfg: CorrectorConfig | None = None
+    p: Problem,
+    U0: np.ndarray | PDFactor,
+    t: float,
+    cfg: CorrectorConfig | None = None,
+    slack: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[PDFactor, CorrectorStats]:
     """Re-center by damped primal-dual Newton-CG; returns the solution with
     its run statistics.
 
     ``U0`` is the start, or its factorization when the caller already has
-    one: a PDFactor start is not factored again. Either way its box is
-    tested, and an array start must pass the Cholesky pivot test.
+    one: a PDFactor start is not factored again. ``slack`` is the start's
+    ``barrier.slacks`` when the caller already has them (from
+    ``barrier.feasible``); otherwise its box is tested here. An array start
+    must pass the Cholesky pivot test.
 
     A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
     ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
@@ -151,7 +184,8 @@ def corrector_run(
     U0 = factor.matrix if factor is not None else symmetrize(np.asarray(U0, dtype=float))
     if U0.shape != p.sigma.shape:
         raise Infeasible("corrector starting point has the wrong shape")
-    slack = slacks(p, U0)
+    if slack is None:
+        slack = slacks(p, U0)
     if factor is None:
         try:
             factor = pd_factor(U0)
@@ -170,10 +204,8 @@ def corrector_run(
         H = state.L - state.M
         H -= X
         stats.residual_norm = math.sqrt(np.vdot(H, H))
-        if full_step and stats.residual_norm <= tol:
-            gap = float(np.vdot(p.sigma, X) + p.rho * np.abs(X).sum() - n)
-            if gap <= max_gap:
-                return factor, stats
+        if full_step and stats.residual_norm <= tol and duality_gap(p, X) <= max_gap:
+            return factor, stats
         if stats.sweeps >= cfg.max_sweeps:
             raise MaxSweepsExceeded(
                 f"no convergence after {cfg.max_sweeps} Newton steps "

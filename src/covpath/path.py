@@ -3,8 +3,13 @@ continuation toward a perturbed covariance.
 
 A path run starts from the sparse-end diagonal point, carries the solution
 from one grid value to the next with a scaling warm start (default) or a
-conjugate-gradient tangent step, and re-centers with the Newton-CG
-corrector (``corrector.corrector_run``) at every grid value.
+conjugate-gradient tangent step, and re-centers at every grid value with
+:func:`recenter`. The l1-penalized solution is block diagonal over the
+connected components of the graph |sigma_ij| >= rho (Witten, Friedman &
+Simon 2011; Mazumder & Hastie 2012), so where that graph splits and the
+residual left across its components is small, singletons are solved in
+closed form and one Newton-CG run (``corrector.corrector_run``) covers
+the other indices; otherwise one run covers all of U.
 """
 
 import math
@@ -22,7 +27,7 @@ from .barrier import (
     primal_objective,
     scaling_warm_start,
 )
-from .corrector import CorrectorConfig, corrector_run
+from .corrector import CROSS_LIMIT, CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible, StepCollapse
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
@@ -130,7 +135,8 @@ def default_rho_grid(sigma: np.ndarray, points: int, rho_min_frac: float) -> np.
 def support_mask(X: np.ndarray, zero_tol: float) -> np.ndarray:
     """Entries of X above the relative magnitude threshold.
 
-    Barrier solutions are interior points, so exact zeros never occur;
+    Barrier solutions are interior points, so exact zeros occur only
+    across the components that :func:`recenter` splits a point into;
     |X_ij| <= zero_tol * max|X| counts as a structural zero.
     """
     absX = np.abs(X)
@@ -172,17 +178,121 @@ def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> Pat
     )
 
 
+def components(sigma: np.ndarray, rho: float) -> np.ndarray:
+    """Connected components of the graph |sigma_ij| >= rho on the indices:
+    entry i is the smallest index in the component of i."""
+    n = sigma.shape[0]
+    adjacent = np.abs(sigma) >= rho
+    np.fill_diagonal(adjacent, True)
+    labels = np.arange(n)
+    while True:
+        # Each index takes the smallest label among its neighbours, then
+        # that label's own label. Labels only fall and stay in the
+        # component, and they stop changing once each component has one.
+        new = np.where(adjacent, labels, n).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def singleton_slack(s: np.ndarray, rho: float, t: float) -> np.ndarray:
+    """Upper slack v = s + rho - u of the barrier center u of an index that
+    is a component by itself, with s its sigma_ii.
+
+    Times v (2 rho - v) u, the central-path equation
+    H = t/v - t/(2 rho - v) - 1/u = 0 is the quadratic
+    a v^2 - b v + c = 0 with a = 1 + 2t, b = 2 rho + 2t (s + 2 rho) and
+    c = 2t (s + rho) rho. Its smaller root is the one inside the box; it is
+    taken as 2c / (b + sqrt(b^2 - 4ac)), which does not cancel.
+    """
+    b = 2.0 * rho + (2.0 * t) * (s + 2.0 * rho)
+    c = (2.0 * t) * (s + rho) * rho
+    return 2.0 * c / (b + np.sqrt(b * b - 4.0 * (1.0 + 2.0 * t) * c))
+
+
+def recenter(
+    p: Problem, start: np.ndarray | PDFactor, t: float, cfg: CorrectorConfig
+) -> tuple[PDFactor, CorrectorStats]:
+    """Re-center at one grid value from ``start``, over the components of
+    |sigma_ij| >= rho (:func:`components`) when that pays.
+
+    With tol = ``cfg.residual_tol(n)``: when the graph is connected, or the
+    cross-component residual -2 t sigma_ij / (rho^2 - sigma_ij^2) of a
+    block-diagonal U has norm cross > ``CROSS_LIMIT * tol``, this is
+    ``corrector_run(p, start, t, cfg)``. Otherwise U is 0 across
+    components. Singletons are solved in closed form
+    (:func:`singleton_slack`). The other indices are re-centered by one
+    ``corrector_run`` on the problem with sigma and the start masked to
+    same-component entries, to the tolerance 0.99 sqrt(tol^2 - cross^2)
+    that the cross residual leaves; Newton-CG started block diagonal stays
+    block diagonal. The assembled point must pass the corrector's return
+    test on the full problem (:func:`corrector.centered`). If it does not,
+    or the reduced run fails, ``corrector_run`` re-centers all of U from
+    ``start``. Statistics are the reduced run's, all zero when every index
+    is a singleton.
+    """
+    n = p.n
+    tol = cfg.residual_tol(n)
+    labels = components(p.sigma, p.rho)
+    if not labels.any():
+        return corrector_run(p, start, t, cfg)
+    same = labels[:, None] == labels
+    # Off-component |sigma_ij| < rho, so only there is the division safe.
+    s_cross = p.sigma[~same]
+    h_cross = (2.0 * t) * s_cross / (p.rho * p.rho - s_cross * s_cross)
+    cross = math.sqrt(np.vdot(h_cross, h_cross))
+    if cross > CROSS_LIMIT * tol:
+        return corrector_run(p, start, t, cfg)
+
+    alone = np.bincount(labels, minlength=n)[labels] == 1
+    single = np.flatnonzero(alone)
+    rest = np.flatnonzero(~alone)
+    U = np.zeros((n, n))
+    X = np.zeros((n, n))
+    s = p.sigma[single, single]
+    u = (s + p.rho) - singleton_slack(s, p.rho, t)
+    U[single, single] = u
+    X[single, single] = 1.0 / u
+    logdet = float(np.log(u).sum())
+    stats = CorrectorStats()
+    if rest.size:
+        block = np.ix_(rest, rest)
+        keep = same[block]
+        U0 = start.matrix if isinstance(start, PDFactor) else np.asarray(start, dtype=float)
+        reduced = Problem(sigma=np.where(keep, p.sigma[block], 0.0), rho=p.rho)
+        reduced_cfg = CorrectorConfig(
+            tol_residual=0.99 * math.sqrt(tol * tol - cross * cross),
+            max_sweeps=cfg.max_sweeps,
+        )
+        try:
+            factor, stats = corrector_run(
+                reduced, np.where(keep, U0[block], 0.0), t, reduced_cfg
+            )
+        except CovpathError:
+            return corrector_run(p, start, t, cfg)
+        U[block] = factor.matrix
+        X[block] = factor.inverse
+        logdet += factor.logdet
+    factor = PDFactor(matrix=U, logdet=logdet, inverse=X)
+    if centered(p, factor, t, tol):
+        return factor, stats
+    return corrector_run(p, start, t, cfg)
+
+
 def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> RegularizationPath:
     """Trace the full regularization path over the penalty grid.
 
     The first point starts from the sparse-end diagonal matrix; every later
-    point warm-starts from its predecessor. In predictor mode, a tangent
-    step that collapses (``StepCollapse``) or ends infeasible gives way to
-    the scaling warm start. When solving a grid value raises any other
-    ``CovpathError`` (in the predictor step or in the corrector), the
-    driver retries once through an intermediate penalty (geometric
-    midpoint, matching the log-spaced grid); if that also fails the path is
-    returned truncated with the failure recorded.
+    point warm-starts from its predecessor. :func:`recenter` solves each
+    point from its start, over the components of |sigma_ij| >= rho where
+    that pays; a point solved wholly in closed form reports 0 sweeps. In
+    predictor mode, a tangent step that collapses (``StepCollapse``) or
+    ends infeasible gives way to the scaling warm start. When solving a
+    grid value raises any other ``CovpathError`` (in the predictor step or
+    in the corrector), the driver retries once through an intermediate
+    penalty (geometric midpoint, matching the log-spaced grid); if that
+    also fails the path is returned truncated with the failure recorded.
     """
     cfg = cfg or PathConfig()
     if cfg.mode not in MODES:
@@ -228,12 +338,13 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
                         # Tangent backtracked short of the grid value (or
                         # rounding moved its penalty): carry its feasible
                         # endpoint the rest of the way by rescaling.
-                        start = feasible(problem, scaling_warm_start(
+                        found = feasible(problem, scaling_warm_start(
                             sigma, start.matrix, rho_prev + h_used, float(rho)
                         ))
+                        start = None if found is None else found[0]
             if start is None:
                 start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-            factor, stats = corrector_run(problem, start, t, cfg.corrector)
+            factor, stats = recenter(problem, start, t, cfg.corrector)
         except CovpathError as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
@@ -257,9 +368,9 @@ def _retry_through_midpoint(sigma, U_prev, rho_prev, rho, t, cfg):
     rho_mid = math.sqrt(rho_prev * rho)
     try:
         U_mid = scaling_warm_start(sigma, U_prev, rho_prev, rho_mid)
-        factor_mid, _ = corrector_run(Problem(sigma=sigma, rho=rho_mid), U_mid, t, cfg.corrector)
+        factor_mid, _ = recenter(Problem(sigma=sigma, rho=rho_mid), U_mid, t, cfg.corrector)
         U_start = scaling_warm_start(sigma, factor_mid.matrix, rho_mid, rho)
-        return corrector_run(Problem(sigma=sigma, rho=rho), U_start, t, cfg.corrector)
+        return recenter(Problem(sigma=sigma, rho=rho), U_start, t, cfg.corrector)
     except CovpathError:
         return None
 
@@ -274,7 +385,7 @@ def solve_at(
 
     Warm-starts down a short log grid from rho_max when rho sits below it;
     for rho >= rho_max the diagonal start is already feasible and a single
-    corrector run suffices. When the path stops short, the error that
+    :func:`recenter` suffices. When the path stops short, the error that
     stopped it is raised again as its own type, chained to the original.
     """
     sigma = symmetrize(np.asarray(sigma, dtype=float))
@@ -282,7 +393,7 @@ def solve_at(
     cc = corrector_cfg or CorrectorConfig()
     if rho >= rho_max:
         U0 = initial_point(Problem(sigma=sigma, rho=rho_max))
-        factor, _ = corrector_run(Problem(sigma=sigma, rho=rho), U0, t, cc)
+        factor, _ = recenter(Problem(sigma=sigma, rho=rho), U0, t, cc)
         return factor
     grid = np.geomspace(rho_max, rho, SOLVE_AT_POINTS)
     cfg = PathConfig(rho_grid=grid, t=t, corrector=cc)
@@ -325,9 +436,10 @@ def run_online(
     if k < 1:
         raise ValueError("k must be at least 1")
     C = symmetrize(np.asarray(C, dtype=float))
-    factor = feasible(p, symmetrize(np.asarray(U_star, dtype=float)))
-    if factor is None:
+    found = feasible(p, symmetrize(np.asarray(U_star, dtype=float)))
+    if found is None:
         raise Infeasible("U_star is not feasible for the unperturbed problem")
+    factor, slack = found
     if not np.any(C):
         return factor
 
@@ -336,7 +448,7 @@ def run_online(
     min_step = 2.0**-10
     while mu < 1.0:
         step = min(1.0 / k, 1.0 - mu)
-        base = build_system(p_mu, factor, t)
+        base = build_system(p_mu, factor, t, slack)
         # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
         sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=base.D * C)
         direction = cg_solve(sys_mu).direction
@@ -346,16 +458,18 @@ def run_online(
             # Tangent point first; if it left the box at this step length,
             # the plain carry-over (already factored) may still be inside
             # for a short enough step.
-            start = feasible(p_next, symmetrize(factor.matrix + step * direction))
-            if start is None:
-                start = feasible(p_next, factor)
-            if start is not None:
+            found = feasible(p_next, symmetrize(factor.matrix + step * direction))
+            if found is None:
+                found = feasible(p_next, factor)
+            if found is not None:
                 break
             step *= 0.5
             if step < min_step:
                 raise Infeasible(
                     "homotopy left the feasible region; reduce the perturbation per call"
                 )
-        factor, _ = corrector_run(p_next, start, t, cc)
+        start, start_slack = found
+        factor, _ = corrector_run(p_next, start, t, cc, start_slack)
+        slack = None  # the run keeps the slacks of its result to itself
         mu, p_mu = mu_next, p_next
     return factor

@@ -45,9 +45,12 @@ class CGResult:
     rel_residual: float
 
 
-def build_system(p: Problem, U: PDFactor, t: float) -> PredictorSystem:
-    """Assemble the tangent system at a (near-)central iterate."""
-    state = multipliers(p, U.matrix, t)
+def build_system(
+    p: Problem, U: PDFactor, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
+) -> PredictorSystem:
+    """Assemble the tangent system at a (near-)central iterate; ``slack``
+    is ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
+    state = multipliers(p, U.matrix, t, slack)
     D = (state.L**2 + state.M**2) / t
     rhs = (state.L**2 - state.M**2) / t
     return PredictorSystem(U_inv=U.inverse, D=D, rhs=rhs)
@@ -143,11 +146,11 @@ def predictor_step_detail(
     for _ in range(31):
         rho_new = p.rho + h_used
         if rho_new > 0.0:
-            U_new = feasible(
+            found = feasible(
                 Problem(sigma=p.sigma, rho=rho_new),
                 symmetrize(U.matrix + h_used * result.direction),
             )
-            if U_new is not None:
-                return U_new, h_used, result
+            if found is not None:
+                return found[0], h_used, result
         h_used *= 0.5
     raise StepCollapse("predictor step infeasible even after 30 halvings")

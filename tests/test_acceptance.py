@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from covpath import kernels
 from covpath.barrier import Problem, dual_objective, gap_bound
@@ -219,8 +220,15 @@ def test_criterion_06_swm_integrity_over_full_path(monkeypatch):
         result = run_path(sigma, PathConfig(points=50))
         assert not result.truncated
         assert len(result.points) == 50
+        # A point whose graph |sigma_ij| >= rho has only singleton
+        # components is solved in closed form; every other point takes one
+        # block-CD run.
+        coupled = 0
+        for pt in result.points:
+            _, labels = connected_components(np.abs(sigma) >= pt.rho, directed=False)
+            coupled += int(np.bincount(labels).max() >= 2)
         row_updates = [stats.row_updates for stats in runs]
-        assert len(row_updates) == 50 and sum(row_updates) > 0
+        assert len(row_updates) == coupled and sum(row_updates) > 0
         # A run refreshes its inverse after every REFRESH_EVERY row updates.
         assert max(row_updates) >= REFRESH_EVERY, max(row_updates)
         drift = max(stats.max_inverse_drift for stats in runs)

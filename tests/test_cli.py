@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import covpath.path
 from covpath import cli
@@ -12,6 +13,7 @@ from covpath.data import (
     build_state,
     build_summary,
     dump_json,
+    generate_problem,
     load_covariance,
     load_json,
     load_matrix,
@@ -433,5 +435,17 @@ class TestBench:
         for cell in report["cells"]:
             assert cell["median_wall_time"] > 0
             assert len(cell["newton_steps"]) == len(cell["cg_iterations"]) == 1
-            assert cell["newton_steps"][0] >= 3  # at least one step per point
+            # At least one step per point whose graph |sigma_ij| >= rho has
+            # a component of two or more indices; the others are solved in
+            # closed form. (At n = 6 and 10 the generated instances are
+            # diagonal, so every point is.)
+            spec = GeneratorSpec(
+                n=cell["n"], density=cell["density"], seed=report["seed"] + cell["n"]
+            )
+            sigma, _ = generate_problem(spec)
+            coupled = 0
+            for rho in default_rho_grid(sigma, cell["points"], PathConfig.rho_min_frac):
+                _, labels = connected_components(np.abs(sigma) >= rho, directed=False)
+                coupled += int(np.bincount(labels).max() >= 2)
+            assert cell["newton_steps"][0] >= coupled
             assert cell["cg_iterations"][0] >= cell["newton_steps"][0]

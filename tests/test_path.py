@@ -4,25 +4,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import covpath.path as path_mod
 import covpath.symmat as symmat_mod
 from conftest import random_instance
-from covpath import corrector, kernels
-from covpath.barrier import Problem, multipliers, residual
-from covpath.corrector import CorrectorConfig
+from covpath import barrier, corrector, kernels
+from covpath.barrier import (
+    Problem,
+    dual_objective,
+    gap_bound,
+    initial_point,
+    multipliers,
+    primal_objective,
+    residual,
+    scaling_warm_start,
+)
+from covpath.corrector import CROSS_LIMIT, CorrectorConfig, corrector_run
 from covpath.data import GeneratorSpec, generate_problem
 from covpath.exceptions import Infeasible, MaxSweepsExceeded, StepCollapse
 from covpath.path import (
     MODES,
     PathConfig,
     cardinality,
+    components,
     default_rho_grid,
+    recenter,
     run_online,
     run_path,
+    singleton_slack,
     solve_at,
 )
 from covpath.predictor import build_system
+from covpath.reference import golden_section
 from covpath.symmat import PDFactor, pd_factor, symmetrize
 
 
@@ -232,6 +246,148 @@ class TestSolveAt:
         assert np.linalg.norm(direct.matrix - res.points[-1].U) <= 1e-6
 
 
+def _blocks_instance(seed, cross):
+    """A 12 x 12 sigma whose graph |sigma_ij| >= 0.4 has components of
+    sizes 1, 1, 3, 2, 4 and 1 on shuffled indices, with entries of size up
+    to ``cross`` between them; with the penalty 0.4 and a scaling start."""
+    rng = np.random.default_rng(seed)
+    n, rho = 12, 0.4
+    sigma = cross * symmetrize(rng.uniform(-1.0, 1.0, (n, n)))
+    perm = rng.permutation(n)
+    lo = 0
+    for k in (1, 1, 3, 2, 4, 1):
+        idx = perm[lo:lo + k]
+        lo += k
+        # Equicorrelation block: entries d/2 >= rho off the diagonal.
+        sigma[np.ix_(idx, idx)] = rng.uniform(1.0, 2.0) * 0.5 * (np.eye(k) + 1.0)
+    rho_max = float(np.max(np.diag(sigma)))
+    start = scaling_warm_start(
+        sigma, initial_point(Problem(sigma=sigma, rho=rho_max)), rho_max, rho
+    )
+    return Problem(sigma=sigma, rho=rho), start
+
+
+def _same_component(sigma, rho):
+    _, labels = connected_components(np.abs(sigma) >= rho, directed=False)
+    return labels[:, None] == labels
+
+
+class TestRecenter:
+    def test_components_match_scipy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            sigma = symmetrize(rng.standard_normal((n, n)))
+            rho = float(rng.uniform(0.5, 3.0))
+            labels = components(sigma, rho)
+            assert np.array_equal(labels[:, None] == labels, _same_component(sigma, rho))
+            assert all(labels[i] == np.flatnonzero(labels == labels[i])[0] for i in range(n))
+
+    def test_split_point_is_block_diagonal_and_centered(self, monkeypatch):
+        p, start = _blocks_instance(seed=1, cross=5e-3)
+        t = 1e-3 / (2 * p.n * p.n)
+        tol = CorrectorConfig().residual_tol(p.n)
+        sizes = []
+        run = path_mod.corrector_run
+
+        def recorded_run(problem, *args):
+            sizes.append(problem.n)
+            return run(problem, *args)
+
+        monkeypatch.setattr(path_mod, "corrector_run", recorded_run)
+        factor, stats = recenter(p, start, t, CorrectorConfig())
+        # One reduced run, over the nine indices outside the singletons.
+        assert sizes == [9] and stats.sweeps >= 1
+        cross = ~_same_component(p.sigma, p.rho)
+        assert np.count_nonzero(start[cross]) == np.count_nonzero(cross)
+        assert not factor.matrix[cross].any() and not factor.inverse[cross].any()
+        # The corrector's return test on the full problem, from a fresh
+        # factorization of U.
+        fresh = pd_factor(factor.matrix)
+        assert np.allclose(fresh.inverse, factor.inverse, rtol=0.0, atol=1e-12)
+        assert fresh.logdet == pytest.approx(factor.logdet, abs=1e-12)
+        assert np.linalg.norm(residual(p, fresh, t)) <= tol
+        gap = dual_objective(fresh) - primal_objective(p, fresh.inverse)
+        assert gap <= gap_bound(p.n, t)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_the_unsplit_corrector(self, seed):
+        # Criterion 3's setting: tolerance 1e-9, U within 1e-5 Frobenius.
+        p, start = _blocks_instance(seed=seed, cross=1e-8)
+        t = 1e-3 / (2 * p.n * p.n)
+        cc = CorrectorConfig(tol_residual=1e-9)
+        whole, _ = corrector_run(p, start, t, cc)
+        split, stats = recenter(p, start, t, cc)
+        assert stats.sweeps >= 1
+        assert not split.matrix[~_same_component(p.sigma, p.rho)].any()
+        assert np.linalg.norm(split.matrix - whole.matrix) <= 1e-5
+        assert np.linalg.norm(split.inverse - whole.inverse) <= 1e-5
+
+    def test_singleton_slack_matches_golden_section(self):
+        # The 1-D barrier objective -log u - t log v - t log(2 rho - v) in
+        # the slack v = s + rho - u, less the constant -log(s + rho), and
+        # searched in log v: its minimizer is resolved to a relative 1e-7
+        # even at t = 1e-10, where v is about 1e-10 (s + rho).
+        rng = np.random.default_rng(17)
+        for log_t in np.linspace(-10.0, -1.0, 19):
+            t = 10.0**log_t
+            for _ in range(5):
+                s = float(rng.uniform(0.1, 5.0))
+                rho = float(rng.uniform(0.05, 3.0)) * s
+                hi = min(2.0 * rho, s + rho)
+
+                def f(w):
+                    v = np.exp(w)
+                    return -np.log1p(-v / (s + rho)) - t * w - t * np.log(2.0 * rho - v)
+
+                ref = np.exp(golden_section(f, np.log(1e-3 * t * (s + rho)), np.log(hi), 1e-12))
+                v = float(singleton_slack(np.array([s]), rho, t)[0])
+                assert 0.0 < v < hi
+                assert v == pytest.approx(ref, rel=1e-6), (t, s, rho)
+                u = s + rho - v
+                assert t / v - t / (2.0 * rho - v) == pytest.approx(1.0 / u, rel=1e-9)
+
+    def test_diagonal_instance_takes_no_newton_step(self, monkeypatch):
+        monkeypatch.setattr(path_mod, "corrector_run", None)
+        p = Problem(sigma=np.diag([1.0, 2.0, 3.0]), rho=1.5)
+        factor, stats = recenter(p, np.diag([2.0, 3.0, 4.0]), 1e-6, CorrectorConfig())
+        assert stats.sweeps == 0 and stats.inner_passes == 0
+        assert np.count_nonzero(factor.matrix) == 3
+        expected = 1.0 / (np.diag(p.sigma) + p.rho)
+        assert np.diag(factor.inverse) == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "case", ["cross above the limit", "connected", "not centered", "reduced run fails"]
+    )
+    def test_is_the_unsplit_corrector_otherwise(self, case, monkeypatch):
+        p, start = _blocks_instance(seed=2, cross=5e-3)
+        t = 1e-3 / (2 * p.n * p.n)
+        cc = CorrectorConfig()
+        if case == "cross above the limit":
+            cc = CorrectorConfig(tol_residual=1e-9)
+            h = 2 * t * p.sigma / (p.rho**2 - p.sigma**2)
+            assert np.linalg.norm(h[~_same_component(p.sigma, p.rho)]) > CROSS_LIMIT * 1e-9
+        elif case == "connected":
+            p = Problem(sigma=p.sigma, rho=1e-3)
+            start = scaling_warm_start(p.sigma, start, 0.4, p.rho)
+            assert _same_component(p.sigma, p.rho).all()
+        elif case == "not centered":
+            monkeypatch.setattr(path_mod, "centered", lambda *args: False)
+        else:
+            def whole_only(problem, *args):
+                if problem.n < p.n:
+                    raise MaxSweepsExceeded("injected")
+                return corrector_run(problem, *args)
+
+            monkeypatch.setattr(path_mod, "corrector_run", whole_only)
+        split, split_stats = recenter(p, start, t, cc)
+        whole, whole_stats = corrector_run(p, start, t, cc)
+        assert np.array_equal(split.matrix, whole.matrix)
+        assert np.array_equal(split.inverse, whole.inverse)
+        assert split.logdet == whole.logdet
+        assert split_stats == whole_stats
+
+
 class TestOnline:
     def _solved_base(self, n=6, seed=4):
         sigma, _ = generate_problem(GeneratorSpec(n=n, density=0.4, seed=seed))
@@ -372,18 +528,54 @@ class TestFactorizations:
         assert after == len(factored) and after - before >= 1
         assert start_bytes not in factored[before:]
 
+    def test_online_update_takes_each_slack_once(self, monkeypatch):
+        # The box slacks of U_star and of the tangent start are computed by
+        # the feasibility test that admits each, and passed on to the
+        # tangent system and to the corrector; every other call is a
+        # line-search trial inside the corrector.
+        p, factor, t, cc = TestOnline()._solved_base()
+        rng = np.random.default_rng(6)
+        C = symmetrize(rng.standard_normal(p.sigma.shape))
+        C *= 1e-3 * np.linalg.norm(p.sigma) / np.linalg.norm(C)
+        factored, runs = self._record(monkeypatch)
+        computed = []  # bytes of every matrix whose slacks were computed
+        slacks = barrier.slacks
+
+        def counted_slacks(problem, U):
+            computed.append(np.asarray(U).tobytes())
+            return slacks(problem, U)
+
+        monkeypatch.setattr(barrier, "slacks", counted_slacks)
+        monkeypatch.setattr(corrector, "slacks", counted_slacks)
+        run_online(p, factor.matrix, C, k=1, t=t, corrector_cfg=cc)
+
+        [(start, start_bytes, before, after)] = runs
+        outside = [m for m in computed if m in (factor.matrix.tobytes(), start_bytes)]
+        assert outside == [factor.matrix.tobytes(), start_bytes]
+        assert computed[:2] == outside
+        assert len(computed) == 2 + (after - before)  # one per line-search trial
+
     def test_predictor_path_points(self, monkeypatch):
         sigma, _ = generate_problem(GeneratorSpec(n=10, density=0.2, seed=8))
         factored, runs = self._record(monkeypatch)
         res = run_path(sigma, PathConfig(points=8, mode="predictor"))
         assert not res.truncated
 
-        # The first point starts from the diagonal matrix, which only the
-        # corrector factors; every later one from a factored tangent point.
-        assert not isinstance(runs[0][0], PDFactor)
-        assert all(isinstance(start, PDFactor) for start, *_ in runs[1:])
-        assert len(runs) == len(res.points)
+        # A point takes at most one run: over all of U, or over the indices
+        # of its components of two or more (a smaller start). The first
+        # point starts from the diagonal matrix, which only the corrector
+        # factors; a later unsplit one from a factored tangent point. A
+        # split point's reduced start is new, and its run factors it.
+        assert len(runs) <= len(res.points)
+        full = [run for run in runs if len(run[1]) == sigma.nbytes]
+        reduced = [run for run in runs if len(run[1]) < sigma.nbytes]
+        assert full and reduced
+        assert full[0] is runs[0] and not isinstance(runs[0][0], PDFactor)
+        assert all(isinstance(start, PDFactor) for start, *_ in full[1:])
         for start, start_bytes, before, after in runs:
             assert factored.count(start_bytes) == 1
-        for start, start_bytes, before, after in runs[1:]:
+        for start, start_bytes, before, after in full[1:]:
             assert start_bytes not in factored[before:after]
+        for start, start_bytes, before, after in reduced:
+            assert not isinstance(start, PDFactor)
+            assert start_bytes in factored[before:after]

@@ -15,6 +15,10 @@ import numpy as np
 from .exceptions import DegenerateInstance, Infeasible, NotPositiveDefinite
 from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize
 
+# Steps toward the box boundary (the corrector's primal and dual steps, the
+# predictor's tangent step) stop STEP_FRAC of the way there.
+STEP_FRAC = 0.99
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -98,6 +102,13 @@ def slacks(p: Problem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (slack_plus.min() > 0.0 and slack_minus.min() > 0.0):
         raise Infeasible("box slack is non-positive")
     return slack_plus, slack_minus
+
+
+def step_to_boundary(reach: float) -> float:
+    """Step length along a direction whose largest relative move toward
+    zero, over the quantities that must stay positive, is ``reach`` per
+    unit step: 1, or ``STEP_FRAC`` of the distance to the boundary."""
+    return 1.0 if reach <= STEP_FRAC else STEP_FRAC / reach
 
 
 def multipliers(

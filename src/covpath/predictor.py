@@ -7,6 +7,11 @@ U^{-1} P U^{-1} + D o P, one O(n^3) multiplication per CG iteration.
 The same operator, with a primal-dual D, is the Hessian of the corrector's
 Newton step (see ``corrector``), and the online mode solves it for the
 tangent in mu, so :func:`cg_solve` is the one linear solver of the program.
+
+The path's tangent step (:func:`predictor_step_detail`) moves point and
+penalty together. Its length comes in closed form from the box slacks, by
+the corrector's fraction-to-boundary rule; only an endpoint that fails
+the Cholesky test shortens it further.
 """
 
 import math
@@ -14,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import Problem, feasible, multipliers
+from .barrier import Problem, multipliers, slacks, step_to_boundary
+# perfbench/tracing.py wraps predictor.feasible, so the name stays here.
+from .barrier import feasible  # noqa: F401
 from .exceptions import StepCollapse
-from .symmat import PDFactor, symmetrize
+from .symmat import PDFactor, is_pd
 
 # Relative residual at which CG stops for the path tangent and the online
 # tangent in mu; the corrector passes its own (``corrector.CG_REL``).
@@ -132,25 +139,33 @@ def cg_solve(sys: PredictorSystem, rel_drop: float = TANGENT_REL) -> CGResult:
 
 def predictor_step_detail(
     p: Problem, U: PDFactor, t: float, h: float
-) -> tuple[PDFactor, float, CGResult]:
-    """Tangent step with feasibility backtracking.
+) -> tuple[np.ndarray, float, CGResult]:
+    """Tangent step from the central point ``U`` at rho toward rho + h.
 
-    Returns (U_new, h_used, cg_result): U_new is the new point's
-    factorization, from :func:`barrier.feasible`, and cg_result the CG
-    solve of the tangent system at ``U``. The step is halved (direction reused,
-    target penalty rho + h_used moving with it) until the result is
-    strictly feasible, at most 30 times; StepCollapse is raised beyond that.
+    Returns (U_new, h_used, cg_result): cg_result is the CG solve of the
+    tangent system at ``U``, with direction dU, and the array
+    U_new = U + h_used dU is positive definite and strictly inside the box
+    at rho + h_used. Penalty and point move together, so a step h' leaves
+    the box slacks s+ + h' (1 - dU) and s- + h' (1 + dU). The step length
+    is the corrector's fraction-to-boundary rule
+    (``barrier.step_to_boundary``), in closed form: with reach the largest
+    entry of -h (1 - dU)/s+ and -h (1 + dU)/s-, h_used = h when
+    reach <= ``STEP_FRAC`` and h STEP_FRAC/reach otherwise. The endpoint
+    then only needs the Cholesky test (``symmat.is_pd``); a step that
+    fails it is halved, at most 30 times, and StepCollapse is raised
+    beyond that. U_new is not factored for its inverse: the corrector that
+    starts from it does that.
     """
-    result = cg_solve(build_system(p, U, t))
-    h_used = h
+    slack_plus, slack_minus = slacks(p, U.matrix)
+    result = cg_solve(build_system(p, U, t, (slack_plus, slack_minus)))
+    dU = result.direction
+    # Largest relative move of a slack toward zero over the full step h.
+    reach = max((-h * (1.0 - dU) / slack_plus).max(), (-h * (1.0 + dU) / slack_minus).max())
+    h_used = h * step_to_boundary(reach)
+    # dU is exactly symmetric, so each U + h_used dU is too.
     for _ in range(31):
-        rho_new = p.rho + h_used
-        if rho_new > 0.0:
-            found = feasible(
-                Problem(sigma=p.sigma, rho=rho_new),
-                symmetrize(U.matrix + h_used * result.direction),
-            )
-            if found is not None:
-                return found[0], h_used, result
+        U_new = U.matrix + h_used * dU
+        if is_pd(U_new):
+            return U_new, h_used, result
         h_used *= 0.5
-    raise StepCollapse("predictor step infeasible even after 30 halvings")
+    raise StepCollapse("predictor step not positive definite even after 30 halvings")

@@ -423,8 +423,10 @@ class TestBench:
         from importlib import resources
 
         out = tmp_path / "bench"
+        # At density 0.3 the generated instances have 2 (n = 6) and 10
+        # (n = 10) off-diagonal pairs; at the default they are diagonal.
         code = run_cli("bench", "--sizes", "6,10", "--lengths", "3", "--repeats", 1,
-                       "--output", out)
+                       "--density", 0.3, "--output", out)
         assert code == 0
         report = load_json(out / "bench_report.json")
         schema = json.loads(
@@ -437,8 +439,7 @@ class TestBench:
             assert len(cell["newton_steps"]) == len(cell["cg_iterations"]) == 1
             # At least one step per point whose graph |sigma_ij| >= rho has
             # a component of two or more indices; the others are solved in
-            # closed form. (At n = 6 and 10 the generated instances are
-            # diagonal, so every point is.)
+            # closed form.
             spec = GeneratorSpec(
                 n=cell["n"], density=cell["density"], seed=report["seed"] + cell["n"]
             )
@@ -447,5 +448,6 @@ class TestBench:
             for rho in default_rho_grid(sigma, cell["points"], PathConfig.rho_min_frac):
                 _, labels = connected_components(np.abs(sigma) >= rho, directed=False)
                 coupled += int(np.bincount(labels).max() >= 2)
+            assert coupled > 0
             assert cell["newton_steps"][0] >= coupled
             assert cell["cg_iterations"][0] >= cell["newton_steps"][0]

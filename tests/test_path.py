@@ -184,6 +184,27 @@ class TestRunPath:
             assert np.array_equal(pt.U, ref_pt.U)
             assert pt.cg_iterations == 0
 
+    def test_start_outside_the_box_falls_back_to_the_scaling_start(
+        self, small_instance, monkeypatch
+    ):
+        # Only rounding can put a tangent endpoint, or its rescaling, outside
+        # the box; the driver's slack guard then hands the corrector the
+        # scaling warm start instead, as on a collapsed step.
+        import covpath.path as path_mod
+
+        step = path_mod.predictor_step_detail
+
+        def outside(p, U, t, h):
+            _, h_used, result = step(p, U, t, h)
+            return p.sigma + 2.0 * p.rho, h_used, result
+
+        monkeypatch.setattr(path_mod, "predictor_step_detail", outside)
+        res = run_path(small_instance, PathConfig(points=4, mode="predictor"))
+        ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
+        assert len(res.points) == 4
+        for pt, ref_pt in zip(res.points, ref.points):
+            assert np.array_equal(pt.U, ref_pt.U)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_newton_steps_on_generated_path(self, mode):
         # Regression bound on the corrector's work: 71 steps in scaling mode
@@ -412,6 +433,49 @@ class TestOnline:
         scratch = solve_at(p.sigma + C, p.rho, t, cc)
         assert np.linalg.norm(out.matrix - scratch.matrix) <= 1e-6
 
+    def test_centered_start_still_takes_a_newton_step(self, monkeypatch):
+        # sigma = 10 I, moved off the diagonal by three rank-one sample
+        # updates, at rho = 0.3 rho_max. The tangent start of a k = 1
+        # update already passes the corrector's return test, yet sits more
+        # than 1e-8 from the solution; the Newton step that corrector_run
+        # still takes lands the update within 1e-8 of a from-scratch
+        # solve, 100 times inside criterion 8's bound of 1e-6.
+        n = 10
+        rng = np.random.default_rng(0)
+        sigma = 10.0 * np.eye(n)
+        chol = np.linalg.cholesky(sigma)
+
+        def rank_one(sigma, size):
+            x = chol @ rng.standard_normal(n)
+            d = np.outer(x, x) - sigma
+            return symmetrize(size * np.linalg.norm(sigma) / np.linalg.norm(d) * d)
+
+        for _ in range(3):
+            sigma = sigma + rank_one(sigma, 1e-2)
+        assert np.abs(sigma - np.diag(np.diag(sigma))).max() > 0.1
+        rho = 0.3 * float(np.max(np.diag(sigma)))
+        t = 1e-3 / (2 * n * n)
+        cc = CorrectorConfig(tol_residual=1e-9 * n)
+        p = Problem(sigma=sigma, rho=rho)
+        base = solve_at(sigma, rho, t, cc)
+        C = rank_one(sigma, 1e-2)
+        scratch = solve_at(sigma + C, rho, t, cc).matrix
+
+        starts = []
+        run = path_mod.corrector_run
+
+        def recorded_run(problem, U0, *args, **kwargs):
+            starts.append((problem, U0))
+            return run(problem, U0, *args, **kwargs)
+
+        monkeypatch.setattr(path_mod, "corrector_run", recorded_run)
+        out = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
+
+        [(shifted, start)] = starts
+        assert corrector.centered(shifted, start, t, cc.residual_tol(n))
+        assert np.linalg.norm(start.matrix - scratch) > 1e-8
+        assert np.linalg.norm(out.matrix - scratch) <= 1e-8
+
     def test_mu_rhs_matches_finite_differences(self):
         p, factor, t, _ = self._solved_base()
         rng = np.random.default_rng(7)
@@ -488,8 +552,10 @@ class TestOnline:
 
 
 class TestFactorizations:
-    """Each start is factored once, by whoever tests it first; inside a
-    corrector run every Cholesky factorization is a line-search trial."""
+    """An online start is factored once, by whoever tests it first; a path
+    start by its corrector run, after at most the Cholesky test of the
+    tangent endpoint it came from. Inside a corrector run every other
+    Cholesky factorization is a line-search trial."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -558,24 +624,49 @@ class TestFactorizations:
     def test_predictor_path_points(self, monkeypatch):
         sigma, _ = generate_problem(GeneratorSpec(n=10, density=0.2, seed=8))
         factored, runs = self._record(monkeypatch)
+        steps = []  # (factorizations so far, tangent endpoint bytes) per step
+        step = path_mod.predictor_step_detail
+
+        def recorded_step(*args):
+            before = len(factored)
+            out = step(*args)
+            steps.append((before, out[0].tobytes()))
+            return out
+
+        inverted = []  # index in `factored` of each factor that was inverted
+        dtrtri = symmat_mod._dtrtri
+
+        def counted_dtrtri(*args, **kwargs):
+            inverted.append(len(factored) - 1)
+            return dtrtri(*args, **kwargs)
+
+        monkeypatch.setattr(path_mod, "predictor_step_detail", recorded_step)
+        monkeypatch.setattr(symmat_mod, "_dtrtri", counted_dtrtri)
         res = run_path(sigma, PathConfig(points=8, mode="predictor"))
         assert not res.truncated
+        assert len(steps) == len(res.points) - 1
 
         # A point takes at most one run: over all of U, or over the indices
-        # of its components of two or more (a smaller start). The first
-        # point starts from the diagonal matrix, which only the corrector
-        # factors; a later unsplit one from a factored tangent point. A
-        # split point's reduced start is new, and its run factors it.
+        # of its components of two or more (a smaller start). Every start
+        # is an array, and its run factors it.
         assert len(runs) <= len(res.points)
         full = [run for run in runs if len(run[1]) == sigma.nbytes]
         reduced = [run for run in runs if len(run[1]) < sigma.nbytes]
         assert full and reduced
-        assert full[0] is runs[0] and not isinstance(runs[0][0], PDFactor)
-        assert all(isinstance(start, PDFactor) for start, *_ in full[1:])
         for start, start_bytes, before, after in runs:
-            assert factored.count(start_bytes) == 1
-        for start, start_bytes, before, after in full[1:]:
-            assert start_bytes not in factored[before:after]
-        for start, start_bytes, before, after in reduced:
             assert not isinstance(start, PDFactor)
             assert start_bytes in factored[before:after]
+
+        # Outside its run, the first point (the diagonal start) makes no
+        # factorization, and every later one makes one: the Cholesky test
+        # of its tangent endpoint (no endpoint here needs a halving), which
+        # computes no inverse.
+        inside = {k for _, _, before, after in runs for k in range(before, after)}
+        assert set(inverted) <= inside
+        bounds = [0] + [before for before, _ in steps] + [len(factored)]
+        outside = [
+            [factored[k] for k in range(lo, hi) if k not in inside]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert outside[0] == []
+        assert outside[1:] == [[endpoint] for _, endpoint in steps]

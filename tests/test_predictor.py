@@ -3,10 +3,12 @@ import pytest
 
 from conftest import random_feasible_point, random_instance
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.barrier import Problem, feasible, multipliers
+from covpath import predictor
+from covpath.barrier import STEP_FRAC, Problem, feasible, multipliers, slacks
 from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.path import scaling_warm_start, solve_at
 from covpath.predictor import (
+    CGResult,
     PredictorSystem,
     build_system,
     cg_solve,
@@ -203,8 +205,9 @@ class TestPredictorStep:
         rng = np.random.default_rng(59)
         p = random_instance(rng, 4)
         factor = pd_factor(random_feasible_point(rng, p))
-        out = predictor_step_detail(p, factor, 1e-3, 0.0)[0]
-        assert np.array_equal(out.matrix, factor.matrix)
+        out, h_used, _ = predictor_step_detail(p, factor, 1e-3, 0.0)
+        assert h_used == 0.0
+        assert np.array_equal(out, factor.matrix)
 
     def test_scalar_analytic_path_second_order_accuracy(self):
         # for a 1x1 instance the central path solves
@@ -224,19 +227,53 @@ class TestPredictorStep:
             U = pd_factor(np.array([[u_central(rho0)]]))
             out, h_used, _ = predictor_step_detail(p, U, t, h)
             assert h_used == h
-            errors.append(abs(out.matrix[0, 0] - u_central(rho0 + h)))
+            errors.append(abs(out[0, 0] - u_central(rho0 + h)))
         ratio = errors[0] / errors[1]
         assert 2.5 <= ratio <= 6.5
 
-    def test_backtracks_to_feasible_half_step(self):
+    @staticmethod
+    def _long_step():
         rng = np.random.default_rng(60)
         p = random_instance(rng, 5, density=0.5, rho_frac=0.4)
         t = 1e-3 / 50
         factor = solve_at(p.sigma, p.rho, t, CorrectorConfig(tol_residual=1e-9))
         h = -0.9 * p.rho  # aggressive move toward the dense end
+        return p, factor, t, h
+
+    def test_long_step_is_strictly_feasible(self):
+        p, factor, t, h = self._long_step()
         out, h_used, _ = predictor_step_detail(p, factor, t, h)
         assert abs(h_used) <= abs(h)
-        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out.matrix)
+        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out)
+
+    def test_box_limit_sets_the_step_length(self):
+        # The box cuts the long step short, to STEP_FRAC of the way to its
+        # nearest face: the tightest slack keeps 1 - STEP_FRAC of its value
+        # at the start, and the endpoint is positive definite as it stands.
+        p, factor, t, h = self._long_step()
+        out, h_used, res = predictor_step_detail(p, factor, t, h)
+        assert 0.0 < h_used / h < 1.0
+        assert np.array_equal(out, factor.matrix + h_used * res.direction)
+        before = slacks(p, factor.matrix)
+        after = slacks(Problem(sigma=p.sigma, rho=p.rho + h_used), out)
+        kept = min((a / b).min() for a, b in zip(after, before))
+        assert kept == pytest.approx(1.0 - STEP_FRAC, rel=1e-6)
+
+    def test_only_a_non_pd_endpoint_is_halved(self, monkeypatch):
+        # sigma = I at rho = 3: the box around U = I reaches below the PD
+        # cone. Along dU = 1.5 I the step h = -1 stays inside the box
+        # (largest relative slack move 2.5/3 < STEP_FRAC) but ends at
+        # -0.5 I; its half ends at 0.25 I, which is PD.
+        p = Problem(sigma=np.eye(2), rho=3.0)
+        factor = pd_factor(np.eye(2))
+        tangent = CGResult(
+            direction=1.5 * np.eye(2), iterations=1, converged=True, rel_residual=0.0
+        )
+        monkeypatch.setattr(predictor, "cg_solve", lambda sys: tangent)
+        out, h_used, _ = predictor_step_detail(p, factor, 1e-2, -1.0)
+        assert h_used == -0.5
+        assert np.array_equal(out, 0.25 * np.eye(2))
+        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out)
 
     def test_predictor_warm_start_not_worse_than_scaling(self):
         sigma, _ = generate_problem(GeneratorSpec(n=20, density=0.15, seed=5))
@@ -248,7 +285,6 @@ class TestPredictorStep:
         rho1 = rho0 + h
         p1 = Problem(sigma=sigma, rho=rho1)
         U_pred, h_used, _ = predictor_step_detail(p0, factor, t, h)
-        U_pred = U_pred.matrix
         if h_used != h:
             U_pred = scaling_warm_start(sigma, U_pred, rho0 + h_used, rho1)
         U_scal = scaling_warm_start(sigma, factor.matrix, rho0, rho1)

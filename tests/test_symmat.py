@@ -86,7 +86,7 @@ class TestPDFactor:
         assert rel <= 1e-10
         assert factor.logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    @pytest.mark.parametrize("n", [1, 2, 10, 30, 100])
     def test_inverse_is_exactly_symmetric_and_c_contiguous(self, n):
         rng = np.random.default_rng(100 + n)
         m = random_pd(rng, n)

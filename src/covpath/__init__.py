@@ -32,7 +32,6 @@ from .exceptions import (
     NumericalBreakdown,
     ParseError,
     SingularUpdate,
-    StepCollapse,
 )
 from .path import (
     PathConfig,

@@ -64,30 +64,27 @@ class Problem:
 
 @dataclass(frozen=True)
 class BarrierState:
-    """Barrier weight with the elementwise multipliers it induces."""
+    """Elementwise barrier multipliers L = t/slack+ and M = t/slack-."""
 
-    t: float
     L: np.ndarray
     M: np.ndarray
 
 
 def feasible(
-    p: Problem, U: np.ndarray | PDFactor
+    p: Problem, U: np.ndarray
 ) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]] | None:
     """Strict dual feasibility: every box slack positive (:func:`slacks`)
     and U PD.
 
     Returns the factorization of a feasible U with its slacks, and None
     otherwise, so the caller that goes on to use U neither factors it nor
-    computes its slacks a second time. A PDFactor is already factored:
-    only its box is tested, and it comes back as it is.
+    computes its slacks a second time.
     """
-    matrix = U.matrix if isinstance(U, PDFactor) else U
-    if matrix.shape != p.sigma.shape:
+    if U.shape != p.sigma.shape:
         return None
     try:
-        slack = slacks(p, matrix)
-        return (U if isinstance(U, PDFactor) else pd_factor(U)), slack
+        slack = slacks(p, U)
+        return pd_factor(U), slack
     except (Infeasible, NotPositiveDefinite):
         return None
 
@@ -122,7 +119,7 @@ def multipliers(
     if not t > 0.0:
         raise ValueError("t must be positive")
     slack_plus, slack_minus = slacks(p, U) if slack is None else slack
-    return BarrierState(t=t, L=t / slack_plus, M=t / slack_minus)
+    return BarrierState(L=t / slack_plus, M=t / slack_minus)
 
 
 def residual(p: Problem, U: PDFactor, t: float) -> np.ndarray:
@@ -167,15 +164,13 @@ def gap_bound(n: int, t: float) -> float:
     return 2.0 * n * n * t
 
 
-def initial_point(p_max: Problem, eps: float = 0.01) -> np.ndarray:
-    """Sparse-end diagonal start U_ii = sigma_ii + (1 - eps) rho_max.
+def initial_point(p_max: Problem) -> np.ndarray:
+    """Sparse-end diagonal start U_ii = sigma_ii + 0.99 rho_max.
 
     Valid for rho = rho_max = max_i sigma_ii. Raises DegenerateInstance if
     some off-diagonal |sigma_ij| >= rho_max, in which case no diagonal
     start is strictly feasible.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
     sigma = p_max.sigma
     rho_max = p_max.rho_max
     off = np.abs(sigma - np.diag(np.diagonal(sigma)))
@@ -183,7 +178,7 @@ def initial_point(p_max: Problem, eps: float = 0.01) -> np.ndarray:
         raise DegenerateInstance(
             "some |sigma_ij| >= max_i sigma_ii; diagonal start infeasible"
         )
-    return np.diag(np.diagonal(sigma) + (1.0 - eps) * rho_max)
+    return np.diag(np.diagonal(sigma) + 0.99 * rho_max)
 
 
 def scaling_warm_start(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .barrier import Problem, multipliers
+from .barrier import Problem, residual
 from .corrector import CorrectorConfig
 from .exceptions import (
     AsymmetricInput,
@@ -26,7 +26,7 @@ from .exceptions import (
     ParseError,
 )
 from .path import MODES, PathConfig, cardinality, run_online, run_path, solve_at, support_mask
-from .symmat import invert_pd
+from .symmat import pd_factor
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -294,11 +294,11 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
                 failures.append(f"point {idx}: {x_path.name} has no {u_path.name}")
                 continue
             U = data.load_matrix(u_path)
-            X_fresh = invert_pd(U)
-            if np.linalg.norm(X - X_fresh) > X_MATCH_RTOL * np.linalg.norm(X_fresh):
+            fresh = pd_factor(U)
+            if np.linalg.norm(X - fresh.inverse) > X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
                 failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
-            state = multipliers(Problem(sigma=sigma, rho=pt["rho"]), U, pt["t"])
-            resid = float(np.linalg.norm(state.L - state.M - X_fresh))
+            H = residual(Problem(sigma=sigma, rho=pt["rho"]), fresh, pt["t"])
+            resid = float(np.linalg.norm(H))
             if resid > 2.0 * tol + 1e-9:
                 failures.append(
                     f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"

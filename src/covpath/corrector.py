@@ -27,6 +27,7 @@ from .barrier import (
     feasible,
     gap_bound,
     multipliers,
+    residual,
     slacks,
     step_to_boundary,
 )
@@ -124,11 +125,9 @@ def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
     residual with X = ``factor.inverse`` is at most ``tol``, and the
     duality gap at X is at most 2 n^2 t."""
     try:
-        state = multipliers(p, factor.matrix, t)
+        H = residual(p, factor, t)
     except Infeasible:
         return False
-    H = state.L - state.M
-    H -= factor.inverse
     if math.sqrt(np.vdot(H, H)) > tol:
         return False
     return duality_gap(p, factor.inverse) <= gap_bound(p.n, t)
@@ -136,24 +135,21 @@ def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
 
 def corrector_run(
     p: Problem,
-    U0: np.ndarray | PDFactor,
+    start: np.ndarray | tuple[PDFactor, tuple[np.ndarray, np.ndarray]],
     t: float,
     cfg: CorrectorConfig | None = None,
-    slack: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[PDFactor, CorrectorStats]:
     """Re-center by damped primal-dual Newton-CG; returns the solution with
     its run statistics.
 
-    ``U0`` is the start, or its factorization when the caller already has
-    one: a PDFactor start is not factored again. ``slack`` is the start's
-    ``barrier.slacks`` when the caller already has them (from
-    ``barrier.feasible``); otherwise its box is tested here. An array start
-    must pass the Cholesky pivot test.
+    ``start`` is an array, which must pass ``barrier.feasible``
+    (Infeasible otherwise), or the (factorization, slacks) pair that
+    ``barrier.feasible`` returned for it, which is not tested again.
 
     A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
     ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
-    estimates start from X = U0^{-1}, at L~ = max(t/s+, X) and
-    M~ = max(t/s-, -X), capped at KAPPA t/s: at the solution H = 0 makes
+    estimates start from the inverse X of the start, at L~ = max(t/s+, X)
+    and M~ = max(t/s-, -X), capped at KAPPA t/s: at the solution H = 0 makes
     the positive and negative parts of X the face multipliers. They move
     along the linearized complementarity conditions L~ s+ = t, M~ s- = t
     by their own fraction-to-boundary step, and are clipped to
@@ -165,7 +161,7 @@ def corrector_run(
     of f, where the Armijo test compares rounding noise.
 
     Slack bookkeeping: each iterate comes with its slacks s+/- from the
-    test that admitted it, the start's box test or the line search
+    test that admitted it, ``barrier.feasible`` or the line search
     (``barrier.slacks``; the line search also takes the barrier objective
     from them). The step computes 1/s+/- and the multipliers
     L, M = t/s+/- (``barrier.multipliers``) from them once, and builds from
@@ -194,20 +190,14 @@ def corrector_run(
     n = p.n
     tol = cfg.residual_tol(n)
     max_gap = gap_bound(n, t)
-    factor = U0 if isinstance(U0, PDFactor) else None
-    U0 = factor.matrix if factor is not None else symmetrize(np.asarray(U0, dtype=float))
-    if U0.shape != p.sigma.shape:
-        raise Infeasible("corrector starting point has the wrong shape")
-    if slack is None:
-        slack = slacks(p, U0)
-    if factor is None:
-        try:
-            factor = pd_factor(U0)
-        except NotPositiveDefinite as exc:
-            raise Infeasible("corrector starting point is not positive definite") from exc
+    if not isinstance(start, tuple):
+        start = feasible(p, symmetrize(np.asarray(start, dtype=float)))
+        if start is None:
+            raise Infeasible("corrector starting point is not strictly feasible")
+    factor, slack = start
 
     f = barrier_objective(p, factor, t, slack)
-    state = multipliers(p, U0, t, slack)
+    state = multipliers(p, factor.matrix, t, slack)
     L_dual = _clip(factor.inverse, state.L, KAPPA * state.L)
     M_dual = _clip(-factor.inverse, state.M, KAPPA * state.M)
     stats = CorrectorStats()

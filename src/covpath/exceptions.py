@@ -53,10 +53,6 @@ class LineSearchFailure(CovpathError):
     """Backtracking line search could not find an acceptable step."""
 
 
-class StepCollapse(CovpathError):
-    """Predictor step stayed infeasible after the maximum number of halvings."""
-
-
 class ParseError(CovpathError):
     """Input file could not be parsed as a numeric matrix."""
 

@@ -29,10 +29,10 @@ from .barrier import (
     slacks,
 )
 from .corrector import CROSS_LIMIT, CorrectorConfig, CorrectorStats, centered, corrector_run
-from .exceptions import CovpathError, Infeasible, StepCollapse
+from .exceptions import CovpathError, Infeasible, NotPositiveDefinite
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
-from .symmat import PDFactor, pd_factor, symmetrize  # noqa: F401
+from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize  # noqa: F401
 
 MODES = ("scaling", "predictor")
 # Grid values on the way down from rho_max in a from-scratch solve_at.
@@ -213,7 +213,7 @@ def singleton_slack(s: np.ndarray, rho: float, t: float) -> np.ndarray:
 
 
 def recenter(
-    p: Problem, start: np.ndarray | PDFactor, t: float, cfg: CorrectorConfig
+    p: Problem, start: np.ndarray, t: float, cfg: CorrectorConfig
 ) -> tuple[PDFactor, CorrectorStats]:
     """Re-center at one grid value from ``start``, over the components of
     |sigma_ij| >= rho (:func:`components`) when that pays.
@@ -260,7 +260,7 @@ def recenter(
     if rest.size:
         block = np.ix_(rest, rest)
         keep = same[block]
-        U0 = start.matrix if isinstance(start, PDFactor) else np.asarray(start, dtype=float)
+        U0 = np.asarray(start, dtype=float)
         reduced = Problem(sigma=np.where(keep, p.sigma[block], 0.0), rho=p.rho)
         reduced_cfg = CorrectorConfig(
             tol_residual=0.99 * math.sqrt(tol * tol - cross * cross),
@@ -290,13 +290,13 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     that pays; a point solved wholly in closed form reports 0 sweeps. In
     predictor mode, the tangent step (:func:`predictor.predictor_step_detail`)
     goes as far toward the grid value as the box allows, and rescaling
-    carries its endpoint the rest of the way. Outside the corrector a
-    point makes one factorization, the Cholesky test of that endpoint; the
-    start goes to :func:`recenter` as an array. A step that collapses
-    (``StepCollapse``), or a start that rounding put outside the box, gives
-    way to the scaling warm start. When solving a grid value raises any
-    other ``CovpathError`` (in the predictor step or in the corrector),
-    the driver retries once through an intermediate penalty (geometric
+    carries its endpoint the rest of the way. That start is tested once,
+    for its box slacks and by the Cholesky pivot test, which computes no
+    inverse: outside the corrector this is the point's one factorization,
+    and the start goes to :func:`recenter` as an array. A start that fails
+    gives way to the scaling warm start. When solving a grid value raises
+    a ``CovpathError`` (in the predictor step or in the corrector), the
+    driver retries once through an intermediate penalty (geometric
     midpoint, matching the log-spaced grid); if that also fails the path
     is returned truncated with the failure recorded.
     """
@@ -332,27 +332,20 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         try:
             start = None
             if cfg.mode == "predictor" and factor_prev is not None:
-                try:
-                    start, h_used, cg_res = predictor_step_detail(
-                        problem_prev, factor_prev, t, h
+                start, h_used, cg_res = predictor_step_detail(problem_prev, factor_prev, t, h)
+                cg_iterations = cg_res.iterations
+                if h_used != h:
+                    # The tangent stopped short of the grid value. Rescaling
+                    # carries its endpoint the rest of the way (the max
+                    # keeps rounding from asking it to raise the penalty).
+                    start = scaling_warm_start(
+                        sigma, start, max(rho_prev + h_used, float(rho)), float(rho)
                     )
-                except StepCollapse:
-                    pass  # the scaling start below stands in for the tangent
-                else:
-                    cg_iterations = cg_res.iterations
-                    if h_used != h:
-                        # The tangent stopped short of the grid value.
-                        # Rescaling carries its endpoint the rest of the
-                        # way, strictly inside the box and, sigma being
-                        # PSD, positive definite (the max keeps rounding
-                        # from asking it to raise the penalty).
-                        start = scaling_warm_start(
-                            sigma, start, max(rho_prev + h_used, float(rho)), float(rho)
-                        )
-                    try:
-                        slacks(problem, start)  # only rounding can fail this
-                    except Infeasible:
-                        start = None
+                try:
+                    slacks(problem, start)
+                    cholesky_logdet(start)
+                except (Infeasible, NotPositiveDefinite):
+                    start = None
             if start is None:
                 start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
             factor, stats = recenter(problem, start, t, cfg.corrector)
@@ -440,9 +433,11 @@ def run_online(
     Continuation runs in mu from 0 to 1 in steps of 1/k (k=1 is usually
     enough for small C): each step takes a tangent move in mu from the CG
     solve of the same structured system with right-hand side -dH/dmu, then
-    re-centers with the corrector on the shifted problem. Steps are halved
-    when the tangent point leaves the feasible region, down to 2^-10;
-    Infeasible is raised beyond that (reduce the perturbation per call).
+    re-centers with the corrector on the shifted problem. A step is halved
+    while its tangent point is not feasible (``barrier.feasible``), down to
+    2^-10; Infeasible is raised beyond that (reduce the perturbation per
+    call). The corrector starts from the factorization and slacks that the
+    test of the tangent point returned.
     The corrector takes at least one Newton step even from a tangent point
     that already passes its return test (``corrector.centered``): such a
     point can still be 1e-7 from the solution. Streams of 12 updates
@@ -472,12 +467,7 @@ def run_online(
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)
-            # Tangent point first; if it left the box at this step length,
-            # the plain carry-over (already factored) may still be inside
-            # for a short enough step.
             found = feasible(p_next, symmetrize(factor.matrix + step * direction))
-            if found is None:
-                found = feasible(p_next, factor)
             if found is not None:
                 break
             step *= 0.5
@@ -485,8 +475,7 @@ def run_online(
                 raise Infeasible(
                     "homotopy left the feasible region; reduce the perturbation per call"
                 )
-        start, start_slack = found
-        factor, _ = corrector_run(p_next, start, t, cc, start_slack)
+        factor, _ = corrector_run(p_next, found, t, cc)
         slack = None  # the run keeps the slacks of its result to itself
         mu, p_mu = mu_next, p_next
     return factor

@@ -10,8 +10,7 @@ tangent in mu, so :func:`cg_solve` is the one linear solver of the program.
 
 The path's tangent step (:func:`predictor_step_detail`) moves point and
 penalty together. Its length comes in closed form from the box slacks, by
-the corrector's fraction-to-boundary rule; only an endpoint that fails
-the Cholesky test shortens it further.
+the corrector's fraction-to-boundary rule.
 """
 
 import math
@@ -22,8 +21,7 @@ import numpy as np
 from .barrier import Problem, multipliers, slacks, step_to_boundary
 # perfbench/tracing.py wraps predictor.feasible, so the name stays here.
 from .barrier import feasible  # noqa: F401
-from .exceptions import StepCollapse
-from .symmat import PDFactor, is_pd
+from .symmat import PDFactor
 
 # Relative residual at which CG stops for the path tangent and the online
 # tangent in mu; the corrector passes its own (``corrector.CG_REL``).
@@ -143,18 +141,16 @@ def predictor_step_detail(
     """Tangent step from the central point ``U`` at rho toward rho + h.
 
     Returns (U_new, h_used, cg_result): cg_result is the CG solve of the
-    tangent system at ``U``, with direction dU, and the array
-    U_new = U + h_used dU is positive definite and strictly inside the box
-    at rho + h_used. Penalty and point move together, so a step h' leaves
+    tangent system at ``U``, with direction dU, and U_new is the array
+    U + h_used dU. Penalty and point move together, so a step h' leaves
     the box slacks s+ + h' (1 - dU) and s- + h' (1 + dU). The step length
     is the corrector's fraction-to-boundary rule
     (``barrier.step_to_boundary``), in closed form: with reach the largest
     entry of -h (1 - dU)/s+ and -h (1 + dU)/s-, h_used = h when
-    reach <= ``STEP_FRAC`` and h STEP_FRAC/reach otherwise. The endpoint
-    then only needs the Cholesky test (``symmat.is_pd``); a step that
-    fails it is halved, at most 30 times, and StepCollapse is raised
-    beyond that. U_new is not factored for its inverse: the corrector that
-    starts from it does that.
+    reach <= ``STEP_FRAC`` and h STEP_FRAC/reach otherwise. So U_new is
+    inside the box at rho + h_used up to rounding; it is neither tested
+    for positive definiteness nor factored here. The path driver tests
+    the start it builds from U_new once (``path.run_path``).
     """
     slack_plus, slack_minus = slacks(p, U.matrix)
     result = cg_solve(build_system(p, U, t, (slack_plus, slack_minus)))
@@ -162,10 +158,5 @@ def predictor_step_detail(
     # Largest relative move of a slack toward zero over the full step h.
     reach = max((-h * (1.0 - dU) / slack_plus).max(), (-h * (1.0 + dU) / slack_minus).max())
     h_used = h * step_to_boundary(reach)
-    # dU is exactly symmetric, so each U + h_used dU is too.
-    for _ in range(31):
-        U_new = U.matrix + h_used * dU
-        if is_pd(U_new):
-            return U_new, h_used, result
-        h_used *= 0.5
-    raise StepCollapse("predictor step not positive definite even after 30 halvings")
+    # dU is exactly symmetric, so U + h_used dU is too.
+    return U.matrix + h_used * dU, h_used, result

@@ -136,15 +136,14 @@ def central_point(
     t_target: float,
     cfg: OracleConfig | None = None,
     U0: np.ndarray | None = None,
-    t_factor: float = 0.1,
 ) -> PDFactor:
     """Newton solve with continuation in the barrier weight.
 
     Plain damped Newton crawls when started far from a small-t central
     point (steps keep clipping on the box boundary), so this helper chains
-    warm-started solves from a comfortably interior weight down to
-    ``t_target``. The start defaults to the sparse-end diagonal point
-    rescaled to the requested penalty.
+    warm-started solves, each at a tenth of the weight before it, from a
+    comfortably interior weight down to ``t_target``. The start defaults to
+    the sparse-end diagonal point rescaled to the requested penalty.
     """
     cfg = cfg or OracleConfig()
     if U0 is None:
@@ -163,7 +162,7 @@ def central_point(
         U = newton_solve(p, U, t, stage_cfg).matrix
         if t == t_target:
             return pd_factor(U)
-        t = max(t_target, t * t_factor)
+        t = max(t_target, t * 0.1)
 
 
 def explicit_system(p: Problem, U: PDFactor, t: float) -> np.ndarray:

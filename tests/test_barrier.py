@@ -236,14 +236,14 @@ class TestGapBound:
 class TestInitialPoint:
     def test_direct_formula(self):
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=2.0)
-        U = initial_point(p, eps=0.01)
+        U = initial_point(p)
         assert np.allclose(np.diag(U), [1.0 + 1.98, 2.0 + 1.98], rtol=1e-15)
         assert np.array_equal(U, np.diag(np.diag(U)))
 
     def test_feasible_at_rho_max(self):
         rng = np.random.default_rng(9)
         p = random_instance(rng, 6, rho_frac=1.0)
-        U = initial_point(p, eps=0.01)
+        U = initial_point(p)
         assert feasible(Problem(sigma=p.sigma, rho=p.rho_max), U)
 
     def test_generated_instances_satisfy_cauchy_schwarz_margin(self):
@@ -260,13 +260,6 @@ class TestInitialPoint:
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateInstance):
             initial_point(Problem(sigma=sigma, rho=1.0))
-
-    def test_eps_bounds(self):
-        p = Problem(sigma=np.diag([1.0, 2.0]), rho=2.0)
-        with pytest.raises(ValueError):
-            initial_point(p, eps=0.0)
-        with pytest.raises(ValueError):
-            initial_point(p, eps=1.0)
 
 
 class TestScalingWarmStart:

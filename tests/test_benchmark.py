@@ -1,0 +1,26 @@
+"""The benchmark's own command runs on this tree.
+
+``perfbench/run.py`` imports covpath from ``src/`` and reads names the
+library keeps for it (the backend, the tracer's wrapped functions, the
+corrector's statistics). A change that drops one breaks the benchmark;
+this test makes the suite see it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_command_passes_its_gates():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "dense-predictor",
+         "--seed", "1", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -19,10 +19,11 @@ from covpath.barrier import (
     primal_objective,
     residual,
     scaling_warm_start,
+    slacks,
 )
 from covpath.corrector import CROSS_LIMIT, CorrectorConfig, corrector_run
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.exceptions import Infeasible, MaxSweepsExceeded, StepCollapse
+from covpath.exceptions import Infeasible, MaxSweepsExceeded
 from covpath.path import (
     MODES,
     PathConfig,
@@ -35,9 +36,9 @@ from covpath.path import (
     singleton_slack,
     solve_at,
 )
-from covpath.predictor import build_system
+from covpath.predictor import CGResult, build_system
 from covpath.reference import golden_section
-from covpath.symmat import PDFactor, pd_factor, symmetrize
+from covpath.symmat import PDFactor, is_pd, pd_factor, symmetrize
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +140,8 @@ class TestRunPath:
         assert res.points == []
 
     def test_predictor_failure_recovers_through_midpoint(self, small_instance, monkeypatch):
-        # An error in the predictor step other than StepCollapse goes through
-        # the same midpoint retry as a corrector failure; the retry
-        # warm-starts by scaling.
+        # An error in the predictor step goes through the same midpoint
+        # retry as a corrector failure; the retry warm-starts by scaling.
         import covpath.path as path_mod
 
         def broken(*args, **kwargs):
@@ -163,26 +163,45 @@ class TestRunPath:
         ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
         assert [pt.cardinality for pt in res.points] == [pt.cardinality for pt in ref.points]
 
-    def test_step_collapse_falls_back_to_the_scaling_start(self, small_instance, monkeypatch):
-        # A collapsed tangent step costs no midpoint retry: the point starts
-        # from the scaling warm start, so its solve is scaling mode's.
-        import covpath.path as path_mod
+    def test_non_pd_start_falls_back_to_the_scaling_start(self, monkeypatch):
+        # sigma = [[1, 0.9], [0.9, 1]] from rho = 1, where U ~ 2 I, to
+        # rho = 0.25 along the tangent dU = [[1.5, -1.2], [-1.2, 1.5]]: the
+        # box allows the whole step, whose endpoint [[0.875, 0.9],
+        # [0.9, 0.875]] is inside the box but not positive definite. The
+        # driver's Cholesky test hands the corrector the scaling warm start
+        # instead, with no midpoint retry, so the path is scaling mode's.
+        import covpath.predictor as predictor
 
-        def collapse(*args, **kwargs):
-            raise StepCollapse("tangent step stayed infeasible")
+        sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
+        grid = np.array([1.0, 0.25])
+        tangent = CGResult(
+            direction=np.array([[1.5, -1.2], [-1.2, 1.5]]),
+            iterations=1, converged=True, rel_residual=0.0,
+        )
+        endpoints = []
+        step = path_mod.predictor_step_detail
+
+        def recorded_step(*args):
+            out = step(*args)
+            endpoints.append(out[:2])
+            return out
 
         def no_retry(*args, **kwargs):
             raise AssertionError("the midpoint retry ran")
 
-        monkeypatch.setattr(path_mod, "predictor_step_detail", collapse)
+        monkeypatch.setattr(predictor, "cg_solve", lambda sys: tangent)
+        monkeypatch.setattr(path_mod, "predictor_step_detail", recorded_step)
         monkeypatch.setattr(path_mod, "_retry_through_midpoint", no_retry)
-        res = run_path(small_instance, PathConfig(points=4, mode="predictor"))
-        assert not res.truncated
-        assert len(res.points) == 4
-        ref = run_path(small_instance, PathConfig(points=4, mode="scaling"))
-        for pt, ref_pt in zip(res.points, ref.points):
+        res = run_path(sigma, PathConfig(rho_grid=grid, mode="predictor"))
+        [(endpoint, h_used)] = endpoints
+        assert h_used == -0.75
+        slacks(Problem(sigma=sigma, rho=0.25), endpoint)  # inside the box
+        assert not is_pd(endpoint)
+        ref = run_path(sigma, PathConfig(rho_grid=grid, mode="scaling"))
+        for pt, ref_pt in zip(res.points, ref.points, strict=True):
             assert np.array_equal(pt.U, ref_pt.U)
-            assert pt.cg_iterations == 0
+            assert np.array_equal(pt.X, ref_pt.X)
+        assert [pt.cg_iterations for pt in res.points] == [0, 1]
 
     def test_start_outside_the_box_falls_back_to_the_scaling_start(
         self, small_instance, monkeypatch
@@ -471,7 +490,7 @@ class TestOnline:
         monkeypatch.setattr(path_mod, "corrector_run", recorded_run)
         out = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
 
-        [(shifted, start)] = starts
+        [(shifted, (start, _))] = starts  # the factorization and slacks of the start
         assert corrector.centered(shifted, start, t, cc.residual_tol(n))
         assert np.linalg.norm(start.matrix - scratch) > 1e-8
         assert np.linalg.norm(out.matrix - scratch) <= 1e-8
@@ -552,10 +571,10 @@ class TestOnline:
 
 
 class TestFactorizations:
-    """An online start is factored once, by whoever tests it first; a path
-    start by its corrector run, after at most the Cholesky test of the
-    tangent endpoint it came from. Inside a corrector run every other
-    Cholesky factorization is a line-search trial."""
+    """An online start is factored once, by the feasibility test that
+    admits it; a path start by its corrector run, after, in predictor
+    mode, the driver's Cholesky test of that start. Inside a corrector run
+    every other Cholesky factorization is a line-search trial."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -571,7 +590,7 @@ class TestFactorizations:
         def recorded_run(problem, U0, *args, **kwargs):
             before = len(factored)
             out = run(problem, U0, *args, **kwargs)
-            start = U0.matrix if isinstance(U0, PDFactor) else symmetrize(np.asarray(U0))
+            start = U0[0].matrix if isinstance(U0, tuple) else symmetrize(np.asarray(U0))
             runs.append((U0, start.tobytes(), before, len(factored)))
             return out
 
@@ -588,7 +607,8 @@ class TestFactorizations:
         run_online(p, factor.matrix, C, k=1, t=t, corrector_cfg=cc)
 
         [(start, start_bytes, before, after)] = runs
-        assert isinstance(start, PDFactor)
+        # The run starts from the (factorization, slacks) pair of the test.
+        assert isinstance(start, tuple) and isinstance(start[0], PDFactor)
         # Outside the corrector: U_star, then the tangent start, once each.
         assert factored[:before] == [factor.matrix.tobytes(), start_bytes]
         assert after == len(factored) and after - before >= 1
@@ -624,14 +644,19 @@ class TestFactorizations:
     def test_predictor_path_points(self, monkeypatch):
         sigma, _ = generate_problem(GeneratorSpec(n=10, density=0.2, seed=8))
         factored, runs = self._record(monkeypatch)
-        steps = []  # (factorizations so far, tangent endpoint bytes) per step
+        steps = []  # factorizations before each tangent step
         step = path_mod.predictor_step_detail
 
         def recorded_step(*args):
-            before = len(factored)
-            out = step(*args)
-            steps.append((before, out[0].tobytes()))
-            return out
+            steps.append(len(factored))
+            return step(*args)
+
+        starts = []  # bytes of each start handed to recenter
+        recenter_orig = path_mod.recenter
+
+        def recorded_recenter(problem, start, *args):
+            starts.append(np.asarray(start).tobytes())
+            return recenter_orig(problem, start, *args)
 
         inverted = []  # index in `factored` of each factor that was inverted
         dtrtri = symmat_mod._dtrtri
@@ -641,10 +666,12 @@ class TestFactorizations:
             return dtrtri(*args, **kwargs)
 
         monkeypatch.setattr(path_mod, "predictor_step_detail", recorded_step)
+        monkeypatch.setattr(path_mod, "recenter", recorded_recenter)
         monkeypatch.setattr(symmat_mod, "_dtrtri", counted_dtrtri)
         res = run_path(sigma, PathConfig(points=8, mode="predictor"))
         assert not res.truncated
         assert len(steps) == len(res.points) - 1
+        assert len(starts) == len(res.points)
 
         # A point takes at most one run: over all of U, or over the indices
         # of its components of two or more (a smaller start). Every start
@@ -659,14 +686,14 @@ class TestFactorizations:
 
         # Outside its run, the first point (the diagonal start) makes no
         # factorization, and every later one makes one: the Cholesky test
-        # of its tangent endpoint (no endpoint here needs a halving), which
+        # of the start it hands to recenter (no start here fails it), which
         # computes no inverse.
         inside = {k for _, _, before, after in runs for k in range(before, after)}
         assert set(inverted) <= inside
-        bounds = [0] + [before for before, _ in steps] + [len(factored)]
+        bounds = [0] + steps + [len(factored)]
         outside = [
             [factored[k] for k in range(lo, hi) if k not in inside]
             for lo, hi in zip(bounds, bounds[1:])
         ]
         assert outside[0] == []
-        assert outside[1:] == [[endpoint] for _, endpoint in steps]
+        assert outside[1:] == [[start] for start in starts[1:]]

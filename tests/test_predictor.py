@@ -17,7 +17,7 @@ from covpath.predictor import (
     predictor_step_detail,
 )
 from covpath.reference import explicit_system
-from covpath.symmat import pd_factor, symmetrize
+from covpath.symmat import is_pd, pd_factor, symmetrize
 
 
 def h_of(p, U, t):
@@ -259,11 +259,12 @@ class TestPredictorStep:
         kept = min((a / b).min() for a, b in zip(after, before))
         assert kept == pytest.approx(1.0 - STEP_FRAC, rel=1e-6)
 
-    def test_only_a_non_pd_endpoint_is_halved(self, monkeypatch):
+    def test_endpoint_is_limited_by_the_box_alone(self, monkeypatch):
         # sigma = I at rho = 3: the box around U = I reaches below the PD
         # cone. Along dU = 1.5 I the step h = -1 stays inside the box
-        # (largest relative slack move 2.5/3 < STEP_FRAC) but ends at
-        # -0.5 I; its half ends at 0.25 I, which is PD.
+        # (largest relative slack move 2.5/3 < STEP_FRAC), so it is taken
+        # whole, to -0.5 I: the step tests no endpoint for positive
+        # definiteness (the path driver tests the start it builds).
         p = Problem(sigma=np.eye(2), rho=3.0)
         factor = pd_factor(np.eye(2))
         tangent = CGResult(
@@ -271,9 +272,10 @@ class TestPredictorStep:
         )
         monkeypatch.setattr(predictor, "cg_solve", lambda sys: tangent)
         out, h_used, _ = predictor_step_detail(p, factor, 1e-2, -1.0)
-        assert h_used == -0.5
-        assert np.array_equal(out, 0.25 * np.eye(2))
-        assert feasible(Problem(sigma=p.sigma, rho=p.rho + h_used), out)
+        assert h_used == -1.0
+        assert np.array_equal(out, -0.5 * np.eye(2))
+        slacks(Problem(sigma=p.sigma, rho=p.rho + h_used), out)  # inside the box
+        assert not is_pd(out)
 
     def test_predictor_warm_start_not_worse_than_scaling(self):
         sigma, _ = generate_problem(GeneratorSpec(n=20, density=0.15, seed=5))

@@ -164,21 +164,26 @@ def gap_bound(n: int, t: float) -> float:
     return 2.0 * n * n * t
 
 
-def initial_point(p_max: Problem) -> np.ndarray:
-    """Sparse-end diagonal start U_ii = sigma_ii + 0.99 rho_max.
+def initial_point(p: Problem) -> np.ndarray:
+    """Sparse-end start that is strictly feasible at ``p.rho``.
 
-    Valid for rho = rho_max = max_i sigma_ii. Raises DegenerateInstance if
-    some off-diagonal |sigma_ij| >= rho_max, in which case no diagonal
-    start is strictly feasible.
+    The diagonal U_ii = sigma_ii + 0.99 rho_max is valid for every
+    rho >= rho_max = max_i sigma_ii; below rho_max it is carried to p.rho by
+    :func:`scaling_warm_start`. Raises DegenerateInstance if some
+    off-diagonal |sigma_ij| >= rho_max, in which case no diagonal start is
+    strictly feasible.
     """
-    sigma = p_max.sigma
-    rho_max = p_max.rho_max
+    sigma = p.sigma
+    rho_max = p.rho_max
     off = np.abs(sigma - np.diag(np.diagonal(sigma)))
     if np.any(off >= rho_max):
         raise DegenerateInstance(
             "some |sigma_ij| >= max_i sigma_ii; diagonal start infeasible"
         )
-    return np.diag(np.diagonal(sigma) + 0.99 * rho_max)
+    U = np.diag(np.diagonal(sigma) + 0.99 * rho_max)
+    if p.rho < rho_max:
+        U = scaling_warm_start(sigma, U, rho_max, p.rho)
+    return U
 
 
 def scaling_warm_start(

@@ -53,11 +53,6 @@ MAX_HALVINGS = 60
 KAPPA = 1e10
 # A decrease of f below F_RESOLUTION * |f| is rounding noise in f.
 F_RESOLUTION = 16.0 * np.finfo(float).eps
-# The path drivers solve a grid value over the components of the graph
-# |sigma_ij| >= rho when the residual that a block-diagonal U leaves across
-# components is at most CROSS_LIMIT times the residual tolerance
-# (``path.recenter``).
-CROSS_LIMIT = 0.5
 
 # Block coordinate-descent corrector. A row-kernel call stops at block
 # tolerance TOL_BLOCK (tightened in block_cd_run along with the outer

@@ -28,15 +28,13 @@ from .barrier import (
     scaling_warm_start,
     slacks,
 )
-from .corrector import CROSS_LIMIT, CorrectorConfig, CorrectorStats, centered, corrector_run
+from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible, NotPositiveDefinite
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
 from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize  # noqa: F401
 
 MODES = ("scaling", "predictor")
-# Grid values on the way down from rho_max in a from-scratch solve_at.
-SOLVE_AT_POINTS = 10
 
 
 @dataclass
@@ -116,10 +114,6 @@ class RegularizationPath:
     truncated: bool = False
     failure: PathFailure | None = None
 
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([pt.rho for pt in self.points])
-
 
 def default_rho_grid(sigma: np.ndarray, points: int, rho_min_frac: float) -> np.ndarray:
     """Log-spaced descending penalty grid from rho_max to rho_min_frac*rho_max."""
@@ -128,8 +122,6 @@ def default_rho_grid(sigma: np.ndarray, points: int, rho_min_frac: float) -> np.
         raise ValueError("need at least one grid point")
     if not 0.0 < rho_min_frac <= 1.0:
         raise ValueError(f"rho_min_frac must lie in (0, 1], got {rho_min_frac}")
-    if points == 1:
-        return np.array([rho_max])
     return np.geomspace(rho_max, rho_min_frac * rho_max, points)
 
 
@@ -212,6 +204,12 @@ def singleton_slack(s: np.ndarray, rho: float, t: float) -> np.ndarray:
     return 2.0 * c / (b + np.sqrt(b * b - 4.0 * (1.0 + 2.0 * t) * c))
 
 
+# recenter splits a grid value over the components of |sigma_ij| >= rho when
+# the residual that a block-diagonal U leaves across components is at most
+# CROSS_LIMIT times the residual tolerance.
+CROSS_LIMIT = 0.5
+
+
 def recenter(
     p: Problem, start: np.ndarray, t: float, cfg: CorrectorConfig
 ) -> tuple[PDFactor, CorrectorStats]:
@@ -282,7 +280,8 @@ def recenter(
 
 
 def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> RegularizationPath:
-    """Trace the full regularization path over the penalty grid.
+    """Trace the full regularization path over the penalty grid; sigma
+    must be symmetric (:class:`barrier.Problem` checks it).
 
     The first point starts from the sparse-end diagonal matrix; every later
     point warm-starts from its predecessor. :func:`recenter` solves each
@@ -305,9 +304,9 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         raise ValueError(f"mode must be one of {MODES}")
     if not 0.0 <= cfg.zero_tol < 1.0:
         raise ValueError(f"zero_tol must lie in [0, 1), got {cfg.zero_tol}")
-    sigma = symmetrize(np.asarray(sigma, dtype=float))
-    n = sigma.shape[0]
-    rho_max = float(np.max(np.diagonal(sigma)))
+    sigma = np.asarray(sigma, dtype=float)
+    p_max = Problem(sigma=sigma, rho=float(np.max(np.diagonal(sigma))))
+    sigma, n, rho_max = p_max.sigma, p_max.n, p_max.rho
     grid = _validate_grid(
         default_rho_grid(sigma, cfg.points, cfg.rho_min_frac)
         if cfg.rho_grid is None
@@ -319,7 +318,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         raise ValueError(f"t must be finite and positive, got {t}")
 
     path = RegularizationPath(sigma=sigma, t=t, mode=cfg.mode)
-    U_prev = initial_point(Problem(sigma=sigma, rho=rho_max))
+    U_prev = initial_point(p_max)
     factor_prev: PDFactor | None = None
     problem_prev: Problem | None = None
     rho_prev = rho_max
@@ -385,29 +384,17 @@ def solve_at(
     t: float,
     corrector_cfg: CorrectorConfig | None = None,
 ) -> PDFactor:
-    """From-scratch solve at a single penalty.
+    """From-scratch solve at a single penalty; sigma must be symmetric
+    (:class:`barrier.Problem` checks it).
 
-    Warm-starts down a short log grid from rho_max when rho sits below it;
-    for rho >= rho_max the diagonal start is already feasible and a single
-    :func:`recenter` suffices. When the path stops short, the error that
-    stopped it is raised again as its own type, chained to the original.
+    One :func:`recenter` from the sparse-end start valid at rho
+    (:func:`barrier.initial_point`): Newton-CG needs no walk down a grid
+    from rho_max to get there. A failure reaches the caller with its own
+    type, as raised.
     """
-    sigma = symmetrize(np.asarray(sigma, dtype=float))
-    rho_max = float(np.max(np.diagonal(sigma)))
-    cc = corrector_cfg or CorrectorConfig()
-    if rho >= rho_max:
-        U0 = initial_point(Problem(sigma=sigma, rho=rho_max))
-        factor, _ = recenter(Problem(sigma=sigma, rho=rho), U0, t, cc)
-        return factor
-    grid = np.geomspace(rho_max, rho, SOLVE_AT_POINTS)
-    cfg = PathConfig(rho_grid=grid, t=t, corrector=cc)
-    result = run_path(sigma, cfg)
-    if result.truncated:
-        failure = result.failure
-        raise type(failure.exception)(
-            f"from-scratch solve failed at rho={failure.rho:.6g}: {failure.error}"
-        ) from failure.exception
-    return result.points[-1].factor
+    p = Problem(sigma=np.asarray(sigma, dtype=float), rho=rho)
+    factor, _ = recenter(p, initial_point(p), t, corrector_cfg or CorrectorConfig())
+    return factor
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .barrier import (
     feasible,
     initial_point,
     multipliers,
-    scaling_warm_start,
 )
 from .exceptions import Infeasible, LineSearchFailure, MaxItersExceeded
 from .predictor import PredictorSystem, matvec
@@ -143,15 +142,11 @@ def central_point(
     point (steps keep clipping on the box boundary), so this helper chains
     warm-started solves, each at a tenth of the weight before it, from a
     comfortably interior weight down to ``t_target``. The start defaults to
-    the sparse-end diagonal point rescaled to the requested penalty.
+    the sparse-end start valid at the requested penalty
+    (:func:`barrier.initial_point`).
     """
     cfg = cfg or OracleConfig()
-    if U0 is None:
-        rho_max = p.rho_max
-        U0 = initial_point(Problem(sigma=p.sigma, rho=rho_max))
-        if p.rho < rho_max:
-            U0 = scaling_warm_start(p.sigma, U0, rho_max, p.rho)
-    U = np.asarray(U0, dtype=float)
+    U = np.asarray(initial_point(p) if U0 is None else U0, dtype=float)
     t = max(t_target, 1.0)
     while True:
         # Intermediate stages only warm-start the next one; a loose stop

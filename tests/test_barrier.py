@@ -256,6 +256,15 @@ class TestInitialPoint:
             assert np.all(np.abs(p.sigma) <= bound + 1e-12)
             initial_point(Problem(sigma=p.sigma, rho=p.rho_max))
 
+    def test_below_rho_max_is_the_rescaled_diagonal_start(self):
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            p = random_instance(rng, 8, density=0.4, rho_frac=float(rng.uniform(0.01, 0.95)))
+            diagonal = np.diag(np.diagonal(p.sigma) + 0.99 * p.rho_max)
+            U = initial_point(p)
+            assert np.array_equal(U, scaling_warm_start(p.sigma, diagonal, p.rho_max, p.rho))
+            assert feasible(p, U)
+
     def test_degenerate_raises(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateInstance):

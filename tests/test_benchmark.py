@@ -14,13 +14,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_command_passes_its_gates():
+def _run(*args):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "dense-predictor",
-         "--seed", "1", "--seconds", "0"],
+        [sys.executable, "perfbench/run.py", *args],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_command_passes_its_gates():
+    _run("--workload", "dense-predictor", "--seed", "1", "--seconds", "0")
+
+
+def test_traced_run_finds_every_wrapped_name():
+    # The tracer looks up each name it wraps (path.initial_point,
+    # path.solve_at, kernels.row_solver, ...); a traced run fails when one
+    # is gone.
+    _run("--workload", "online-stream", "--seed", "1", "--seconds", "0", "--trace", "1")

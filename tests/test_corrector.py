@@ -270,9 +270,7 @@ class TestCorrectorSolve:
         rho = 0.8
         t = 1e-4
         p = Problem(sigma=sigma, rho=rho)
-        U0 = initial_point(Problem(sigma=sigma, rho=p.rho_max))
-        U0 = U0 * rho / p.rho_max + sigma * (1 - rho / p.rho_max)
-        factor = corrector_run(p, U0, t, CorrectorConfig(tol_residual=1e-11))[0]
+        factor = corrector_run(p, initial_point(p), t, CorrectorConfig(tol_residual=1e-11))[0]
         off = factor.matrix - np.diag(np.diag(factor.matrix))
         assert np.abs(off).max() <= 1e-11
         for i in range(3):

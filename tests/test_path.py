@@ -21,10 +21,11 @@ from covpath.barrier import (
     scaling_warm_start,
     slacks,
 )
-from covpath.corrector import CROSS_LIMIT, CorrectorConfig, corrector_run
+from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.data import GeneratorSpec, generate_problem
 from covpath.exceptions import Infeasible, MaxSweepsExceeded
 from covpath.path import (
+    CROSS_LIMIT,
     MODES,
     PathConfig,
     cardinality,
@@ -240,6 +241,16 @@ class TestRunPath:
             run_path(small_instance, PathConfig(mode="sideways"))
 
 
+@pytest.mark.parametrize(
+    "solve", [lambda s: run_path(s), lambda s: solve_at(s, 0.5, 1e-4)], ids=["run_path", "solve_at"]
+)
+def test_asymmetric_sigma_is_rejected(solve):
+    # Neither driver averages an asymmetric sigma into a different problem.
+    sigma = np.array([[2.0, 1.5, 0.0], [0.0, 2.0, 0.3], [0.0, 0.0, 2.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        solve(sigma)
+
+
 def test_production_never_calls_the_reference_corrector(small_instance, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference corrector ran in a production path")
@@ -273,8 +284,26 @@ class TestSolveAt:
         with pytest.raises(Infeasible) as err:
             solve_at(sigma, 0.05, 1e-4)
         assert not isinstance(err.value, MaxSweepsExceeded)
-        assert isinstance(err.value.__cause__, Infeasible)
-        assert "from-scratch solve failed" in str(err.value)
+
+    def test_is_one_recenter_from_the_sparse_end_start(self, small_instance, monkeypatch):
+        calls = []
+        real = path_mod.recenter
+
+        def recording(p, start, t, cfg):
+            calls.append((p, start.copy()))
+            return real(p, start, t, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_at walked a path")
+
+        monkeypatch.setattr(path_mod, "recenter", recording)
+        monkeypatch.setattr(path_mod, "run_path", forbidden)
+        rho = 0.2 * float(np.max(np.diag(small_instance)))
+        solve_at(small_instance, rho, 1e-5)
+        assert len(calls) == 1
+        p, start = calls[0]
+        assert p.rho == rho
+        assert np.array_equal(start, initial_point(p))
 
     def test_matches_path_final_point(self, small_instance):
         rho = 0.2 * float(np.max(np.diag(small_instance)))
@@ -300,11 +329,8 @@ def _blocks_instance(seed, cross):
         lo += k
         # Equicorrelation block: entries d/2 >= rho off the diagonal.
         sigma[np.ix_(idx, idx)] = rng.uniform(1.0, 2.0) * 0.5 * (np.eye(k) + 1.0)
-    rho_max = float(np.max(np.diag(sigma)))
-    start = scaling_warm_start(
-        sigma, initial_point(Problem(sigma=sigma, rho=rho_max)), rho_max, rho
-    )
-    return Problem(sigma=sigma, rho=rho), start
+    p = Problem(sigma=sigma, rho=rho)
+    return p, initial_point(p)
 
 
 def _same_component(sigma, rho):

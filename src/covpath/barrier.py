@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInstance, Infeasible, NotPositiveDefinite
-from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize
+from .symmat import PDFactor, checked_symmetric, cholesky_logdet, pd_factor
 
 # Steps toward the box boundary (the corrector's primal and dual steps, the
 # predictor's tangent step) stop STEP_FRAC of the way there.
@@ -34,17 +34,7 @@ class Problem:
     lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError("sigma must be a square matrix")
-        # Most callers pass an exactly symmetric sigma; only the rest pay
-        # for the tolerance check and the averaging. NaN fails both tests.
-        if (sigma == sigma.T).all():
-            sigma = sigma.copy()
-        elif np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
-            sigma = symmetrize(sigma)
-        else:
-            raise ValueError("sigma must be symmetric")
+        sigma = checked_symmetric(np.array(self.sigma, dtype=float), "sigma")
         if (sigma.diagonal() <= 0.0).any():
             raise ValueError("sigma must have a positive diagonal")
         if not self.rho > 0.0:
@@ -122,10 +112,12 @@ def multipliers(
     return BarrierState(L=t / slack_plus, M=t / slack_minus)
 
 
-def residual(p: Problem, U: PDFactor, t: float) -> np.ndarray:
-    """Central-path residual H = L - M - U^{-1}; zero exactly on the path."""
-    state = multipliers(p, U.matrix, t)
-    return state.L - state.M - U.inverse
+def residual(state: BarrierState, X: np.ndarray) -> np.ndarray:
+    """Central-path residual H = L - M - X, with L, M the multipliers at U
+    (:func:`multipliers`) and X = U^{-1}; zero exactly on the path."""
+    H = state.L - state.M
+    H -= X
+    return H
 
 
 def dual_objective(U: PDFactor) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .barrier import Problem, residual
+from .barrier import Problem, multipliers, residual
 from .corrector import CorrectorConfig
 from .exceptions import (
     AsymmetricInput,
@@ -297,7 +297,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             fresh = pd_factor(U)
             if np.linalg.norm(X - fresh.inverse) > X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
                 failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
-            H = residual(Problem(sigma=sigma, rho=pt["rho"]), fresh, pt["t"])
+            state = multipliers(Problem(sigma=sigma, rho=pt["rho"]), fresh.matrix, pt["t"])
+            H = residual(state, fresh.inverse)
             resid = float(np.linalg.norm(H))
             if resid > 2.0 * tol + 1e-9:
                 failures.append(

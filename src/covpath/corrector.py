@@ -104,8 +104,7 @@ class CorrectorStats:
 
 
 def _residual_norm(p: Problem, U: np.ndarray, inv: np.ndarray, t: float) -> float:
-    state = multipliers(p, U, t)
-    return float(np.linalg.norm(state.L - state.M - inv))
+    return float(np.linalg.norm(residual(multipliers(p, U, t), inv)))
 
 
 def duality_gap(p: Problem, X: np.ndarray) -> float:
@@ -120,7 +119,7 @@ def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
     residual with X = ``factor.inverse`` is at most ``tol``, and the
     duality gap at X is at most 2 n^2 t."""
     try:
-        H = residual(p, factor, t)
+        H = residual(multipliers(p, factor.matrix, t), factor.inverse)
     except Infeasible:
         return False
     if math.sqrt(np.vdot(H, H)) > tol:
@@ -160,11 +159,11 @@ def corrector_run(
     (``barrier.slacks``; the line search also takes the barrier objective
     from them). The step computes 1/s+/- and the multipliers
     L, M = t/s+/- (``barrier.multipliers``) from them once, and builds from
-    these alone the residual H = L - M - X, the two parts L~/s+ and M~/s-
-    of D, the dual directions dL = L - L~ + (L~/s+) o P and
-    dM = M - M~ - (M~/s-) o P, and both step-to-boundary ratios. Inner
-    products and norms are BLAS dots, and the dual estimates are updated
-    in place.
+    these alone the residual H = L - M - X (``barrier.residual``), the two
+    parts L~/s+ and M~/s- of D, the dual directions
+    dL = L - L~ + (L~/s+) o P and dM = M - M~ - (M~/s-) o P, and both
+    step-to-boundary ratios. Inner products and norms are BLAS dots, and
+    the dual estimates are updated in place.
 
     The run returns after a full step that leaves the residual, computed
     with a fresh inverse, at most ``cfg.residual_tol(n)`` and the duality
@@ -200,8 +199,7 @@ def corrector_run(
 
     while True:
         X = factor.inverse
-        H = state.L - state.M
-        H -= X
+        H = residual(state, X)
         stats.residual_norm = math.sqrt(np.vdot(H, H))
         if full_step and stats.residual_norm <= tol and duality_gap(p, X) <= max_gap:
             return factor, stats

@@ -26,13 +26,12 @@ from .barrier import (
     initial_point,
     primal_objective,
     scaling_warm_start,
-    slacks,
 )
 from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
-from .exceptions import CovpathError, Infeasible, NotPositiveDefinite
+from .exceptions import CovpathError, Infeasible
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
-from .symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize  # noqa: F401
+from .symmat import PDFactor, checked_symmetric, pd_factor, symmetrize  # noqa: F401
 
 MODES = ("scaling", "predictor")
 
@@ -230,6 +229,10 @@ def recenter(
     or the reduced run fails, ``corrector_run`` re-centers all of U from
     ``start``. Statistics are the reduced run's, all zero when every index
     is a singleton.
+
+    Nothing here tests ``start``: each run tests its own start once
+    (``barrier.feasible``), and one that the run over all of U rejects
+    raises Infeasible.
     """
     n = p.n
     tol = cfg.residual_tol(n)
@@ -289,15 +292,15 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     that pays; a point solved wholly in closed form reports 0 sweeps. In
     predictor mode, the tangent step (:func:`predictor.predictor_step_detail`)
     goes as far toward the grid value as the box allows, and rescaling
-    carries its endpoint the rest of the way. That start is tested once,
-    for its box slacks and by the Cholesky pivot test, which computes no
-    inverse: outside the corrector this is the point's one factorization,
-    and the start goes to :func:`recenter` as an array. A start that fails
-    gives way to the scaling warm start. When solving a grid value raises
-    a ``CovpathError`` (in the predictor step or in the corrector), the
-    driver retries once through an intermediate penalty (geometric
-    midpoint, matching the log-spaced grid); if that also fails the path
-    is returned truncated with the failure recorded.
+    carries its endpoint the rest of the way. That start goes to
+    :func:`recenter` untested: the corrector run that starts from it tests
+    it once (``barrier.feasible``), and no factorization happens outside
+    the corrector runs. If the run rejects the start (Infeasible), the
+    point re-centers from the scaling warm start instead. When solving a
+    grid value raises any other ``CovpathError`` (in the predictor step or
+    in the corrector), the driver retries once through an intermediate
+    penalty (geometric midpoint, matching the log-spaced grid); if that
+    also fails the path is returned truncated with the failure recorded.
     """
     cfg = cfg or PathConfig()
     if cfg.mode not in MODES:
@@ -329,7 +332,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         h = float(rho) - rho_prev
         cg_iterations = 0
         try:
-            start = None
+            solved = None
             if cfg.mode == "predictor" and factor_prev is not None:
                 start, h_used, cg_res = predictor_step_detail(problem_prev, factor_prev, t, h)
                 cg_iterations = cg_res.iterations
@@ -341,13 +344,13 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
                         sigma, start, max(rho_prev + h_used, float(rho)), float(rho)
                     )
                 try:
-                    slacks(problem, start)
-                    cholesky_logdet(start)
-                except (Infeasible, NotPositiveDefinite):
-                    start = None
-            if start is None:
+                    solved = recenter(problem, start, t, cfg.corrector)
+                except Infeasible:
+                    pass  # the run rejected the start; take the scaling start
+            if solved is None:
                 start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
-            factor, stats = recenter(problem, start, t, cfg.corrector)
+                solved = recenter(problem, start, t, cfg.corrector)
+            factor, stats = solved
         except CovpathError as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
@@ -434,8 +437,8 @@ def run_online(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    C = symmetrize(np.asarray(C, dtype=float))
-    found = feasible(p, symmetrize(np.asarray(U_star, dtype=float)))
+    C = checked_symmetric(np.asarray(C, dtype=float), "C")
+    found = feasible(p, checked_symmetric(np.asarray(U_star, dtype=float), "U_star"))
     if found is None:
         raise Infeasible("U_star is not feasible for the unperturbed problem")
     factor, slack = found

@@ -149,8 +149,9 @@ def predictor_step_detail(
     entry of -h (1 - dU)/s+ and -h (1 + dU)/s-, h_used = h when
     reach <= ``STEP_FRAC`` and h STEP_FRAC/reach otherwise. So U_new is
     inside the box at rho + h_used up to rounding; it is neither tested
-    for positive definiteness nor factored here. The path driver tests
-    the start it builds from U_new once (``path.run_path``).
+    for positive definiteness nor factored here. The start that the path
+    driver builds from U_new is tested once, by the corrector run that
+    starts from it (``path.run_path``).
     """
     slack_plus, slack_minus = slacks(p, U.matrix)
     result = cg_solve(build_system(p, U, t, (slack_plus, slack_minus)))

@@ -29,6 +29,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric matrix an input ``m`` stands for: ``m`` itself when it
+    is exactly symmetric, its symmetric part when every |m_ij - m_ji| is
+    at most 1e-12 max(1, max|m_ij|); otherwise ValueError naming ``name``.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    # Most callers pass an exactly symmetric matrix; only the rest pay
+    # for the tolerance check and the averaging. NaN fails both tests.
+    if (m == m.T).all():
+        return m
+    if np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+        return symmetrize(m)
+    raise ValueError(f"{name} must be symmetric")
+
+
 def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor (Fortran order, upper triangle zero) and
     log-determinant of a symmetric PD matrix; reads the lower triangle.

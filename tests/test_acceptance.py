@@ -248,6 +248,22 @@ def test_criterion_07_path_trends(n100_predictor_path):
         assert sparse_median <= dense_median, (sparse_median, dense_median)
 
 
+def test_criterion_07_corrector_effort_grows_with_density(n100_predictor_path):
+    # The tangent CG above takes one iteration at every point, so that check
+    # compares 1 with 1. The corrector's CG iterations per Newton step do
+    # grow with density: medians 1.0 and 7.9 over the fifths when written.
+    with criterion(7, "corrector CG per Newton step grows with density"):
+        result, _ = n100_predictor_path
+        stepped = [pt for pt in result.points if pt.sweeps > 0]
+        cards = np.array([pt.cardinality for pt in stepped])
+        per_step = np.array([pt.corrector_cg_iterations / pt.sweeps for pt in stepped])
+        order = np.argsort(cards, kind="stable")
+        q = len(order) // 5
+        sparse_median = statistics.median(per_step[order[:q]].tolist())
+        dense_median = statistics.median(per_step[order[-q:]].tolist())
+        assert sparse_median < dense_median, (sparse_median, dense_median)
+
+
 def test_criterion_08_online_equivalence():
     with criterion(8, "one-step online re-solve matches from-scratch to 1e-6"):
         n = 10

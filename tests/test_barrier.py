@@ -125,7 +125,8 @@ class TestResidual:
         root = brentq(lambda u: 1.0 / (3.0 - u) - 1.0 / (u - 1.0) - 1.0 / u, 1.5, 2.9, xtol=1e-14)
         assert root == pytest.approx((4.0 + np.sqrt(7.0)) / 3.0, abs=1e-12)
         p = Problem(sigma=np.array([[2.0]]), rho=1.0)
-        H = residual(p, pd_factor(np.array([[root]])), 1.0)
+        U = pd_factor(np.array([[root]]))
+        H = residual(multipliers(p, U.matrix, 1.0), U.inverse)
         assert np.linalg.norm(H) < 1e-10
 
     def test_zero_at_central_point_positive_off_path(self):
@@ -133,10 +134,10 @@ class TestResidual:
         p = random_instance(rng, 4)
         t = 1e-3
         factor = central_point(p, t, OracleConfig(tol=1e-10))
-        assert np.linalg.norm(residual(p, factor, t)) < 1e-8
+        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) < 1e-8
         bumped = factor.matrix.copy()
         bumped[0, 0] += 1e-4 * p.rho
-        assert np.linalg.norm(residual(p, pd_factor(bumped), t)) > 0.0
+        assert np.linalg.norm(residual(multipliers(p, bumped, t), pd_factor(bumped).inverse)) > 0.0
 
 
 class TestObjectives:

@@ -34,3 +34,10 @@ def test_traced_run_finds_every_wrapped_name():
     # path.solve_at, kernels.row_solver, ...); a traced run fails when one
     # is gone.
     _run("--workload", "online-stream", "--seed", "1", "--seconds", "0", "--trace", "1")
+
+
+def test_traced_path_run_reads_the_path_hooks():
+    # Only a traced path run calls the hooks on predictor_step_detail,
+    # run_path and the artifact writer, which read their arguments and
+    # return values; a change there fails this run.
+    _run("--workload", "dense-predictor", "--seed", "1", "--seconds", "0", "--trace", "1")

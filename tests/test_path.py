@@ -92,7 +92,8 @@ class TestRunPath:
         tol = 1e-6 * 8
         for pt in res.points:
             p = Problem(sigma=small_instance, rho=pt.rho)
-            H = residual(p, pd_factor(pt.U), res.t)
+            fresh = pd_factor(pt.U)
+            H = residual(multipliers(p, pt.U, res.t), fresh.inverse)
             assert np.linalg.norm(H) <= 2 * tol
             gap = pt.dual_obj - pt.primal_obj
             assert -1e-10 <= gap <= pt.gap_bound + 10 * tol
@@ -169,8 +170,9 @@ class TestRunPath:
         # rho = 0.25 along the tangent dU = [[1.5, -1.2], [-1.2, 1.5]]: the
         # box allows the whole step, whose endpoint [[0.875, 0.9],
         # [0.9, 0.875]] is inside the box but not positive definite. The
-        # driver's Cholesky test hands the corrector the scaling warm start
-        # instead, with no midpoint retry, so the path is scaling mode's.
+        # corrector run's start test rejects it, and the point re-centers
+        # from the scaling warm start instead, with no midpoint retry, so
+        # the path is scaling mode's.
         import covpath.predictor as predictor
 
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
@@ -208,8 +210,8 @@ class TestRunPath:
         self, small_instance, monkeypatch
     ):
         # Only rounding can put a tangent endpoint, or its rescaling, outside
-        # the box; the driver's slack guard then hands the corrector the
-        # scaling warm start instead, as on a collapsed step.
+        # the box; the corrector run's start test then rejects it, and the
+        # point re-centers from the scaling warm start instead.
         import covpath.path as path_mod
 
         step = path_mod.predictor_step_detail
@@ -275,7 +277,7 @@ class TestSolveAt:
         t = 1e-5
         factor = solve_at(small_instance, 1.5 * rho_max, t)
         p = Problem(sigma=small_instance, rho=1.5 * rho_max)
-        assert np.linalg.norm(residual(p, factor, t)) <= 1e-6 * 8
+        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) <= 1e-6 * 8
 
     def test_failure_keeps_its_type(self):
         # Indefinite sigma (eigenvalues -0.8, 1.9, 1.9): below some rho no
@@ -372,7 +374,7 @@ class TestRecenter:
         fresh = pd_factor(factor.matrix)
         assert np.allclose(fresh.inverse, factor.inverse, rtol=0.0, atol=1e-12)
         assert fresh.logdet == pytest.approx(factor.logdet, abs=1e-12)
-        assert np.linalg.norm(residual(p, fresh, t)) <= tol
+        assert np.linalg.norm(residual(multipliers(p, fresh.matrix, t), fresh.inverse)) <= tol
         gap = dual_objective(fresh) - primal_objective(p, fresh.inverse)
         assert gap <= gap_bound(p.n, t)
 
@@ -564,6 +566,25 @@ class TestOnline:
         with pytest.raises(Infeasible):
             run_online(p, factor.matrix, symmetrize(C), k=1, t=t, corrector_cfg=cc)
 
+    @pytest.mark.parametrize("name", ["C", "U_star"])
+    def test_rejects_asymmetric_input(self, name):
+        # C and U_star follow sigma's rule (barrier.Problem): an asymmetric
+        # one is not averaged into a different update.
+        p, factor, t, cc = self._solved_base()
+        args = {"C": 1e-3 * p.sigma, "U_star": factor.matrix.copy()}
+        args[name][0, 1] += 1e-6
+        with pytest.raises(ValueError, match=f"{name} must be symmetric"):
+            run_online(p, args["U_star"], args["C"], k=1, t=t, corrector_cfg=cc)
+
+    def test_averages_nearly_symmetric_perturbation(self):
+        p, factor, t, cc = self._solved_base()
+        C = 1e-3 * p.sigma
+        near = C.copy()
+        near[0, 1] += 1e-14
+        out = run_online(p, factor.matrix, near, k=1, t=t, corrector_cfg=cc)
+        ref = run_online(p, factor.matrix, symmetrize(near), k=1, t=t, corrector_cfg=cc)
+        assert np.array_equal(out.matrix, ref.matrix)
+
     def test_rejects_infeasible_start(self):
         p, factor, t, cc = self._solved_base()
         bad = factor.matrix + 2 * p.rho * np.eye(p.n)
@@ -598,9 +619,10 @@ class TestOnline:
 
 class TestFactorizations:
     """An online start is factored once, by the feasibility test that
-    admits it; a path start by its corrector run, after, in predictor
-    mode, the driver's Cholesky test of that start. Inside a corrector run
-    every other Cholesky factorization is a line-search trial."""
+    admits it; a path start once, as the first factorization of the
+    corrector run that starts from it, and a path factors nothing outside
+    its runs. Inside a corrector run every other Cholesky factorization is
+    a line-search trial."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -684,42 +706,29 @@ class TestFactorizations:
             starts.append(np.asarray(start).tobytes())
             return recenter_orig(problem, start, *args)
 
-        inverted = []  # index in `factored` of each factor that was inverted
-        dtrtri = symmat_mod._dtrtri
-
-        def counted_dtrtri(*args, **kwargs):
-            inverted.append(len(factored) - 1)
-            return dtrtri(*args, **kwargs)
-
         monkeypatch.setattr(path_mod, "predictor_step_detail", recorded_step)
         monkeypatch.setattr(path_mod, "recenter", recorded_recenter)
-        monkeypatch.setattr(symmat_mod, "_dtrtri", counted_dtrtri)
         res = run_path(sigma, PathConfig(points=8, mode="predictor"))
         assert not res.truncated
         assert len(steps) == len(res.points) - 1
+        # One start per point: no run here rejects its start.
         assert len(starts) == len(res.points)
 
         # A point takes at most one run: over all of U, or over the indices
         # of its components of two or more (a smaller start). Every start
-        # is an array, and its run factors it.
+        # is an array, and its run's first factorization is that start.
         assert len(runs) <= len(res.points)
         full = [run for run in runs if len(run[1]) == sigma.nbytes]
         reduced = [run for run in runs if len(run[1]) < sigma.nbytes]
         assert full and reduced
         for start, start_bytes, before, after in runs:
             assert not isinstance(start, PDFactor)
-            assert start_bytes in factored[before:after]
+            assert after > before
+            assert factored[before] == start_bytes
+        # Each full run starts from the start that its point handed to
+        # recenter, the tangent start from the second point on.
+        assert {run[1] for run in full} <= set(starts)
 
-        # Outside its run, the first point (the diagonal start) makes no
-        # factorization, and every later one makes one: the Cholesky test
-        # of the start it hands to recenter (no start here fails it), which
-        # computes no inverse.
+        # No factorization happens outside the corrector runs.
         inside = {k for _, _, before, after in runs for k in range(before, after)}
-        assert set(inverted) <= inside
-        bounds = [0] + steps + [len(factored)]
-        outside = [
-            [factored[k] for k in range(lo, hi) if k not in inside]
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        assert outside[0] == []
-        assert outside[1:] == [[start] for start in starts[1:]]
+        assert inside == set(range(len(factored)))

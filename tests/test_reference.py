@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import random_feasible_point, random_instance
-from covpath.barrier import Problem, residual
+from covpath.barrier import Problem, multipliers, residual
 from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.exceptions import MaxItersExceeded
 from covpath.reference import (
@@ -71,7 +71,7 @@ class TestCentralPoint:
         p = random_instance(rng, 5, density=0.5)
         t = 1e-4
         factor = central_point(p, t, OracleConfig(tol=1e-9))
-        assert np.linalg.norm(residual(p, factor, t)) <= 1e-9
+        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) <= 1e-9
 
 
 class TestExplicitSystem:

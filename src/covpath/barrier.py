@@ -63,14 +63,14 @@ class BarrierState:
 def feasible(
     p: Problem, U: np.ndarray
 ) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]] | None:
-    """Strict dual feasibility: every box slack positive (:func:`slacks`)
-    and U PD.
+    """Strict dual feasibility: U exactly symmetric (Cholesky reads one
+    triangle), every box slack positive (:func:`slacks`) and U PD.
 
     Returns the factorization of a feasible U with its slacks, and None
     otherwise, so the caller that goes on to use U neither factors it nor
     computes its slacks a second time.
     """
-    if U.shape != p.sigma.shape:
+    if U.shape != p.sigma.shape or not (U == U.T).all():
         return None
     try:
         slack = slacks(p, U)

@@ -40,7 +40,7 @@ from .exceptions import (
     NumericalBreakdown,
 )
 from .predictor import PredictorSystem, cg_solve
-from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse, symmetrize
+from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse
 
 # Newton-CG corrector. CG stops at relative residual CG_REL. Primal and
 # dual steps stop ``barrier.STEP_FRAC`` of the way to the boundary; the
@@ -129,16 +129,15 @@ def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
 
 def corrector_run(
     p: Problem,
-    start: np.ndarray | tuple[PDFactor, tuple[np.ndarray, np.ndarray]],
+    start: np.ndarray,
     t: float,
     cfg: CorrectorConfig | None = None,
 ) -> tuple[PDFactor, CorrectorStats]:
     """Re-center by damped primal-dual Newton-CG; returns the solution with
     its run statistics.
 
-    ``start`` is an array, which must pass ``barrier.feasible``
-    (Infeasible otherwise), or the (factorization, slacks) pair that
-    ``barrier.feasible`` returned for it, which is not tested again.
+    ``start`` must pass ``barrier.feasible`` (Infeasible otherwise), its one
+    test and symmetry check; that factorization is the run's first.
 
     A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
     ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
@@ -184,11 +183,10 @@ def corrector_run(
     n = p.n
     tol = cfg.residual_tol(n)
     max_gap = gap_bound(n, t)
-    if not isinstance(start, tuple):
-        start = feasible(p, symmetrize(np.asarray(start, dtype=float)))
-        if start is None:
-            raise Infeasible("corrector starting point is not strictly feasible")
-    factor, slack = start
+    found = feasible(p, start)
+    if found is None:
+        raise Infeasible("corrector starting point is not strictly feasible")
+    factor, slack = found
 
     f = barrier_objective(p, factor, t, slack)
     state = multipliers(p, factor.matrix, t, slack)
@@ -281,11 +279,10 @@ def block_cd_run(
     cfg = cfg or CorrectorConfig()
     n = p.n
     tol = cfg.residual_tol(n)
-    U0 = np.asarray(U0, dtype=float)
-    if not feasible(p, U0):
+    U = np.array(U0, dtype=float)
+    if not feasible(p, U):
         raise Infeasible("corrector starting point is not strictly feasible")
 
-    U = symmetrize(U0)
     inv = invert_pd(U)
     solver = kernels.row_solver()
     guard = GUARD_FRAC * p.rho

@@ -30,8 +30,9 @@ from .barrier import (
 from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible
 from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
+from .symmat import PDFactor, checked_symmetric
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
-from .symmat import PDFactor, checked_symmetric, pd_factor, symmetrize  # noqa: F401
+from .symmat import pd_factor  # noqa: F401
 
 MODES = ("scaling", "predictor")
 
@@ -423,11 +424,11 @@ def run_online(
     Continuation runs in mu from 0 to 1 in steps of 1/k (k=1 is usually
     enough for small C): each step takes a tangent move in mu from the CG
     solve of the same structured system with right-hand side -dH/dmu, then
-    re-centers with the corrector on the shifted problem. A step is halved
-    while its tangent point is not feasible (``barrier.feasible``), down to
-    2^-10; Infeasible is raised beyond that (reduce the perturbation per
-    call). The corrector starts from the factorization and slacks that the
-    test of the tangent point returned.
+    re-centers with the corrector on the shifted problem. Only ``U_star``
+    is tested here (``barrier.feasible``); its factor and slacks build the
+    first tangent system. Each tangent point goes to a corrector run, which
+    tests it; while that run raises Infeasible the step halves, down to
+    2^-10, and beyond that Infeasible is raised (reduce C per call).
     The corrector takes at least one Newton step even from a tangent point
     that already passes its return test (``corrector.centered``): such a
     point can still be 1e-7 from the solution. Streams of 12 updates
@@ -457,15 +458,15 @@ def run_online(
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)
-            found = feasible(p_next, symmetrize(factor.matrix + step * direction))
-            if found is not None:
+            try:
+                factor, _ = corrector_run(p_next, factor.matrix + step * direction, t, cc)
                 break
-            step *= 0.5
-            if step < min_step:
-                raise Infeasible(
-                    "homotopy left the feasible region; reduce the perturbation per call"
-                )
-        factor, _ = corrector_run(p_next, found, t, cc)
+            except Infeasible:
+                step *= 0.5
+                if step < min_step:
+                    raise Infeasible(
+                        "homotopy left the feasible region; reduce the perturbation per call"
+                    )
         slack = None  # the run keeps the slacks of its result to itself
         mu, p_mu = mu_next, p_next
     return factor

@@ -64,6 +64,15 @@ class TestFeasible:
         U = np.array([[0.5, 1.0], [1.0, 0.5]])  # inside the box, indefinite
         assert not feasible(p, U)
 
+    def test_asymmetric_point_is_infeasible(self):
+        # Inside the box and PD, but U_01 != U_10: the Cholesky test reads
+        # only one triangle, so the symmetry is tested on its own.
+        p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
+        U = np.array([[1.2, 0.1], [0.1, 2.1]])
+        assert feasible(p, U)
+        U[0, 1] += 1e-12
+        assert feasible(p, U) is None
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_infeasible(self, value):
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)

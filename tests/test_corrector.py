@@ -357,6 +357,14 @@ class TestCorrectorSolve:
         with pytest.raises(Infeasible):
             corrector_run(p, np.diag([2.0, 3.0]), 1e-3)
 
+    def test_asymmetric_start_rejected(self):
+        # Inside the box and PD, but not exactly symmetric: the start is
+        # rejected, not averaged.
+        p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
+        U = np.array([[1.2, 0.1], [0.1 + 1e-12, 2.1]])
+        with pytest.raises(Infeasible):
+            corrector_run(p, U, 1e-3)
+
     @pytest.mark.parametrize("off", [np.nan, np.inf, 1.0])
     def test_non_finite_or_indefinite_start_rejected(self, off):
         # off = 1.0 is inside the box but leaves the start indefinite.

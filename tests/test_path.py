@@ -518,9 +518,9 @@ class TestOnline:
         monkeypatch.setattr(path_mod, "corrector_run", recorded_run)
         out = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
 
-        [(shifted, (start, _))] = starts  # the factorization and slacks of the start
-        assert corrector.centered(shifted, start, t, cc.residual_tol(n))
-        assert np.linalg.norm(start.matrix - scratch) > 1e-8
+        [(shifted, start)] = starts  # the tangent start, as an array
+        assert corrector.centered(shifted, pd_factor(start), t, cc.residual_tol(n))
+        assert np.linalg.norm(start - scratch) > 1e-8
         assert np.linalg.norm(out.matrix - scratch) <= 1e-8
 
     def test_mu_rhs_matches_finite_differences(self):
@@ -559,6 +559,33 @@ class TestOnline:
         monkeypatch.setattr(path_mod, "shifted_problem", counted)
         run_online(p, factor.matrix, C, k=3, t=t, corrector_cfg=cc)
         assert built == pytest.approx([1 / 3, 2 / 3, 1.0])
+
+    def test_rejected_mu_step_halves(self, small_instance, monkeypatch):
+        # A rank-one perturbation half the size of sigma: the run from the
+        # full mu-step's tangent point rejects its start, so the step
+        # halves, and two half steps reach mu = 1.
+        sigma = small_instance
+        n = sigma.shape[0]
+        rho = 0.3 * float(np.max(np.diag(sigma)))
+        t = 1e-3 / (2 * n * n)
+        cc = CorrectorConfig(tol_residual=1e-9 * n)
+        x = np.linalg.cholesky(sigma) @ np.random.default_rng(2).standard_normal(n)
+        d = np.outer(x, x) - sigma
+        C = 0.5 * np.linalg.norm(sigma) / np.linalg.norm(d) * d
+        p = Problem(sigma=sigma, rho=rho)
+        base = solve_at(sigma, rho, t, cc)
+        built = []
+        shifted = path_mod.shifted_problem
+
+        def counted(p, C, mu):
+            built.append(mu)
+            return shifted(p, C, mu)
+
+        monkeypatch.setattr(path_mod, "shifted_problem", counted)
+        out = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
+        assert built == [1.0, 0.5, 1.0]
+        scratch = solve_at(sigma + C, rho, t, cc)
+        assert np.linalg.norm(out.matrix - scratch.matrix) <= 1e-6
 
     def test_infeasible_when_perturbation_huge(self):
         p, factor, t, cc = self._solved_base()
@@ -618,11 +645,12 @@ class TestOnline:
 
 
 class TestFactorizations:
-    """An online start is factored once, by the feasibility test that
-    admits it; a path start once, as the first factorization of the
-    corrector run that starts from it, and a path factors nothing outside
-    its runs. Inside a corrector run every other Cholesky factorization is
-    a line-search trial."""
+    """Every start is factored once, as the first factorization of the
+    corrector run that starts from it. The one factorization outside the
+    runs is an online update's test of U_star, whose factor and slacks
+    build the first tangent system; a path factors nothing outside its
+    runs. Inside a corrector run every other Cholesky factorization is a
+    line-search trial."""
 
     @staticmethod
     def _record(monkeypatch):
@@ -638,8 +666,7 @@ class TestFactorizations:
         def recorded_run(problem, U0, *args, **kwargs):
             before = len(factored)
             out = run(problem, U0, *args, **kwargs)
-            start = U0[0].matrix if isinstance(U0, tuple) else symmetrize(np.asarray(U0))
-            runs.append((U0, start.tobytes(), before, len(factored)))
+            runs.append((U0, U0.tobytes(), before, len(factored)))
             return out
 
         monkeypatch.setattr(symmat_mod, "_dpotrf", counted_dpotrf)
@@ -655,18 +682,22 @@ class TestFactorizations:
         run_online(p, factor.matrix, C, k=1, t=t, corrector_cfg=cc)
 
         [(start, start_bytes, before, after)] = runs
-        # The run starts from the (factorization, slacks) pair of the test.
-        assert isinstance(start, tuple) and isinstance(start[0], PDFactor)
-        # Outside the corrector: U_star, then the tangent start, once each.
-        assert factored[:before] == [factor.matrix.tobytes(), start_bytes]
-        assert after == len(factored) and after - before >= 1
-        assert start_bytes not in factored[before:]
+        # The run starts from the tangent point as an array.
+        assert isinstance(start, np.ndarray)
+        # Outside the corrector: U_star alone, once. The tangent start is
+        # the run's first factorization and is not factored again, so the
+        # total is one for U_star, one for the start and one per trial.
+        assert factored[:before] == [factor.matrix.tobytes()]
+        assert after == len(factored) and after - before >= 2
+        assert factored[before] == start_bytes
+        assert start_bytes not in factored[before + 1:]
 
     def test_online_update_takes_each_slack_once(self, monkeypatch):
-        # The box slacks of U_star and of the tangent start are computed by
-        # the feasibility test that admits each, and passed on to the
-        # tangent system and to the corrector; every other call is a
-        # line-search trial inside the corrector.
+        # The box slacks of U_star are computed by the feasibility test
+        # that admits it, outside any run, and passed on to the tangent
+        # system. Those of the tangent start are computed once, by the test
+        # of the run that starts from it; every other call is a line-search
+        # trial inside the corrector.
         p, factor, t, cc = TestOnline()._solved_base()
         rng = np.random.default_rng(6)
         C = symmetrize(rng.standard_normal(p.sigma.shape))
@@ -684,10 +715,12 @@ class TestFactorizations:
         run_online(p, factor.matrix, C, k=1, t=t, corrector_cfg=cc)
 
         [(start, start_bytes, before, after)] = runs
-        outside = [m for m in computed if m in (factor.matrix.tobytes(), start_bytes)]
-        assert outside == [factor.matrix.tobytes(), start_bytes]
-        assert computed[:2] == outside
-        assert len(computed) == 2 + (after - before)  # one per line-search trial
+        tested = [m for m in computed if m in (factor.matrix.tobytes(), start_bytes)]
+        assert tested == [factor.matrix.tobytes(), start_bytes]
+        assert computed[:2] == tested
+        # One each for U_star and the start, then one per line-search
+        # trial: the run's factorizations after its start.
+        assert len(computed) == 2 + (after - before - 1)
 
     def test_predictor_path_points(self, monkeypatch):
         sigma, _ = generate_problem(GeneratorSpec(n=10, density=0.2, seed=8))

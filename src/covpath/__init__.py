@@ -9,10 +9,11 @@ mode that carries a solved instance to a perturbed covariance.
 
 The package namespace holds the library API: the path, online and
 single-penalty solvers, the instance loaders and generator, their
-configuration, problem and result types, and the exceptions. Building
-blocks live in the submodules: the Newton-CG corrector and the reference
-block coordinate-descent corrector with its row kernel (``corrector``,
-``kernels``), CG, and the oracles.
+configuration, problem and result types, and the exceptions that these
+entry points raise. Building blocks live in the submodules: the Newton-CG
+corrector and the reference block coordinate-descent corrector with its
+row kernel (``corrector``, ``kernels``), CG, and the oracles; the
+exceptions that only they raise stay in ``covpath.exceptions``.
 """
 
 from .barrier import Problem
@@ -24,14 +25,10 @@ from .exceptions import (
     DegenerateInstance,
     Infeasible,
     LineSearchFailure,
-    MaxItersExceeded,
     MaxSweepsExceeded,
-    NoFeasibleRoot,
     NonPositiveDiagonal,
     NotPositiveDefinite,
-    NumericalBreakdown,
     ParseError,
-    SingularUpdate,
 )
 from .path import (
     PathConfig,

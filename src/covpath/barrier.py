@@ -37,8 +37,8 @@ class Problem:
         sigma = checked_symmetric(np.array(self.sigma, dtype=float), "sigma")
         if (sigma.diagonal() <= 0.0).any():
             raise ValueError("sigma must have a positive diagonal")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and positive")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "upper", sigma + self.rho)
         object.__setattr__(self, "lower", sigma - self.rho)
@@ -61,33 +61,36 @@ class BarrierState:
 
 
 def feasible(
-    p: Problem, U: np.ndarray
-) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]] | None:
+    p: Problem, U: np.ndarray, name: str = "U"
+) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]]:
     """Strict dual feasibility: U exactly symmetric (Cholesky reads one
     triangle), every box slack positive (:func:`slacks`) and U PD.
 
-    Returns the factorization of a feasible U with its slacks, and None
-    otherwise, so the caller that goes on to use U neither factors it nor
-    computes its slacks a second time.
+    Returns the factorization of U with its slacks, so the caller that goes
+    on to use U neither factors it nor computes its slacks a second time.
+    Otherwise raises Infeasible naming U as ``name`` and the failed test.
     """
-    if U.shape != p.sigma.shape or not (U == U.T).all():
-        return None
+    if U.shape != p.sigma.shape:
+        raise Infeasible(f"{name} has shape {U.shape}, not {p.sigma.shape}")
+    if not (U == U.T).all():
+        fault = "has a NaN entry" if np.isnan(U).any() else "is not exactly symmetric"
+        raise Infeasible(f"{name} {fault}")
+    slack = slacks(p, U, name)
     try:
-        slack = slacks(p, U)
         return pd_factor(U), slack
-    except (Infeasible, NotPositiveDefinite):
-        return None
+    except NotPositiveDefinite as exc:
+        raise Infeasible(f"{name} is not positive definite: {exc}") from exc
 
 
-def slacks(p: Problem, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def slacks(p: Problem, U: np.ndarray, name: str = "U") -> tuple[np.ndarray, np.ndarray]:
     """Box slacks (slack+, slack-) = (sigma + rho - U, U - (sigma - rho)).
 
-    Raises Infeasible unless every slack is positive (a NaN is not).
+    Raises Infeasible naming ``name`` unless every slack is positive (a NaN is not).
     """
     slack_plus = p.upper - U
     slack_minus = U - p.lower
     if not (slack_plus.min() > 0.0 and slack_minus.min() > 0.0):
-        raise Infeasible("box slack is non-positive")
+        raise Infeasible(f"{name} leaves the box: a box slack is non-positive")
     return slack_plus, slack_minus
 
 

@@ -31,14 +31,7 @@ from .barrier import (
     slacks,
     step_to_boundary,
 )
-from .exceptions import (
-    Infeasible,
-    LineSearchFailure,
-    MaxSweepsExceeded,
-    NoFeasibleRoot,
-    NotPositiveDefinite,
-    NumericalBreakdown,
-)
+from .exceptions import Infeasible, LineSearchFailure, MaxSweepsExceeded, NotPositiveDefinite
 from .predictor import PredictorSystem, cg_solve
 from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse
 
@@ -183,10 +176,7 @@ def corrector_run(
     n = p.n
     tol = cfg.residual_tol(n)
     max_gap = gap_bound(n, t)
-    found = feasible(p, start)
-    if found is None:
-        raise Infeasible("corrector starting point is not strictly feasible")
-    factor, slack = found
+    factor, slack = feasible(p, start, "corrector start")
 
     f = barrier_objective(p, factor, t, slack)
     state = multipliers(p, factor.matrix, t, slack)
@@ -274,16 +264,13 @@ def block_cd_run(
     solution with its run statistics.
 
     The run returns once the residual, computed with a fresh inverse, is
-    at most ``cfg.residual_tol(n)``.
+    at most ``cfg.residual_tol(n)``. ``U0`` must pass ``barrier.feasible``.
     """
     cfg = cfg or CorrectorConfig()
     n = p.n
     tol = cfg.residual_tol(n)
     U = np.array(U0, dtype=float)
-    if not feasible(p, U):
-        raise Infeasible("corrector starting point is not strictly feasible")
-
-    inv = invert_pd(U)
+    inv = feasible(p, U, "corrector start")[0].inverse
     solver = kernels.row_solver()
     guard = GUARD_FRAC * p.rho
     # A block left about tol_block from its minimizer leaves H entries of
@@ -321,17 +308,11 @@ def block_cd_run(
             old_row = np.concatenate((U[i, :i], U[i, i + 1:]))
             u = old_row.copy()
             w_old = float(U[i, i])
-            w_new, passes, status = solver(
+            w_new, passes = solver(
                 V_inv, u, w_old, np.concatenate((p.sigma[i, :i], p.sigma[i, i + 1:])),
                 float(p.sigma[i, i]), p.rho, t, tol_block, MAX_INNER_PASSES, guard,
             )
             stats.inner_passes += passes
-            if status == kernels.STATUS_NO_DIAG_ROOT:
-                raise NoFeasibleRoot(f"diagonal solve failed on row {i}")
-            if status == kernels.STATUS_BAD_COEFFS:
-                raise NumericalBreakdown(f"row kernel broke down on row {i}")
-            if status == kernels.STATUS_INFEASIBLE:
-                raise Infeasible(f"row {i} left the feasible region")
 
             if w_new != w_old or not np.array_equal(u, old_row):
                 swm_update_inverse(inv, i, u, w_new, old_row, w_old)

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import AsymmetricInput, DegenerateInstance, NonPositiveDiagonal, ParseError
-from .symmat import invert_pd, is_pd, symmetrize
+from .exceptions import (
+    AsymmetricInput, DegenerateInstance, NonPositiveDiagonal, NotPositiveDefinite, ParseError
+)
+from .symmat import cholesky_logdet, invert_pd, symmetrize
 
 SUMMARY_SCHEMA = "covpath.summary/1"
 STATE_SCHEMA = "covpath.state/1"
@@ -60,8 +62,10 @@ def load_covariance(path) -> np.ndarray:
     diag = np.diagonal(m)
     if np.any(diag <= 0.0):
         raise NonPositiveDiagonal(f"{path}: covariance diagonal must be positive")
-    if not is_pd(m + PSD_SHIFT * diag.max() * np.eye(m.shape[0])):
-        raise DegenerateInstance(f"{path}: covariance is not positive semidefinite")
+    try:
+        cholesky_logdet(m + PSD_SHIFT * diag.max() * np.eye(m.shape[0]))
+    except NotPositiveDefinite as exc:
+        raise DegenerateInstance(f"{path}: covariance is not positive semidefinite") from exc
     return m
 
 

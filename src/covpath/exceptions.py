@@ -14,17 +14,14 @@ class SingularUpdate(CovpathError):
 
 
 class Infeasible(CovpathError):
-    """Point violates the strict box constraints or positive definiteness."""
+    """Point is not symmetric, inside the box and PD, or a 1-D move has no
+    root in the box; the message names the failed condition."""
 
 
 class DegenerateInstance(CovpathError):
     """The instance admits no path start: some |sigma_ij| >= max_i sigma_ii,
     so the diagonal start is infeasible, or sigma is not positive
     semidefinite, so the scaling warm start can leave the feasible set."""
-
-
-class NoFeasibleRoot(CovpathError):
-    """Neither root of the diagonal quadratic satisfies the feasibility bounds."""
 
 
 class NumericalBreakdown(CovpathError):

@@ -22,7 +22,8 @@ row/column of U):
 
 Both kernels stop at the block tolerance, so they agree on the block
 minimizer to that tolerance, not to roundoff, and their pass counts differ
-(coordinate sweeps against Newton iterations).
+(coordinate sweeps against Newton iterations). The kernels return values
+only; they raise Infeasible or NumericalBreakdown where a move fails.
 """
 
 import math
@@ -31,10 +32,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr as _dsyr
 from scipy.linalg.lapack import dposv as _dposv
 
-STATUS_OK = 0
-STATUS_NO_DIAG_ROOT = 1
-STATUS_BAD_COEFFS = 2
-STATUS_INFEASIBLE = 3
+from .exceptions import Infeasible, NumericalBreakdown
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +120,7 @@ def _cubic_coefficients(alpha, beta, gamma, bj, rho, t):
 
 
 def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
-    """Minimize the 1-D off-diagonal objective; returns (x_new, status).
+    """Minimize the 1-D off-diagonal objective; returns x_new.
 
     The objective ``-log(alpha x^2 + beta x + gamma) - 2t[log(rho+bj-x) +
     log(rho-bj+x)]`` (alpha < 0) is strictly convex on its feasible
@@ -132,22 +130,23 @@ def _solve_coordinate(alpha, beta, gamma, bj, rho, t, x_cur, guard):
     three real roots and crosses zero upward only at the middle one, which
     is therefore the minimizer. It is clamped ``guard`` inside the box;
     ``x_cur`` is kept if the clamped root leaves the quadratic non-positive
-    (a feasible interval narrower than the guard).
+    (a feasible interval narrower than the guard). Raises
+    NumericalBreakdown on non-finite cubic coefficients.
     """
     p1, p2, p3, p4 = _cubic_coefficients(alpha, beta, gamma, bj, rho, t)
     root = _middle_cubic_root(p1, p2, p3, p4)
     if not math.isfinite(root):
-        return x_cur, STATUS_BAD_COEFFS
+        raise NumericalBreakdown("coordinate cubic has non-finite coefficients")
     lo = bj - rho + guard
     hi = bj + rho - guard
     x = min(max(root, lo), hi)
     if not (alpha * x * x + beta * x + gamma > 0.0):
-        return x_cur, STATUS_OK
-    return x, STATUS_OK
+        return x_cur
+    return x
 
 
 def _solve_diagonal(s, c, rho, t, guard):
-    """Minimize the 1-D diagonal objective; returns (w_new, status).
+    """Minimize the 1-D diagonal objective; returns w_new.
 
     The objective ``-log(w - s) - t[log(rho+c-w) + log(rho-c+w)]`` is the
     coordinate objective with (alpha, beta, gamma) = (0, 1, -s), bj = c and
@@ -155,21 +154,21 @@ def _solve_diagonal(s, c, rho, t, guard):
     ``(1+2t) w^2 - 2(t s + c(1+t)) w + c^2 - rho^2 + 2 t c s = 0``, the
     derivative times positive denominators, so by the same convexity
     argument the minimizer is the larger root. It is clamped ``guard``
-    inside the box. Returns ``(nan, STATUS_NO_DIAG_ROOT)`` when the
-    quadratic has no real root or the clamped root is not above s.
+    inside the box. Raises Infeasible when the quadratic has no real root
+    or the clamped root is not above s.
     """
     a = 1.0 + 2.0 * t
     half_b = -(t * s + c * (1.0 + t))
     cc = c * c - rho * rho + 2.0 * t * c * s
     disc = half_b * half_b - a * cc
     if disc < 0.0:
-        return np.nan, STATUS_NO_DIAG_ROOT
+        raise Infeasible("diagonal quadratic has no real root")
     lo = c - rho + guard
     hi = c + rho - guard
     w = min(max((-half_b + math.sqrt(disc)) / a, lo), hi)
     if not (w - s > 0.0):
-        return np.nan, STATUS_NO_DIAG_ROOT
-    return w, STATUS_OK
+        raise Infeasible("diagonal quadratic has no root above s in the box")
+    return w
 
 
 def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
@@ -180,7 +179,7 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     identity alpha x^2 + beta x + gamma = w - s(x) refreshes s in O(1) per
     move.
 
-    Returns (w, passes, status).
+    Returns (w, passes).
     """
     m = u.shape[0]
     q = np.zeros(m)
@@ -193,16 +192,13 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     for j in range(m):
         s += u[j] * q[j]
 
-    status = STATUS_OK
     passes = 0
     for _ in range(max_passes):
         passes += 1
         max_delta = 0.0
         for j in range(m):
             alpha, beta, gamma = _coord_quadratic(V_inv[j, j], q[j], u[j], w - s)
-            x_new, st = _solve_coordinate(alpha, beta, gamma, b[j], rho, t, u[j], guard)
-            if st != STATUS_OK:
-                status = st
+            x_new = _solve_coordinate(alpha, beta, gamma, b[j], rho, t, u[j], guard)
             dx = x_new - u[j]
             if dx != 0.0:
                 s = w - (alpha * x_new * x_new + beta * x_new + gamma)
@@ -211,15 +207,13 @@ def _row_inner_loops(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
                 u[j] = x_new
                 if abs(dx) > max_delta:
                     max_delta = abs(dx)
-        w_new, st = _solve_diagonal(s, c, rho, t, guard)
-        if st != STATUS_OK:
-            return w, passes, st
+        w_new = _solve_diagonal(s, c, rho, t, guard)
         if abs(w_new - w) > max_delta:
             max_delta = abs(w_new - w)
         w = w_new
         if max_delta < tol:
             break
-    return w, passes, status
+    return w, passes
 
 
 def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
@@ -249,11 +243,11 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     given ``u`` (:func:`_solve_diagonal`, the CD kernel's diagonal step,
     which stays ``guard`` inside the faces); the move is kept only if that
     solve succeeds. After it, the damping keeps every slack positive. A
-    start outside the box returns ``STATUS_INFEASIBLE`` with ``u`` and
-    ``w`` untouched; a Newton system that is not positive definite, or
-    whose step is not finite, returns ``STATUS_BAD_COEFFS``.
+    start outside the box raises Infeasible with ``u`` untouched; a Newton
+    system that is not positive definite, or whose step is not finite,
+    raises NumericalBreakdown.
 
-    Returns (w, passes, status), where passes counts Newton iterations.
+    Returns (w, passes), where passes counts Newton iterations.
     """
     m = u.shape[0]
     z = np.append(u, w)
@@ -267,7 +261,6 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
     e = np.empty(m + 1)
     e[m] = 1.0
 
-    status = STATUS_OK
     passes = 0
     while passes < max_passes:
         q = V_inv @ z[:m]
@@ -276,15 +269,17 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
         lo = upper - z
         hi = z - lower
         if not (r > 0.0 and lo.min() > 0.0 and hi.min() > 0.0):
-            status = STATUS_INFEASIBLE
-            break
+            raise Infeasible("row block left the box, or r = w - u^T V_inv u is not positive")
         if passes == 0:
             # Closed-form diagonal start: move w to its 1-D minimizer given
             # u, as the CD kernel's diagonal step does. From a diagonal slack
             # orders of magnitude off its optimum, fraction-to-boundary
             # damping would walk it there about 100x per Newton iteration.
-            w0, st = _solve_diagonal(s, c, rho, t, guard)
-            if st == STATUS_OK:
+            try:
+                w0 = _solve_diagonal(s, c, rho, t, guard)
+            except Infeasible:
+                pass
+            else:
                 z[m] = w0
                 r = w0 - s
                 lo[m] = upper[m] - w0
@@ -304,8 +299,7 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
         _, d, info = _dposv(H, -g, overwrite_a=1)
         lam2 = -(g @ d)
         if info != 0 or not math.isfinite(lam2):
-            status = STATUS_BAD_COEFFS
-            break
+            raise NumericalBreakdown("row Newton system is not PD, or its step is not finite")
 
         # Along z + a d: r(a) = r + a (lin - a kappa), and the slacks scale
         # by (1 - a dl) and (1 + a dh); the largest feasible a is 1 / reach.
@@ -333,7 +327,7 @@ def row_inner_numpy(V_inv, u, w, b, c, rho, t, tol, max_passes, guard):
             break
 
     u[:] = z[:m]
-    return float(z[m]), passes, status
+    return float(z[m]), passes
 
 
 # The one row kernel's name, which benchmark environment records read.

@@ -416,10 +416,12 @@ def run_online(
     U_star: np.ndarray,
     C: np.ndarray,
     k: int = 1,
-    t: float = 1e-5,
+    *,
+    t: float,
     corrector_cfg: CorrectorConfig | None = None,
 ) -> PDFactor:
-    """Carry a solved instance to the perturbed covariance sigma + C.
+    """Carry a solved instance to the perturbed covariance sigma + C at the
+    barrier weight ``t`` that ``U_star`` was solved at.
 
     Continuation runs in mu from 0 to 1 in steps of 1/k (k=1 is usually
     enough for small C): each step takes a tangent move in mu from the CG
@@ -439,10 +441,8 @@ def run_online(
     if k < 1:
         raise ValueError("k must be at least 1")
     C = checked_symmetric(np.asarray(C, dtype=float), "C")
-    found = feasible(p, checked_symmetric(np.asarray(U_star, dtype=float), "U_star"))
-    if found is None:
-        raise Infeasible("U_star is not feasible for the unperturbed problem")
-    factor, slack = found
+    U_star = checked_symmetric(np.asarray(U_star, dtype=float), "U_star")
+    factor, slack = feasible(p, U_star, "U_star")
     if not np.any(C):
         return factor
 

@@ -21,7 +21,7 @@ from .barrier import (
 )
 from .exceptions import Infeasible, LineSearchFailure, MaxItersExceeded
 from .predictor import PredictorSystem, matvec
-from .symmat import PDFactor, pd_factor, symmetrize
+from .symmat import PDFactor, symmetrize
 
 
 @dataclass
@@ -69,18 +69,17 @@ def newton_solve(
     Builds the dense Hessian of the barrier objective on the n(n+1)/2
     coordinates, takes Newton steps with feasibility-preserving
     backtracking, and stops when ||H||_F <= tol. Intended for n <= 30.
+    Each point is factored once, by ``barrier.feasible``.
     """
     cfg = cfg or OracleConfig()
     U = symmetrize(np.asarray(U0, dtype=float))
-    if not feasible(p, U):
-        raise Infeasible("newton_solve starting point is not strictly feasible")
+    factor, slack = feasible(p, U, "newton_solve start")
     n = p.n
     pairs, basis = _sym_basis(n)
     m = len(pairs)
 
     for _ in range(cfg.max_iters):
-        factor = pd_factor(U)
-        state = multipliers(p, U, t)
+        state = multipliers(p, U, t, slack)
         H = state.L - state.M - factor.inverse
         hnorm = float(np.linalg.norm(H))
         if hnorm <= cfg.tol:
@@ -109,24 +108,25 @@ def newton_solve(
             step[i, j] = val
             step[j, i] = val
 
-        f0 = barrier_objective(p, factor, t)
+        f0 = barrier_objective(p, factor, t, slack)
         slope = float(grad @ step_vec)
         # Slack at the float resolution of f0: near the optimum the Armijo
         # decrease underflows while the Newton step still shrinks H.
         f_slack = 1e-14 * (1.0 + abs(f0))
         tau = 1.0
-        accepted = False
         for _ in range(60):
             U_try = symmetrize(U + tau * step)
-            if feasible(p, U_try):
-                f_try = barrier_objective(p, pd_factor(U_try), t)
-                if f_try <= f0 + 1e-4 * tau * slope + f_slack:
-                    U = U_try
-                    accepted = True
-                    break
+            try:
+                trial, trial_slack = feasible(p, U_try)
+            except Infeasible:
+                tau *= 0.5
+                continue
+            if barrier_objective(p, trial, t, trial_slack) <= f0 + 1e-4 * tau * slope + f_slack:
+                break
             tau *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailure(f"no acceptable step at residual {hnorm:.3e}")
+        U, factor, slack = U_try, trial, trial_slack
     raise MaxItersExceeded(f"newton_solve: no convergence in {cfg.max_iters} iterations")
 
 
@@ -154,9 +154,10 @@ def central_point(
         # eps * scale / t as the box slacks shrink with t.
         stage_tol = cfg.tol if t == t_target else max(1e-6, cfg.tol)
         stage_cfg = OracleConfig(tol=stage_tol, max_iters=cfg.max_iters)
-        U = newton_solve(p, U, t, stage_cfg).matrix
+        factor = newton_solve(p, U, t, stage_cfg)
         if t == t_target:
-            return pd_factor(U)
+            return factor
+        U = factor.matrix
         t = max(t_target, t * 0.1)
 
 

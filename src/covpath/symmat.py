@@ -30,19 +30,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
-    """The symmetric matrix an input ``m`` stands for: ``m`` itself when it
-    is exactly symmetric, its symmetric part when every |m_ij - m_ji| is
-    at most 1e-12 max(1, max|m_ij|); otherwise ValueError naming ``name``.
+    """The symmetric matrix a finite input ``m`` stands for: ``m`` itself when
+    exactly symmetric, its symmetric part when every |m_ij - m_ji| is at
+    most 1e-12 max(1, max|m_ij|); otherwise ValueError naming ``name``.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     # Most callers pass an exactly symmetric matrix; only the rest pay
-    # for the tolerance check and the averaging. NaN fails both tests.
-    if (m == m.T).all():
-        return m
-    if np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
-        return symmetrize(m)
-    raise ValueError(f"{name} must be symmetric")
+    # for the tolerance check and the averaging. NaN fails both tests, so
+    # only an infinite entry is left for the finiteness test.
+    if not (m == m.T).all():
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+            raise ValueError(f"{name} must be symmetric")
+        m = symmetrize(m)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
+    return m
 
 
 def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -60,15 +63,6 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     if not (d * d).min() > PIVOT_RTOL * m.diagonal().max():
         raise NotPositiveDefinite("pivot below relative tolerance")
     return chol, 2.0 * float(np.log(d).sum())
-
-
-def is_pd(m: np.ndarray) -> bool:
-    """True iff ``m`` passes the Cholesky pivot test."""
-    try:
-        cholesky_logdet(m)
-    except NotPositiveDefinite:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from covpath.barrier import Problem, feasible  # noqa: E402
+from covpath.exceptions import Infeasible  # noqa: E402
 from covpath.symmat import symmetrize  # noqa: E402
 
 def random_pd(rng, n, scale=1.0):
@@ -36,6 +37,9 @@ def random_feasible_point(rng, p, margin=0.5):
         U = p.sigma + margin * p.rho * z * 0.3 + shift
         np.clip(U - p.sigma, -0.95 * p.rho, 0.95 * p.rho, out=z)
         U = p.sigma + z
-        if feasible(p, U):
-            return U
+        try:
+            feasible(p, U)
+        except Infeasible:
+            continue
+        return U
     raise AssertionError("could not build a feasible point")

@@ -114,17 +114,13 @@ def test_criterion_03_corrector_newton_equivalence():
 def test_criterion_04_closed_form_1d_solves():
     with criterion(4, "cubic and quadratic solves match the golden-section oracle"):
         tick = time.perf_counter()
-        ok = kernels.STATUS_OK
-        assert kernels._solve_coordinate(
-            -1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC
-        ) == (0.0, ok)
-        assert kernels._solve_diagonal(0.0, 0.0, 1.0, 0.5, GUARD_FRAC) == (2.0**-0.5, ok)
+        assert kernels._solve_coordinate(-1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC) == 0.0
+        assert kernels._solve_diagonal(0.0, 0.0, 1.0, 0.5, GUARD_FRAC) == 2.0**-0.5
 
         rng = np.random.default_rng(404)
         for _ in range(1000):
             quad, b_j, rho, t, x0 = random_coord_case(rng)
-            x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
-            assert status == ok
+            x = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
             lo, hi = feasible_coord_interval(quad, b_j, rho)
             pad = 1e-11 * (hi - lo)
             ref = golden_section(
@@ -142,8 +138,7 @@ def test_criterion_04_closed_form_1d_solves():
             if hi - lo < 1e-4:
                 continue
             count += 1
-            w, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
-            assert status == ok
+            w = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
             pad = 1e-10 * (hi - lo)
             ref = golden_section(
                 lambda z: diag_objective(z, s, c, rho, t), lo + pad, hi - pad, tol=1e-11

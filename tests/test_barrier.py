@@ -40,6 +40,22 @@ class TestProblem:
             with pytest.raises(ValueError, match="symmetric"):
                 Problem(sigma=bad, rho=0.1)
 
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda: Problem(sigma=[[1, np.inf], [np.inf, 1]], rho=0.5), "sigma must be finite"),
+            (lambda: Problem(sigma=np.diag([1.0, 2.0]), rho=np.inf), "rho must be finite"),
+            (lambda: solve_at(np.diag([1.0, 2.0]), np.inf, 1e-4), "rho must be finite"),
+            (lambda: solve_at([[np.inf, 0.1], [0.1, 1.0]], 0.5, 1e-4), "sigma must be finite"),
+        ],
+        ids=["problem-sigma", "problem-rho", "solve_at-rho", "solve_at-sigma"],
+    )
+    def test_non_finite_instance_is_an_input_error(self, solve, message):
+        # Rejected up front, not as a numerical failure (Infeasible,
+        # LineSearchFailure) after RuntimeWarnings.
+        with pytest.raises(ValueError, match=message):
+            solve()
+
 
 class TestFeasible:
     def test_diagonal_margin(self):
@@ -50,7 +66,8 @@ class TestFeasible:
         sigma = np.array([[2.0, 0.3], [0.3, 1.5]])
         p = Problem(sigma=sigma, rho=0.5)
         assert feasible(p, sigma)
-        assert not feasible(p, sigma + 0.5 * np.ones((2, 2)))
+        with pytest.raises(Infeasible, match="U leaves the box"):
+            feasible(p, sigma + 0.5 * np.ones((2, 2)))
 
     def test_constructed_feasible_points(self):
         rng = np.random.default_rng(0)
@@ -59,10 +76,11 @@ class TestFeasible:
             U = random_feasible_point(rng, p)
             assert feasible(p, U)
 
-    def test_pd_failure_returns_false(self):
+    def test_pd_failure_raises(self):
         p = Problem(sigma=np.diag([1.0, 1.0]), rho=2.0)
         U = np.array([[0.5, 1.0], [1.0, 0.5]])  # inside the box, indefinite
-        assert not feasible(p, U)
+        with pytest.raises(Infeasible, match="U is not positive definite"):
+            feasible(p, U)
 
     def test_asymmetric_point_is_infeasible(self):
         # Inside the box and PD, but U_01 != U_10: the Cholesky test reads
@@ -71,17 +89,38 @@ class TestFeasible:
         U = np.array([[1.2, 0.1], [0.1, 2.1]])
         assert feasible(p, U)
         U[0, 1] += 1e-12
-        assert feasible(p, U) is None
+        with pytest.raises(Infeasible, match="U is not exactly symmetric"):
+            feasible(p, U)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_infeasible(self, value):
+        # NaN fails the exact-symmetry test (NaN != NaN), an infinity the box.
+        condition = "U has a NaN entry" if np.isnan(value) else "U leaves the box"
         p = Problem(sigma=np.diag([1.0, 2.0]), rho=0.5)
         for i, j in ((0, 0), (0, 1)):
             U = np.diag([1.2, 2.1])
             U[i, j] = U[j, i] = value
-            assert not feasible(p, U)
+            with pytest.raises(Infeasible, match=condition):
+                feasible(p, U)
             with pytest.raises(Infeasible):
                 multipliers(p, U, 1e-3)
+
+    @pytest.mark.parametrize(
+        "U, condition",
+        [
+            (np.eye(3), r"has shape \(3, 3\), not \(2, 2\)"),
+            (np.array([[1.2, 0.1], [0.1 + 1e-12, 1.1]]), "is not exactly symmetric"),
+            (np.array([[1.2, np.nan], [np.nan, 1.1]]), "has a NaN entry"),
+            (np.diag([3.5, 1.1]), "leaves the box: a box slack is non-positive"),
+            (np.array([[0.5, 1.0], [1.0, 0.5]]), "is not positive definite: Cholesky"),
+        ],
+        ids=["shape", "asymmetry", "nan", "box", "indefinite"],
+    )
+    def test_message_names_the_failed_condition(self, U, condition):
+        # Each matrix passes every test before the one it fails.
+        p = Problem(sigma=np.diag([1.0, 1.0]), rho=2.0)
+        with pytest.raises(Infeasible, match=f"^start {condition}"):
+            feasible(p, U, "start")
 
 
 class TestMultipliers:

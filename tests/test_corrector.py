@@ -8,7 +8,7 @@ from conftest import random_feasible_point, random_instance
 from covpath import kernels
 from covpath.barrier import Problem, barrier_objective, feasible, initial_point
 from covpath.corrector import GUARD_FRAC, CorrectorConfig, block_cd_run, corrector_run
-from covpath.exceptions import Infeasible, MaxSweepsExceeded
+from covpath.exceptions import Infeasible, MaxSweepsExceeded, NumericalBreakdown
 from covpath.reference import OracleConfig, central_point, golden_section
 from covpath.symmat import pd_factor, sub_inverse
 
@@ -108,8 +108,7 @@ class TestCubicCoefficients:
         rng = np.random.default_rng(23)
         for _ in range(50):
             quad, b_j, rho, t, x0 = random_coord_case(rng)
-            x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
-            assert status == kernels.STATUS_OK
+            x = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
             if x == x0:
                 continue
             alpha, beta, gamma = quad
@@ -141,14 +140,17 @@ class TestSolveCoordinate:
             assert mid == pytest.approx(r2, abs=1e-9 * max(1.0, abs(r2)))
 
     def test_symmetric_returns_exact_zero(self):
-        x, status = kernels._solve_coordinate(-1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC)
-        assert (x, status) == (0.0, kernels.STATUS_OK)
+        x = kernels._solve_coordinate(-1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC)
+        assert x == 0.0
+
+    def test_non_finite_coefficients_raise(self):
+        with pytest.raises(NumericalBreakdown, match="non-finite coefficients"):
+            kernels._solve_coordinate(np.nan, 0.0, 1.0, 0.0, 1.0, 0.5, 0.3, GUARD_FRAC)
 
     def test_given_1d_instance_matches_golden_section(self):
         quad = (-1.0, 0.0, 1.21)
         b_j, rho, t = 0.3, 1.0, 0.1
-        x, status = kernels._solve_coordinate(*quad, b_j, rho, t, 0.0, GUARD_FRAC * rho)
-        assert status == kernels.STATUS_OK
+        x = kernels._solve_coordinate(*quad, b_j, rho, t, 0.0, GUARD_FRAC * rho)
         lo, hi = feasible_coord_interval(quad, b_j, rho)
         ref = golden_section(
             lambda z: coord_objective(z, quad, b_j, rho, t), lo + 1e-9, hi - 1e-9, tol=1e-10
@@ -159,8 +161,7 @@ class TestSolveCoordinate:
         rng = np.random.default_rng(24)
         for _ in range(200):
             quad, b_j, rho, t, x0 = random_coord_case(rng)
-            x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
-            assert status == kernels.STATUS_OK
+            x = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
             lo, hi = feasible_coord_interval(quad, b_j, rho)
             pad = 1e-11 * (hi - lo)
             ref = golden_section(
@@ -172,8 +173,7 @@ class TestSolveCoordinate:
         rng = np.random.default_rng(25)
         for _ in range(100):
             quad, b_j, rho, t, x0 = random_coord_case(rng)
-            x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
-            assert status == kernels.STATUS_OK
+            x = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
             assert coord_objective(x, quad, b_j, rho, t) <= coord_objective(
                 x0, quad, b_j, rho, t
             ) + 1e-12
@@ -181,12 +181,11 @@ class TestSolveCoordinate:
 
 class TestSolveDiagonal:
     def test_symmetric_closed_form_exact(self):
-        w, status = kernels._solve_diagonal(0.0, 0.0, 1.0, 0.5, GUARD_FRAC)
-        assert (w, status) == (2.0**-0.5, kernels.STATUS_OK)
+        w = kernels._solve_diagonal(0.0, 0.0, 1.0, 0.5, GUARD_FRAC)
+        assert w == 2.0**-0.5
 
     def test_large_t_limit_box_center(self):
-        w, status = kernels._solve_diagonal(0.0, 1.2, 1.0, 1e6, GUARD_FRAC)
-        assert status == kernels.STATUS_OK
+        w = kernels._solve_diagonal(0.0, 1.2, 1.0, 1e6, GUARD_FRAC)
         assert w == pytest.approx(1.2, abs=1e-3)
 
     def test_randomized_against_golden_section(self):
@@ -199,19 +198,17 @@ class TestSolveDiagonal:
             lo, hi = max(s, c - rho), c + rho
             if hi - lo < 1e-4:
                 continue
-            w, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
-            assert status == kernels.STATUS_OK
+            w = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
             pad = 1e-10 * (hi - lo)
             ref = golden_section(
                 lambda z: diag_objective(z, s, c, rho, t), lo + pad, hi - pad, tol=1e-11
             )
             assert w == pytest.approx(ref, abs=1e-8 * max(1.0, abs(ref)))
 
-    def test_no_feasible_root_status(self):
+    def test_no_feasible_root_raises(self):
         # s above the whole box
-        w, status = kernels._solve_diagonal(5.0, 1.0, 0.5, 0.1, GUARD_FRAC * 0.5)
-        assert np.isnan(w)
-        assert status == kernels.STATUS_NO_DIAG_ROOT
+        with pytest.raises(Infeasible, match="diagonal quadratic has no root above s in the box"):
+            kernels._solve_diagonal(5.0, 1.0, 0.5, 0.1, GUARD_FRAC * 0.5)
 
 
 def _no_worse_than_golden_section(f, x, lo, hi):
@@ -244,8 +241,7 @@ class TestMovesAtPathBarrierWeights:
         quad = (alpha, beta, q0 - alpha * x0**2 - beta * x0)
         lo, hi = feasible_coord_interval(quad, b_j, rho)
         assume(hi - lo > 1e-6 and lo < x0 < hi)
-        x, status = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
-        assert status == kernels.STATUS_OK
+        x = kernels._solve_coordinate(*quad, b_j, rho, t, x0, GUARD_FRAC * rho)
         _no_worse_than_golden_section(lambda z: coord_objective(z, quad, b_j, rho, t), x, lo, hi)
 
     @given(
@@ -259,8 +255,7 @@ class TestMovesAtPathBarrierWeights:
         rho, t = 10.0**log_rho, 10.0**log_t
         lo, hi = max(s, c - rho), c + rho
         assume(hi - lo >= 1e-4)
-        w, status = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
-        assert status == kernels.STATUS_OK
+        w = kernels._solve_diagonal(s, c, rho, t, GUARD_FRAC * rho)
         _no_worse_than_golden_section(lambda z: diag_objective(z, s, c, rho, t), w, lo, hi)
 
 

@@ -5,6 +5,7 @@ from conftest import random_pd
 from covpath import corrector, kernels
 from covpath.barrier import Problem, initial_point
 from covpath.data import GeneratorSpec, generate_problem
+from covpath.exceptions import Infeasible, NumericalBreakdown
 from covpath.symmat import pd_factor, sub_inverse
 
 
@@ -27,10 +28,9 @@ def _assert_row_kernels_agree(reference, block, tol=1e-12, ref_passes=30):
     """The numpy Newton kernel and a CD reference reach the same block minimizer."""
     V_inv, u, w, b, c, rho, t = block
     u1, u2 = u.copy(), u.copy()
-    out1 = reference(V_inv, u1, w, b, c, rho, t, tol, ref_passes, 1e-12 * rho)
-    out2 = kernels.row_inner_numpy(V_inv, u2, w, b, c, rho, t, tol, 30, 1e-12 * rho)
-    assert out1[2] == out2[2] == kernels.STATUS_OK
-    assert abs(out1[0] - out2[0]) <= 1e-10 * (1.0 + abs(out1[0]))
+    w1, _ = reference(V_inv, u1, w, b, c, rho, t, tol, ref_passes, 1e-12 * rho)
+    w2, _ = kernels.row_inner_numpy(V_inv, u2, w, b, c, rho, t, tol, 30, 1e-12 * rho)
+    assert abs(w1 - w2) <= 1e-10 * (1.0 + abs(w1))
     assert np.allclose(u1, u2, atol=1e-10)
 
 
@@ -75,22 +75,28 @@ class TestBackendAgreement:
                 p.sigma[i, keep], p.sigma[i, i], p.rho, t,
             )
             V_inv, u, w, b, c, rho, _ = block
-            _, passes, status = kernels.row_inner_numpy(
+            _, passes = kernels.row_inner_numpy(
                 V_inv, u.copy(), w, b, c, rho, t, corrector.TOL_BLOCK,
                 corrector.MAX_INNER_PASSES, corrector.GUARD_FRAC * rho,
             )
-            assert status == kernels.STATUS_OK
             assert passes <= 3
             _assert_row_kernels_agree(kernels._row_inner_loops, block)
 
-    def test_infeasible_start_returns_status(self):
+    def test_infeasible_start_raises(self):
         u = np.zeros(2)
         # w = c + rho sits on the upper face of the diagonal box.
-        out = kernels.row_inner_numpy(
-            np.eye(2), u, 1.0, np.zeros(2), 0.0, 1.0, 0.1, 1e-9, 5, 1e-12
-        )
-        assert out == (1.0, 0, kernels.STATUS_INFEASIBLE)
+        with pytest.raises(Infeasible, match="row block left the box"):
+            kernels.row_inner_numpy(np.eye(2), u, 1.0, np.zeros(2), 0.0, 1.0, 0.1, 1e-9, 5, 1e-12)
         assert np.array_equal(u, np.zeros(2))
+
+    def test_indefinite_newton_system_raises(self):
+        # An indefinite V_inv = -1000 with r = w - u^T V_inv u > 0 inside the
+        # box: the block Hessian (2/r) V_inv + ... has a negative pivot.
+        with pytest.raises(NumericalBreakdown, match="row Newton system is not PD"):
+            kernels.row_inner_numpy(
+                np.array([[-1e3]]), np.array([1e-4]), 1.0, np.zeros(1), 1.0, 1.0, 0.1, 1e-9, 5,
+                1e-12,
+            )
 
 
 class TestDefaultBackend:
@@ -124,5 +130,5 @@ def test_coordinate_move_keeps_current_point_when_interval_is_inside_guard():
     # guarded box, -0.9, would make the quadratic negative, so x stays put.
     r1, r2 = -0.98, -0.95
     alpha, beta, gamma = -1.0, r1 + r2, -r1 * r2
-    x, status = kernels._solve_coordinate(alpha, beta, gamma, 0.0, 1.0, 1e-3, -0.965, 0.1)
-    assert (x, status) == (-0.965, kernels.STATUS_OK)
+    x = kernels._solve_coordinate(alpha, beta, gamma, 0.0, 1.0, 1e-3, -0.965, 0.1)
+    assert x == -0.965

@@ -23,7 +23,7 @@ from covpath.barrier import (
 )
 from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.data import GeneratorSpec, generate_problem
-from covpath.exceptions import Infeasible, MaxSweepsExceeded
+from covpath.exceptions import Infeasible, MaxSweepsExceeded, NotPositiveDefinite
 from covpath.path import (
     CROSS_LIMIT,
     MODES,
@@ -39,7 +39,7 @@ from covpath.path import (
 )
 from covpath.predictor import CGResult, build_system
 from covpath.reference import golden_section
-from covpath.symmat import PDFactor, is_pd, pd_factor, symmetrize
+from covpath.symmat import PDFactor, cholesky_logdet, pd_factor, symmetrize
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,8 @@ class TestRunPath:
         [(endpoint, h_used)] = endpoints
         assert h_used == -0.75
         slacks(Problem(sigma=sigma, rho=0.25), endpoint)  # inside the box
-        assert not is_pd(endpoint)
+        with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed|pivot below"):
+            cholesky_logdet(endpoint)
         ref = run_path(sigma, PathConfig(rho_grid=grid, mode="scaling"))
         for pt, ref_pt in zip(res.points, ref.points, strict=True):
             assert np.array_equal(pt.U, ref_pt.U)
@@ -618,6 +619,27 @@ class TestOnline:
         with pytest.raises(Infeasible):
             run_online(p, bad, np.zeros_like(p.sigma), k=1, t=t, corrector_cfg=cc)
 
+    def test_indefinite_start_names_u_star(self):
+        p = Problem(sigma=np.eye(2), rho=2.0)
+        U_star = np.array([[0.5, 1.0], [1.0, 0.5]])  # inside the box, indefinite
+        with pytest.raises(Infeasible, match="U_star is not positive definite"):
+            run_online(p, U_star, 1e-3 * np.eye(2), k=1, t=1e-3)
+
+    @pytest.mark.parametrize("name", ["C", "U_star"])
+    def test_rejects_non_finite_input(self, name):
+        p, factor, t, cc = self._solved_base()
+        args = {"C": 1e-3 * p.sigma, "U_star": factor.matrix.copy()}
+        args[name][0, 1] = args[name][1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run_online(p, args["U_star"], args["C"], k=1, t=t, corrector_cfg=cc)
+
+    def test_barrier_weight_is_required(self):
+        # A default weight would re-center at a t other than the one U_star
+        # was solved at.
+        p, factor, t, _ = self._solved_base()
+        with pytest.raises(TypeError, match="'t'"):
+            run_online(p, factor.matrix, 1e-3 * p.sigma)
+
     @given(
         log_size=st.floats(-4.0, -2.0),
         rho_frac=st.floats(0.2, 0.8),
@@ -706,9 +728,9 @@ class TestFactorizations:
         computed = []  # bytes of every matrix whose slacks were computed
         slacks = barrier.slacks
 
-        def counted_slacks(problem, U):
+        def counted_slacks(problem, U, *name):
             computed.append(np.asarray(U).tobytes())
-            return slacks(problem, U)
+            return slacks(problem, U, *name)
 
         monkeypatch.setattr(barrier, "slacks", counted_slacks)
         monkeypatch.setattr(corrector, "slacks", counted_slacks)

@@ -6,6 +6,7 @@ from covpath.data import GeneratorSpec, generate_problem
 from covpath import predictor
 from covpath.barrier import STEP_FRAC, Problem, feasible, multipliers, slacks
 from covpath.corrector import CorrectorConfig, corrector_run
+from covpath.exceptions import NotPositiveDefinite
 from covpath.path import scaling_warm_start, solve_at
 from covpath.predictor import (
     CGResult,
@@ -17,7 +18,7 @@ from covpath.predictor import (
     predictor_step_detail,
 )
 from covpath.reference import explicit_system
-from covpath.symmat import is_pd, pd_factor, symmetrize
+from covpath.symmat import cholesky_logdet, pd_factor, symmetrize
 
 
 def h_of(p, U, t):
@@ -275,7 +276,8 @@ class TestPredictorStep:
         assert h_used == -1.0
         assert np.array_equal(out, -0.5 * np.eye(2))
         slacks(Problem(sigma=p.sigma, rho=p.rho + h_used), out)  # inside the box
-        assert not is_pd(out)
+        with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed|pivot below"):
+            cholesky_logdet(out)
 
     def test_predictor_warm_start_not_worse_than_scaling(self):
         sigma, _ = generate_problem(GeneratorSpec(n=20, density=0.15, seed=5))

@@ -6,7 +6,6 @@ from covpath.exceptions import NotPositiveDefinite, SingularUpdate
 from covpath.symmat import (
     cholesky_logdet,
     invert_pd,
-    is_pd,
     pd_factor,
     sub_inverse,
     swm_update_inverse,
@@ -109,10 +108,9 @@ NON_FINITE = [
 
 @pytest.mark.parametrize("m", NON_FINITE)
 def test_non_finite_matrix_is_not_pd(m):
-    assert not is_pd(m)
     with pytest.raises(NotPositiveDefinite):
         pd_factor(m)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed|pivot below"):
         cholesky_logdet(m)
 
 

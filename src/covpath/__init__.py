@@ -11,9 +11,10 @@ The package namespace holds the library API: the path, online and
 single-penalty solvers, the instance loaders and generator, their
 configuration, problem and result types, and the exceptions that these
 entry points raise. Building blocks live in the submodules: the Newton-CG
-corrector and the reference block coordinate-descent corrector with its
-row kernel (``corrector``, ``kernels``), CG, and the oracles; the
-exceptions that only they raise stay in ``covpath.exceptions``.
+corrector (``corrector``), CG, and the oracles (``reference``), among them
+the paper's block coordinate-descent corrector, whose row kernels and
+inverse updates are in ``kernels``; the exceptions that only they raise
+stay in ``covpath.exceptions``.
 """
 
 from .barrier import Problem

@@ -139,7 +139,6 @@ def cmd_solve(args) -> int:
         "mode": args.mode,
         "zero_tol": args.zero_tol,
         "tol_residual": corrector_cfg.residual_tol(n),
-        "seed": args.seed,
     }
     summary = data.build_summary(result, meta, config_echo)
     out = Path(args.output)
@@ -273,6 +272,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     state_path = run_dir / "state.json"
     if state_path.exists():
         sigma, _, _, _ = data.state_arrays(data.load_json(state_path))
+    elif points:
+        failures.append(f"{state_path.name} is missing, so no matrix can be checked")
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
             failures.append(f"point {idx}: negative counter")

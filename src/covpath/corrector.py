@@ -1,4 +1,4 @@
-"""Correctors that re-center the barrier problem at fixed (rho, t).
+"""The corrector that re-centers the barrier problem at fixed (rho, t).
 
 :func:`corrector_run`, the one the path drivers call, is damped
 primal-dual Newton on the central-path equations H = L - M - U^{-1} = 0 for
@@ -8,11 +8,9 @@ from dual multiplier estimates L~, M~ that the run carries from step to
 step, in the manner of Li & Toh's inexact interior-point method for sparse
 covariance selection. The work is BLAS-3, with no Python loop over rows.
 
-:func:`block_cd_run` is the paper's block coordinate-descent corrector: each
-sweep visits every row/column of U in cyclic order, solves the row's block
-subproblem with the damped block Newton kernel (``kernels.row_solver``),
-and maintains the cached inverse through rank-2 updates. No production
-path calls it; the tests hold :func:`corrector_run` to it.
+The paper's block coordinate-descent corrector, which the tests hold
+:func:`corrector_run` to, is ``reference.block_cd_run``; it shares
+:class:`CorrectorConfig` and :class:`CorrectorStats`.
 """
 
 import math
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .barrier import (
     Problem,
     barrier_objective,
@@ -33,7 +30,11 @@ from .barrier import (
 )
 from .exceptions import Infeasible, LineSearchFailure, MaxSweepsExceeded, NotPositiveDefinite
 from .predictor import PredictorSystem, cg_solve
-from .symmat import PDFactor, invert_pd, pd_factor, sub_inverse, swm_update_inverse
+from .symmat import PDFactor, pd_factor
+# perfbench/tracing.py wraps these names on corrector, so they stay here;
+# the first import also loads the module whose backend name perfbench reads.
+from .kernels import sub_inverse, swm_update_inverse  # noqa: F401
+from .symmat import invert_pd  # noqa: F401
 
 # Newton-CG corrector. CG stops at relative residual CG_REL. Primal and
 # dual steps stop ``barrier.STEP_FRAC`` of the way to the boundary; the
@@ -47,17 +48,6 @@ KAPPA = 1e10
 # A decrease of f below F_RESOLUTION * |f| is rounding noise in f.
 F_RESOLUTION = 16.0 * np.finfo(float).eps
 
-# Block coordinate-descent corrector. A row-kernel call stops at block
-# tolerance TOL_BLOCK (tightened in block_cd_run along with the outer
-# tolerance) or after MAX_INNER_PASSES Newton iterations. Closed-form moves
-# stay GUARD_FRAC * rho inside the faces of the box.
-TOL_BLOCK = 1e-9
-MAX_INNER_PASSES = 20
-GUARD_FRAC = 1e-12
-# Row updates between fresh inversions; each compares the rank-2-updated
-# inverse against the fresh one, reports the drift and replaces it.
-REFRESH_EVERY = 50
-
 
 @dataclass
 class CorrectorConfig:
@@ -65,8 +55,8 @@ class CorrectorConfig:
 
     ``tol_residual`` left as None takes the default of :meth:`residual_tol`.
     ``max_sweeps`` caps the Newton steps of :func:`corrector_run` and the
-    sweeps of :func:`block_cd_run`. Every other limit is a module constant
-    above.
+    sweeps of ``reference.block_cd_run``. Every other limit is a constant
+    of the module that holds the run.
     """
 
     tol_residual: float | None = None
@@ -85,8 +75,8 @@ class CorrectorStats:
     Under :func:`corrector_run`, ``sweeps`` counts Newton steps and
     ``inner_passes`` CG iterations; it makes no row updates and keeps no
     cached inverse, so ``row_updates`` and ``max_inverse_drift`` stay 0.
-    Under :func:`block_cd_run` they count sweeps, row updates and row-kernel
-    passes, and the largest drift found at an inverse refresh.
+    Under ``reference.block_cd_run`` they count sweeps, row updates and
+    row-kernel passes, and the largest drift found at an inverse refresh.
     """
 
     sweeps: int = 0
@@ -94,10 +84,6 @@ class CorrectorStats:
     inner_passes: int = 0
     residual_norm: float = math.inf
     max_inverse_drift: float = 0.0
-
-
-def _residual_norm(p: Problem, U: np.ndarray, inv: np.ndarray, t: float) -> float:
-    return float(np.linalg.norm(residual(multipliers(p, U, t), inv)))
 
 
 def duality_gap(p: Problem, X: np.ndarray) -> float:
@@ -252,78 +238,3 @@ def _clip(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None 
     np.clip with array bounds takes three times as long."""
     out = np.maximum(a, lo, out=out)
     return np.minimum(out, hi, out=out)
-
-
-def block_cd_run(
-    p: Problem,
-    U0: np.ndarray,
-    t: float,
-    cfg: CorrectorConfig | None = None,
-) -> tuple[PDFactor, CorrectorStats]:
-    """Re-center by block coordinate descent over rows/columns; returns the
-    solution with its run statistics.
-
-    The run returns once the residual, computed with a fresh inverse, is
-    at most ``cfg.residual_tol(n)``. ``U0`` must pass ``barrier.feasible``.
-    """
-    cfg = cfg or CorrectorConfig()
-    n = p.n
-    tol = cfg.residual_tol(n)
-    U = np.array(U0, dtype=float)
-    inv = feasible(p, U, "corrector start")[0].inverse
-    solver = kernels.row_solver()
-    guard = GUARD_FRAC * p.rho
-    # A block left about tol_block from its minimizer leaves H entries of
-    # that order. CD stops once no coordinate moves by tol_block; Newton
-    # stops after a full step whose square, in the Euclidean and in the
-    # Hessian norm, is below 1e-3 * tol_block. Tighten the inner stop along
-    # with the outer tolerance.
-    tol_block = min(TOL_BLOCK, tol / (100.0 * n))
-    stats = CorrectorStats()
-    updates_since_refresh = 0
-
-    while True:
-        stats.residual_norm = _residual_norm(p, U, inv, t)
-        if stats.residual_norm <= tol:
-            final = pd_factor(U)
-            fresh_norm = _residual_norm(p, U, final.inverse, t)
-            if fresh_norm <= tol:
-                stats.residual_norm = fresh_norm
-                return final, stats
-            # Cached inverse was flattering the residual; resync and go on.
-            # Row updates rewrite inv in place, so it must not be final's.
-            inv = final.inverse.copy()
-            continue
-        if stats.sweeps >= cfg.max_sweeps:
-            raise MaxSweepsExceeded(
-                f"no convergence after {cfg.max_sweeps} sweeps "
-                f"(residual {stats.residual_norm:.3e}, tol {tol:.3e})",
-                best=pd_factor(U),
-                residual=stats.residual_norm,
-            )
-
-        stats.sweeps += 1
-        for i in range(n):
-            V_inv = sub_inverse(inv, i)
-            old_row = np.concatenate((U[i, :i], U[i, i + 1:]))
-            u = old_row.copy()
-            w_old = float(U[i, i])
-            w_new, passes = solver(
-                V_inv, u, w_old, np.concatenate((p.sigma[i, :i], p.sigma[i, i + 1:])),
-                float(p.sigma[i, i]), p.rho, t, tol_block, MAX_INNER_PASSES, guard,
-            )
-            stats.inner_passes += passes
-
-            if w_new != w_old or not np.array_equal(u, old_row):
-                swm_update_inverse(inv, i, u, w_new, old_row, w_old)
-                U[i, :i] = U[:i, i] = u[:i]
-                U[i, i + 1:] = U[i + 1:, i] = u[i:]
-                U[i, i] = w_new
-                stats.row_updates += 1
-                updates_since_refresh += 1
-                if updates_since_refresh >= REFRESH_EVERY:
-                    fresh = invert_pd(U)
-                    drift = float(np.linalg.norm(inv - fresh))
-                    stats.max_inverse_drift = max(stats.max_inverse_drift, drift)
-                    inv = fresh
-                    updates_since_refresh = 0

@@ -1,8 +1,8 @@
-"""Row kernels of the reference corrector, ``corrector.block_cd_run``.
+"""Row kernels and inverse updates of ``reference.block_cd_run``.
 
 The path drivers re-center with the Newton-CG ``corrector.corrector_run``,
-which calls nothing here; the row kernels serve the paper's block
-coordinate-descent corrector, which the tests hold it to. Each kernel
+which calls nothing here; this module serves the paper's block
+coordinate-descent corrector, which the tests hold it to. Each row kernel
 solves the block problem (the barrier objective restricted to one
 row/column of U):
 
@@ -24,6 +24,11 @@ Both kernels stop at the block tolerance, so they agree on the block
 minimizer to that tolerance, not to roundoff, and their pass counts differ
 (coordinate sweeps against Newton iterations). The kernels return values
 only; they raise Infeasible or NumericalBreakdown where a move fails.
+
+Around the kernels, ``block_cd_run`` keeps the inverse of U current in
+O(n^2) per row: :func:`sub_inverse` gives the inverse with one row/column
+deleted (Schur complement), and :func:`swm_update_inverse` the inverse
+after a row/column replacement (Sherman-Woodbury-Morrison).
 """
 
 import math
@@ -32,7 +37,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr as _dsyr
 from scipy.linalg.lapack import dposv as _dposv
 
-from .exceptions import Infeasible, NumericalBreakdown
+from .exceptions import Infeasible, NumericalBreakdown, SingularUpdate
 
 
 # --------------------------------------------------------------------------
@@ -337,3 +342,55 @@ DEFAULT_BACKEND = "numpy"
 def row_solver():
     """Return the row-block kernel that ``block_cd_run`` runs."""
     return row_inner_numpy
+
+
+# --------------------------------------------------------------------------
+# Inverse maintenance around the row kernels.
+# --------------------------------------------------------------------------
+
+
+def swm_update_inverse(inv, i, new_row, new_diag, old_row, old_diag):
+    """Update ``inv`` in place to the inverse of U after replacing its
+    row/column ``i``, in O(n^2); returns ``inv``.
+
+    ``inv`` is the symmetric inverse of the current U; ``old_row``/
+    ``old_diag`` are the off-diagonal entries (positions != i, ascending)
+    and diagonal entry of row i of that U, and ``new_row``/``new_diag`` the
+    replacement values. The replacement is the rank-2 update U + A B^T with
+    A = [e_i, d], B = [d, e_i] and d the change of row i, whose diagonal
+    entry carries half the diagonal change. By Sherman-Woodbury-Morrison,
+    inv becomes inv - (inv A) S^{-1} (B^T inv) with the 2x2 capacitance
+    S = I + B^T inv A; a final average with the transpose makes it exactly
+    symmetric.
+
+    Raises SingularUpdate, leaving ``inv`` untouched, when S is numerically
+    singular (the updated matrix would not be PD).
+    """
+    d = np.insert(np.subtract(new_row, old_row), i, 0.5 * (new_diag - old_diag))
+    if not d.any():
+        return inv
+    A = np.column_stack((np.arange(d.size) == i, d))
+    B = A[:, ::-1]
+    inv_A = inv @ A
+    S = np.eye(2) + B.T @ inv_A
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    if abs(det) <= 1e-14 * max(abs(S[0, 0] * S[1, 1]), abs(S[0, 1] * S[1, 0]), 1.0):
+        raise SingularUpdate("rank-2 capacitance matrix is numerically singular")
+    inv -= inv_A @ np.linalg.solve(S, B.T @ inv)
+    inv += inv.T
+    inv *= 0.5
+    return inv
+
+
+def sub_inverse(inv, i):
+    """Inverse of U with row/column ``i`` deleted, from the symmetric
+    ``inv = U^{-1}``: the Schur complement
+    ``inv(-i,-i) - inv(-i,i) inv(i,-i) / inv(i,i)``, in O(n^2), averaged
+    with its transpose so that it is exactly symmetric.
+    """
+    col = np.delete(inv[i], i)
+    out = np.delete(np.delete(inv, i, axis=0), i, axis=1)
+    out -= np.outer(col, col / inv[i, i])
+    out += out.T
+    out *= 0.5
+    return out

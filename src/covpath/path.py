@@ -95,12 +95,11 @@ class PathPoint:
 
 @dataclass
 class PathFailure:
-    """Record of a grid value that could not be solved, with the error
-    that stopped it."""
+    """Record of a grid value that could not be solved, with the message
+    of the error that stopped it."""
 
     rho: float
     error: str
-    exception: CovpathError | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -356,7 +355,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
                 path.truncated = True
-                path.failure = PathFailure(rho=float(rho), error=str(exc), exception=exc)
+                path.failure = PathFailure(rho=float(rho), error=str(exc))
                 return path
             factor, stats = retried
         wall = time.perf_counter() - tick

@@ -18,10 +18,18 @@ from covpath import kernels
 from covpath.barrier import Problem, dual_objective, gap_bound
 from covpath.cli import main as cli_main
 import covpath.path
-from covpath.corrector import GUARD_FRAC, REFRESH_EVERY, CorrectorConfig, block_cd_run
+from covpath.corrector import CorrectorConfig
 from covpath.data import GeneratorSpec, generate_problem, load_json
 from covpath.path import PathConfig, run_online, run_path, solve_at
-from covpath.reference import OracleConfig, central_point, explicit_system, golden_section
+from covpath.reference import (
+    GUARD_FRAC,
+    REFRESH_EVERY,
+    OracleConfig,
+    block_cd_run,
+    central_point,
+    explicit_system,
+    golden_section,
+)
 from covpath.predictor import build_system, cg_solve, matvec
 from covpath.symmat import symmetrize
 

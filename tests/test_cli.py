@@ -94,6 +94,21 @@ class TestSolve:
             tmp_path / "b" / "summary.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("source, seed", [
+        (("--gen", "n=10,seed=7"), 7),
+        (("--gen", "n=10", "--seed", "5"), 5),
+        (("--sigma", "diag3"), None),
+    ], ids=["gen-seed-key", "gen-seed-flag", "sigma"])
+    def test_summary_records_the_seed_once(self, tmp_path, diag3_csv, source, seed):
+        # --seed is only the fallback of --gen's seed key; the instance
+        # record holds the seed actually drawn, null when none was.
+        args = [diag3_csv if arg == "diag3" else arg for arg in source]
+        out = tmp_path / "run"
+        assert run_cli("solve", *args, "--points", 3, "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        assert summary["instance"]["seed"] == seed
+        assert "seed" not in summary["config"]
+
     def test_missing_input_is_input_error(self, tmp_path):
         assert run_cli("solve", "--sigma", tmp_path / "nope.csv") == 2
 
@@ -317,6 +332,32 @@ class TestVerify:
         assert run_cli("verify", out) == 3
         (out / "U_001.csv").unlink()
         assert run_cli("verify", out) == 3
+
+    def test_missing_state_fails_a_run_with_points(self, tmp_path, capsys):
+        # The matrix checks need state.json's sigma: without it, a run with
+        # points must not pass, whatever its matrices hold.
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=8,density=0.3,seed=2", "--points", 3,
+                       "--output", out) == 0
+        (out / "state.json").unlink()
+        write_matrix(out / "X_001.csv", np.eye(2))
+        capsys.readouterr()
+        assert run_cli("verify", out) == 3
+        assert "state.json is missing" in capsys.readouterr().out
+
+    def test_run_without_points_needs_no_state(self, tmp_path, monkeypatch):
+        # A path truncated before its first point writes no state.json.
+        def no_points(sigma, cfg):
+            return covpath.path.RegularizationPath(
+                sigma=sigma, t=1e-5, mode="scaling", truncated=True,
+                failure=covpath.path.PathFailure(rho=1.0, error="stalled"),
+            )
+
+        monkeypatch.setattr(cli, "run_path", no_points)
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=6,density=0.2,seed=1", "--output", out) == 4
+        assert not (out / "state.json").exists()
+        assert run_cli("verify", out) == 0
 
     def test_missing_summary_is_input_error(self, tmp_path, capsys):
         assert run_cli("verify", tmp_path) == 2

@@ -7,10 +7,11 @@ from scipy.optimize import brentq
 from conftest import random_feasible_point, random_instance
 from covpath import kernels
 from covpath.barrier import Problem, barrier_objective, feasible, initial_point
-from covpath.corrector import GUARD_FRAC, CorrectorConfig, block_cd_run, corrector_run
+from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.exceptions import Infeasible, MaxSweepsExceeded, NumericalBreakdown
-from covpath.reference import OracleConfig, central_point, golden_section
-from covpath.symmat import pd_factor, sub_inverse
+from covpath.kernels import sub_inverse
+from covpath.reference import GUARD_FRAC, OracleConfig, block_cd_run, central_point, golden_section
+from covpath.symmat import pd_factor
 
 
 def coord_objective(x, quad, b_j, rho, t):

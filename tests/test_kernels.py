@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_pd
-from covpath import corrector, kernels
+from covpath import kernels
 from covpath.barrier import Problem, initial_point
 from covpath.data import GeneratorSpec, generate_problem
 from covpath.exceptions import Infeasible, NumericalBreakdown
-from covpath.symmat import pd_factor, sub_inverse
+from covpath.kernels import sub_inverse
+from covpath.reference import GUARD_FRAC, MAX_INNER_PASSES, TOL_BLOCK
+from covpath.symmat import pd_factor
 
 
 def _random_block(rng, m):
@@ -76,8 +78,8 @@ class TestBackendAgreement:
             )
             V_inv, u, w, b, c, rho, _ = block
             _, passes = kernels.row_inner_numpy(
-                V_inv, u.copy(), w, b, c, rho, t, corrector.TOL_BLOCK,
-                corrector.MAX_INNER_PASSES, corrector.GUARD_FRAC * rho,
+                V_inv, u.copy(), w, b, c, rho, t, TOL_BLOCK,
+                MAX_INNER_PASSES, GUARD_FRAC * rho,
             )
             assert passes <= 3
             _assert_row_kernels_agree(kernels._row_inner_loops, block)

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 import covpath.path as path_mod
 import covpath.symmat as symmat_mod
 from conftest import random_instance
-from covpath import barrier, corrector, kernels
+from covpath import barrier, corrector, kernels, reference
 from covpath.barrier import (
     Problem,
     dual_objective,
@@ -258,9 +258,10 @@ def test_production_never_calls_the_reference_corrector(small_instance, monkeypa
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference corrector ran in a production path")
 
-    for name in ("row_solver", "row_inner_numpy", "_row_inner_loops"):
+    for name in ("row_solver", "row_inner_numpy", "_row_inner_loops", "sub_inverse",
+                 "swm_update_inverse"):
         monkeypatch.setattr(kernels, name, forbidden)
-    monkeypatch.setattr(corrector, "block_cd_run", forbidden)
+    monkeypatch.setattr(reference, "block_cd_run", forbidden)
     for mode in MODES:
         res = run_path(small_instance, PathConfig(points=4, mode=mode))
         assert not res.truncated and len(res.points) == 4

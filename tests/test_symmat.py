@@ -3,14 +3,8 @@ import pytest
 
 from conftest import random_pd
 from covpath.exceptions import NotPositiveDefinite, SingularUpdate
-from covpath.symmat import (
-    cholesky_logdet,
-    invert_pd,
-    pd_factor,
-    sub_inverse,
-    swm_update_inverse,
-    symmetrize,
-)
+from covpath.kernels import sub_inverse, swm_update_inverse
+from covpath.symmat import cholesky_logdet, invert_pd, pd_factor, symmetrize
 
 
 def det_by_cofactors(m):
@@ -175,8 +169,8 @@ class TestSwmUpdate:
         assert np.array_equal(inv, np.eye(2))  # the in-place update wrote nothing
 
     def test_in_place_updates_keep_inverse_exactly_symmetric(self):
-        # Each update adds +-y y^T twice, so entries (i, j) and (j, i) receive
-        # the same products: symmetry is exact, not restored by averaging.
+        # Each update ends by averaging inv with its transpose in place:
+        # entries (i, j) and (j, i) receive the same sum, so symmetry is exact.
         rng = np.random.default_rng(14)
         n = 30
         U = random_pd(rng, n)

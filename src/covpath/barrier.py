@@ -52,14 +52,6 @@ class Problem:
         return float(np.max(np.diagonal(self.sigma)))
 
 
-@dataclass(frozen=True)
-class BarrierState:
-    """Elementwise barrier multipliers L = t/slack+ and M = t/slack-."""
-
-    L: np.ndarray
-    M: np.ndarray
-
-
 def feasible(
     p: Problem, U: np.ndarray, name: str = "U"
 ) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]]:
@@ -103,8 +95,8 @@ def step_to_boundary(reach: float) -> float:
 
 def multipliers(
     p: Problem, U: np.ndarray, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
-) -> BarrierState:
-    """Elementwise barrier multipliers L = t/slack+, M = t/slack-.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise barrier multipliers (L, M) = (t/slack+, t/slack-).
 
     ``slack`` is ``slacks(p, U)`` when the caller already has it. Raises
     Infeasible when any box slack is non-positive.
@@ -112,13 +104,14 @@ def multipliers(
     if not t > 0.0:
         raise ValueError("t must be positive")
     slack_plus, slack_minus = slacks(p, U) if slack is None else slack
-    return BarrierState(L=t / slack_plus, M=t / slack_minus)
+    return t / slack_plus, t / slack_minus
 
 
-def residual(state: BarrierState, X: np.ndarray) -> np.ndarray:
-    """Central-path residual H = L - M - X, with L, M the multipliers at U
+def residual(LM: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Central-path residual H = L - M - X, with (L, M) the multipliers at U
     (:func:`multipliers`) and X = U^{-1}; zero exactly on the path."""
-    H = state.L - state.M
+    L, M = LM
+    H = L - M
     H -= X
     return H
 

@@ -298,8 +298,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             fresh = pd_factor(U)
             if np.linalg.norm(X - fresh.inverse) > X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
                 failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
-            state = multipliers(Problem(sigma=sigma, rho=pt["rho"]), fresh.matrix, pt["t"])
-            H = residual(state, fresh.inverse)
+            LM = multipliers(Problem(sigma=sigma, rho=pt["rho"]), fresh.matrix, pt["t"])
+            H = residual(LM, fresh.inverse)
             resid = float(np.linalg.norm(H))
             if resid > 2.0 * tol + 1e-9:
                 failures.append(

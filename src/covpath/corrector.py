@@ -2,11 +2,12 @@
 
 :func:`corrector_run`, the one the path drivers call, is damped
 primal-dual Newton on the central-path equations H = L - M - U^{-1} = 0 for
-all of U at once. Each step solves U^{-1} P U^{-1} + D o P = -H by
-preconditioned CG (``predictor.cg_solve``), with D = L~/s+ + M~/s- built
-from dual multiplier estimates L~, M~ that the run carries from step to
-step, in the manner of Li & Toh's inexact interior-point method for sparse
-covariance selection. The work is BLAS-3, with no Python loop over rows.
+all of U at once. Each step hands the arrays (X, D, -H), with X = U^{-1}
+and D = L~/s+ + M~/s-, to ``predictor.cg_solve``, which solves
+X P X + D o P = -H by preconditioned CG. The dual multiplier estimates
+L~, M~ are carried from step to step, in the manner of Li & Toh's inexact
+interior-point method for sparse covariance selection. The work is BLAS-3,
+with no Python loop over rows.
 
 The paper's block coordinate-descent corrector, which the tests hold
 :func:`corrector_run` to, is ``reference.block_cd_run``; it shares
@@ -29,7 +30,7 @@ from .barrier import (
     step_to_boundary,
 )
 from .exceptions import Infeasible, LineSearchFailure, MaxSweepsExceeded, NotPositiveDefinite
-from .predictor import PredictorSystem, cg_solve
+from .predictor import cg_solve
 from .symmat import PDFactor, pd_factor
 # perfbench/tracing.py wraps these names on corrector, so they stay here;
 # the first import also loads the module whose backend name perfbench reads.
@@ -39,11 +40,13 @@ from .symmat import invert_pd  # noqa: F401
 # Newton-CG corrector. CG stops at relative residual CG_REL. Primal and
 # dual steps stop ``barrier.STEP_FRAC`` of the way to the boundary; the
 # primal step is then halved until it meets the Armijo condition with
-# slope ARMIJO, at most MAX_HALVINGS times. Dual multipliers are clipped
-# to [t/(KAPPA s), KAPPA t/s], s the matching slack.
+# slope ARMIJO, at most MAX_HALVINGS times. A run has stalled after
+# STALL_STEPS full steps in a row with no new lowest residual. Dual
+# multipliers are clipped to [t/(KAPPA s), KAPPA t/s], s the matching slack.
 CG_REL = 0.1
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
+STALL_STEPS = 10
 KAPPA = 1e10
 # A decrease of f below F_RESOLUTION * |f| is rounding noise in f.
 F_RESOLUTION = 16.0 * np.finfo(float).eps
@@ -118,8 +121,8 @@ def corrector_run(
     ``start`` must pass ``barrier.feasible`` (Infeasible otherwise), its one
     test and symmetry check; that factorization is the run's first.
 
-    A step solves U^{-1} P U^{-1} + D o P = -H by CG to relative residual
-    ``CG_REL``, with D = L~/s+ + M~/s- and H the residual at U. The dual
+    A step solves X P X + D o P = -H by CG to relative residual ``CG_REL``,
+    with X = U^{-1}, D = L~/s+ + M~/s- and H the residual at U. The dual
     estimates start from the inverse X of the start, at L~ = max(t/s+, X)
     and M~ = max(t/s-, -X), capped at KAPPA t/s: at the solution H = 0 makes
     the positive and negative parts of X the face multipliers. They move
@@ -150,13 +153,13 @@ def corrector_run(
     both still takes one step. That step is kept on purpose: the test
     bounds the residual, not the distance to the center, and where
     U^{-1} is small a residual far below the tolerance can leave U well
-    away from it. Online tangent starts at n = 10 passed the test with
-    median residuals of 1.6e-11 to 2.8e-9 against a tolerance of 1e-8,
-    yet returning them unstepped left the end of a 12-update stream
-    0.7-1.65e-6 from a from-scratch solve, against 1e-12 to 7e-12 with
-    the step (``path.run_online``). Raises MaxSweepsExceeded, carrying the
-    current iterate, after ``cfg.max_sweeps`` steps, and LineSearchFailure
-    when no step length is acceptable.
+    away from it (measured in ``path.run_online``).
+
+    Raises MaxSweepsExceeded after ``cfg.max_sweeps`` steps with the current
+    iterate, or, with the lowest-residual one, after ``STALL_STEPS`` full
+    steps in a row that find no lower residual: rounding in the slacks near
+    a face leaves a floor of about eps |U| |X|^2 / t that no tolerance below
+    it gets past. Raises LineSearchFailure when no step is acceptable.
     """
     cfg = cfg or CorrectorConfig()
     n = p.n
@@ -165,18 +168,29 @@ def corrector_run(
     factor, slack = feasible(p, start, "corrector start")
 
     f = barrier_objective(p, factor, t, slack)
-    state = multipliers(p, factor.matrix, t, slack)
-    L_dual = _clip(factor.inverse, state.L, KAPPA * state.L)
-    M_dual = _clip(-factor.inverse, state.M, KAPPA * state.M)
+    L, M = multipliers(p, factor.matrix, t, slack)
+    L_dual = _clip(factor.inverse, L, KAPPA * L)
+    M_dual = _clip(-factor.inverse, M, KAPPA * M)
     stats = CorrectorStats()
     full_step = False
+    best, best_norm, stalled = factor, math.inf, 0
 
     while True:
         X = factor.inverse
-        H = residual(state, X)
+        H = residual((L, M), X)
         stats.residual_norm = math.sqrt(np.vdot(H, H))
         if full_step and stats.residual_norm <= tol and duality_gap(p, X) <= max_gap:
             return factor, stats
+        if stats.residual_norm < best_norm:
+            best, best_norm, stalled = factor, stats.residual_norm, 0
+        else:
+            stalled = stalled + 1 if full_step else 0
+        if stalled >= STALL_STEPS:
+            raise MaxSweepsExceeded(
+                f"residual stalled at {best_norm:.3e} (tol {tol:.3e}) after "
+                f"{stats.sweeps} Newton steps, the last {STALL_STEPS} full",
+                best=best, residual=best_norm,
+            )
         if stats.sweeps >= cfg.max_sweeps:
             raise MaxSweepsExceeded(
                 f"no convergence after {cfg.max_sweeps} Newton steps "
@@ -188,17 +202,17 @@ def corrector_run(
         inv_plus, inv_minus = 1.0 / slack[0], 1.0 / slack[1]
         D_plus = L_dual * inv_plus
         D_minus = M_dual * inv_minus
-        cg = cg_solve(PredictorSystem(U_inv=X, D=D_plus + D_minus, rhs=-H), CG_REL)
+        cg = cg_solve(X, D_plus + D_minus, -H, CG_REL)
         P = cg.direction
         stats.inner_passes += cg.iterations
         stats.sweeps += 1
 
         # The parts of D and the reciprocal slacks are not needed again:
         # they take their products with P in place.
-        dL = state.L - L_dual
+        dL = L - L_dual
         D_plus *= P
         dL += D_plus
-        dM = state.M - M_dual
+        dM = M - M_dual
         D_minus *= P
         dM -= D_minus
         a_dual = step_to_boundary(-min((dL / L_dual).min(), (dM / M_dual).min()))
@@ -224,13 +238,13 @@ def corrector_run(
             )
         full_step = a == 1.0
         factor, f, slack = trial, f_trial, trial_slack
-        state = multipliers(p, factor.matrix, t, slack)
+        L, M = multipliers(p, factor.matrix, t, slack)
         dL *= a_dual
         L_dual += dL
-        _clip(L_dual, state.L / KAPPA, KAPPA * state.L, out=L_dual)
+        _clip(L_dual, L / KAPPA, KAPPA * L, out=L_dual)
         dM *= a_dual
         M_dual += dM
-        _clip(M_dual, state.M / KAPPA, KAPPA * state.M, out=M_dual)
+        _clip(M_dual, M / KAPPA, KAPPA * M, out=M_dual)
 
 
 def _clip(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None):

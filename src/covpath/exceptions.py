@@ -30,10 +30,12 @@ class NumericalBreakdown(CovpathError):
 
 
 class MaxSweepsExceeded(CovpathError):
-    """Corrector hit the sweep cap before reaching the residual tolerance.
+    """Corrector stopped short of the residual tolerance: it hit its step
+    or sweep cap, or (``corrector.corrector_run``) its residual stalled
+    above the tolerance for ``corrector.STALL_STEPS`` full Newton steps.
 
-    Carries the best iterate seen so far in ``best`` and its residual norm
-    in ``residual``.
+    Carries an iterate in ``best`` and its residual norm in ``residual``:
+    at the cap the run's last iterate, on a stall its lowest-residual one.
     """
 
     def __init__(self, message, best=None, residual=None):

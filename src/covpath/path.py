@@ -29,7 +29,7 @@ from .barrier import (
 )
 from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible
-from .predictor import PredictorSystem, build_system, cg_solve, predictor_step_detail
+from .predictor import build_system, cg_solve, predictor_step_detail
 from .symmat import PDFactor, checked_symmetric
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
 from .symmat import pd_factor  # noqa: F401
@@ -450,10 +450,9 @@ def run_online(
     min_step = 2.0**-10
     while mu < 1.0:
         step = min(1.0 / k, 1.0 - mu)
-        base = build_system(p_mu, factor, t, slack)
+        D, _ = build_system(p_mu, factor, t, slack)
         # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
-        sys_mu = PredictorSystem(U_inv=base.U_inv, D=base.D, rhs=base.D * C)
-        direction = cg_solve(sys_mu).direction
+        direction = cg_solve(factor.inverse, D, D * C).direction
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)

@@ -2,11 +2,11 @@
 
 The path tangent dU/drho solves J vec(dU) = -vec(dH/drho) with
 J = U^{-1} (x) U^{-1} + diag(vec D). The Kronecker product is never
-formed: the operator acts on symmetric matrices directly as
-U^{-1} P U^{-1} + D o P, one O(n^3) multiplication per CG iteration.
-The same operator, with a primal-dual D, is the Hessian of the corrector's
-Newton step (see ``corrector``), and the online mode solves it for the
-tangent in mu, so :func:`cg_solve` is the one linear solver of the program.
+formed: the solver takes the arrays (X, D, rhs), X = U^{-1}, and applies
+the operator to symmetric matrices as X P X + D o P, one O(n^3)
+multiplication per CG iteration. With a primal-dual D it is the Hessian of
+the corrector's Newton step (see ``corrector``), and the online mode solves
+it for the tangent in mu, so :func:`cg_solve` is the one linear solver.
 
 The path's tangent step (:func:`predictor_step_detail`) moves point and
 penalty together. Its length comes in closed form from the box slacks, by
@@ -28,20 +28,6 @@ from .symmat import PDFactor
 TANGENT_REL = 1e-2
 
 
-@dataclass(frozen=True)
-class PredictorSystem:
-    """Implicit operator U^{-1} P U^{-1} + D o P with its right-hand side.
-
-    For the path tangent (:func:`build_system`), D and rhs come from
-    differentiating the multiplier maps: D = (L^2 + M^2)/t elementwise and
-    rhs = -dH/drho = (L^2 - M^2)/t. The corrector builds its own D and rhs.
-    """
-
-    U_inv: np.ndarray
-    D: np.ndarray
-    rhs: np.ndarray
-
-
 @dataclass
 class CGResult:
     direction: np.ndarray
@@ -52,55 +38,59 @@ class CGResult:
 
 def build_system(
     p: Problem, U: PDFactor, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
-) -> PredictorSystem:
-    """Assemble the tangent system at a (near-)central iterate; ``slack``
-    is ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
-    state = multipliers(p, U.matrix, t, slack)
-    D = (state.L**2 + state.M**2) / t
-    rhs = (state.L**2 - state.M**2) / t
-    return PredictorSystem(U_inv=U.inverse, D=D, rhs=rhs)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D, rhs) of the tangent system at a (near-)central iterate U, from
+    differentiating the multiplier maps: D = (L^2 + M^2)/t elementwise and
+    rhs = -dH/drho = (L^2 - M^2)/t; X is ``U.inverse``. ``slack`` is
+    ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
+    L, M = multipliers(p, U.matrix, t, slack)
+    D = (L**2 + M**2) / t
+    rhs = (L**2 - M**2) / t
+    return D, rhs
 
 
-def matvec(sys: PredictorSystem, P: np.ndarray) -> np.ndarray:
-    """Apply the system operator to a symmetric matrix."""
-    out = sys.U_inv @ P @ sys.U_inv
+def matvec(X: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Apply the operator X P X + D o P to a symmetric matrix P."""
+    out = X @ P @ X
     out += out.T  # symmetric part, as in symmat.symmetrize
     out *= 0.5
-    out += sys.D * P
+    out += D * P
     return out
 
 
-def operator_diagonal(sys: PredictorSystem) -> np.ndarray:
-    """Diagonal of the system operator on symmetric matrices, as a matrix.
+def operator_diagonal(X: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Diagonal of X P X + D o P on symmetric matrices, as a matrix.
 
     In the orthonormal basis E_ii, (E_ij + E_ji)/sqrt(2) of the symmetric
-    matrices, with X = U^{-1}, entry (i, j) is X_ii X_jj + X_ij^2 + D_ij
-    off the diagonal and X_ii^2 + D_ii on it.
+    matrices, entry (i, j) is X_ii X_jj + X_ij^2 + D_ij off the diagonal
+    and X_ii^2 + D_ii on it.
     """
-    X = sys.U_inv
     x = X.diagonal()
     diag = x[:, None] * x
     diag += X * X
-    diag += sys.D
+    diag += D
     diag.reshape(-1)[:: x.shape[0] + 1] -= x * x
     return diag
 
 
-def cg_solve(sys: PredictorSystem, rel_drop: float = TANGENT_REL) -> CGResult:
-    """Jacobi-preconditioned conjugate gradient on symmetric matrices under
-    the Frobenius product; the preconditioner is :func:`operator_diagonal`.
-    Stops once the unpreconditioned residual has dropped by ``rel_drop``,
-    or unconverged after n^2 iterations. The iterate, residual and search
-    direction are updated in place; ``sys`` is left as it is."""
-    n = sys.rhs.shape[0]
-    x = np.zeros_like(sys.rhs)
-    r = sys.rhs.copy()
+def cg_solve(
+    X: np.ndarray, D: np.ndarray, rhs: np.ndarray, rel_drop: float = TANGENT_REL
+) -> CGResult:
+    """Solve X P X + D o P = rhs by Jacobi-preconditioned conjugate gradient
+    on symmetric matrices under the Frobenius product; the preconditioner
+    is :func:`operator_diagonal`. Stops once the unpreconditioned residual
+    has dropped by ``rel_drop``, or unconverged after n^2 iterations. The
+    iterate, residual and search direction are updated in place; X, D and
+    rhs are left as they are."""
+    n = rhs.shape[0]
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     r0_norm = math.sqrt(np.vdot(r, r))
     if r0_norm == 0.0:
         return CGResult(direction=x, iterations=0, converged=True, rel_residual=0.0)
     target = rel_drop * r0_norm
 
-    inv_diag = operator_diagonal(sys)
+    inv_diag = operator_diagonal(X, D)
     np.reciprocal(inv_diag, out=inv_diag)
     z = r * inv_diag
     p_dir = z.copy()
@@ -109,7 +99,7 @@ def cg_solve(sys: PredictorSystem, rel_drop: float = TANGENT_REL) -> CGResult:
     r_norm = r0_norm
     converged = False
     while iterations < n * n:
-        Ap = matvec(sys, p_dir)
+        Ap = matvec(X, D, p_dir)
         denom = float(np.vdot(p_dir, Ap))
         if denom <= 0.0:
             break
@@ -154,7 +144,8 @@ def predictor_step_detail(
     starts from it (``path.run_path``).
     """
     slack_plus, slack_minus = slacks(p, U.matrix)
-    result = cg_solve(build_system(p, U, t, (slack_plus, slack_minus)))
+    D, rhs = build_system(p, U, t, (slack_plus, slack_minus))
+    result = cg_solve(U.inverse, D, rhs)
     dU = result.direction
     # Largest relative move of a slack toward zero over the full step h.
     reach = max((-h * (1.0 - dU) / slack_plus).max(), (-h * (1.0 + dU) / slack_minus).max())

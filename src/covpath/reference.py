@@ -24,7 +24,7 @@ from .barrier import (
 )
 from .corrector import CorrectorConfig, CorrectorStats
 from .exceptions import Infeasible, LineSearchFailure, MaxItersExceeded, MaxSweepsExceeded
-from .predictor import PredictorSystem, matvec
+from .predictor import matvec
 from .symmat import PDFactor, invert_pd, pd_factor, symmetrize
 
 # Block coordinate-descent corrector. A row-kernel call stops at block
@@ -94,16 +94,15 @@ def newton_solve(
     m = len(pairs)
 
     for _ in range(cfg.max_iters):
-        state = multipliers(p, U, t, slack)
-        H = state.L - state.M - factor.inverse
+        L, M = multipliers(p, U, t, slack)
+        H = L - M - factor.inverse
         hnorm = float(np.linalg.norm(H))
         if hnorm <= cfg.tol:
             return factor
 
         grad = np.array([H[i, j] if i == j else 2.0 * H[i, j] for i, j in pairs])
-        D = (state.L**2 + state.M**2) / t
-        sys = PredictorSystem(U_inv=factor.inverse, D=D, rhs=H)
-        cols = [matvec(sys, E) for E in basis]
+        D = (L**2 + M**2) / t
+        cols = [matvec(factor.inverse, D, E) for E in basis]
         hess = np.empty((m, m))
         for a in range(m):
             Ea = basis[a]
@@ -178,8 +177,8 @@ def central_point(
 
 def explicit_system(p: Problem, U: PDFactor, t: float) -> np.ndarray:
     """Dense n^2 x n^2 operator U^{-1} (x) U^{-1} + diag(vec D), test-scale only."""
-    state = multipliers(p, U.matrix, t)
-    D = (state.L**2 + state.M**2) / t
+    L, M = multipliers(p, U.matrix, t)
+    D = (L**2 + M**2) / t
     return np.kron(U.inverse, U.inverse) + np.diag(D.reshape(-1))
 
 

@@ -34,9 +34,9 @@ def checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     # Most callers pass an exactly symmetric matrix; only the rest pay
-    # for the tolerance check and the averaging. NaN fails both tests, so
-    # only an infinite entry is left for the finiteness test.
-    if not (m == m.T).all():
+    # for the tolerance check and the averaging. A NaN fails the exact
+    # test, so a non-finite matrix skips both and fails the last one.
+    if not (m == m.T).all() and np.isfinite(m).all():
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
             raise ValueError(f"{name} must be symmetric")
         m = symmetrize(m)

@@ -166,12 +166,12 @@ def test_criterion_05_predictor_system_validation():
             t = 1e-3 / (2 * n * n)
             p = Problem(sigma=sigma, rho=rho)
             factor = solve_at(sigma, rho, t, CorrectorConfig(tol_residual=1e-9))
-            sys = build_system(p, factor, t)
+            D, rhs = build_system(p, factor, t)
             K = explicit_system(p, factor, t)
             for _ in range(6):
                 P = symmetrize(rng.standard_normal((n, n)))
                 direct = (K @ P.reshape(-1)).reshape(n, n)
-                err = np.abs(matvec(sys, P) - direct).max()
+                err = np.abs(matvec(factor.inverse, D, P) - direct).max()
                 assert err <= 1e-10 * max(1.0, np.abs(direct).max())
 
             # FD validation of the D/rhs closed forms runs at a moderate
@@ -179,7 +179,7 @@ def test_criterion_05_predictor_system_validation():
             # slacks well above the step, which tiny t does not leave.
             t_fd = 1e-2
             factor_fd = solve_at(sigma, rho, t_fd, CorrectorConfig(tol_residual=1e-9))
-            sys_fd = build_system(p, factor_fd, t_fd)
+            D_fd, rhs_fd = build_system(p, factor_fd, t_fd)
 
             def h_of(U, rho_val):
                 L = t_fd / (rho_val + sigma - U)
@@ -188,7 +188,7 @@ def test_criterion_05_predictor_system_validation():
 
             d = 1e-5
             fd_rho = (h_of(factor_fd.matrix, rho + d) - h_of(factor_fd.matrix, rho - d)) / (2 * d)
-            assert np.abs(fd_rho + sys_fd.rhs).max() <= 1e-6 * max(1.0, np.abs(sys_fd.rhs).max())
+            assert np.abs(fd_rho + rhs_fd).max() <= 1e-6 * max(1.0, np.abs(rhs_fd).max())
             for i in range(n):
                 for j in range(n):
                     E = np.zeros((n, n))
@@ -196,11 +196,11 @@ def test_criterion_05_predictor_system_validation():
                     fd = (h_of(factor_fd.matrix + E, rho) - h_of(factor_fd.matrix - E, rho)) / (2 * d)
                     col = np.outer(factor_fd.inverse[:, i], factor_fd.inverse[j, :])
                     col = col.copy()
-                    col[i, j] += sys_fd.D[i, j]
+                    col[i, j] += D_fd[i, j]
                     assert np.abs(fd - col).max() <= 1e-6 * max(1.0, np.abs(col).max())
 
-            res = cg_solve(sys, rel_drop=1e-10)
-            dense = np.linalg.solve(K, sys.rhs.reshape(-1)).reshape(n, n)
+            res = cg_solve(factor.inverse, D, rhs, rel_drop=1e-10)
+            dense = np.linalg.solve(K, rhs.reshape(-1)).reshape(n, n)
             rel = np.linalg.norm(res.direction - dense) / np.linalg.norm(dense)
             assert rel <= 1e-4
         wall = time.perf_counter() - tick

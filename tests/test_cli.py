@@ -128,6 +128,21 @@ class TestSolve:
         assert "positive semidefinite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_samples_input(self, tmp_path):
+        # 3n samples drawn from a generated covariance: the solve runs on
+        # their covariance and its artifacts verify.
+        n = 6
+        sigma, _ = generate_problem(GeneratorSpec(n=n, density=0.3, seed=4))
+        x = np.random.default_rng(4).standard_normal((3 * n, n)) @ np.linalg.cholesky(sigma).T
+        f = tmp_path / "samples.csv"
+        write_matrix(f, x)
+        out = tmp_path / "run"
+        assert run_cli("solve", "--samples", f, "--points", 4, "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        assert summary["instance"]["source"].startswith("samples:")
+        assert len(summary["points"]) == 4
+        assert run_cli("verify", out) == 0
+
     def test_singular_sample_covariance_is_accepted(self, tmp_path):
         # m < n samples: PSD but singular; rounding can leave its smallest
         # eigenvalues slightly negative.

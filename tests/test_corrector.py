@@ -5,11 +5,26 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_feasible_point, random_instance
-from covpath import kernels
-from covpath.barrier import Problem, barrier_objective, feasible, initial_point
-from covpath.corrector import CorrectorConfig, corrector_run
-from covpath.exceptions import Infeasible, MaxSweepsExceeded, NumericalBreakdown
+from covpath import corrector, kernels
+from covpath.barrier import (
+    Problem,
+    barrier_objective,
+    feasible,
+    initial_point,
+    multipliers,
+    residual,
+)
+from covpath.corrector import MAX_HALVINGS, CorrectorConfig, centered, corrector_run
+from covpath.data import GeneratorSpec, generate_problem
+from covpath.exceptions import (
+    Infeasible,
+    LineSearchFailure,
+    MaxSweepsExceeded,
+    NotPositiveDefinite,
+    NumericalBreakdown,
+)
 from covpath.kernels import sub_inverse
+from covpath.path import solve_at
 from covpath.reference import GUARD_FRAC, OracleConfig, block_cd_run, central_point, golden_section
 from covpath.symmat import pd_factor
 
@@ -379,6 +394,83 @@ class TestCorrectorSolve:
         assert err.value.best is not None
         assert err.value.residual > 0
         assert feasible(p, err.value.best.matrix)
+
+    def test_stalled_residual_stops_the_run_early(self, monkeypatch):
+        # The tolerance lies below the residual's rounding floor (about
+        # eps |U| |X|^2 / t, 2.4e-7 here), so no step meets it. The run
+        # stops STALL_STEPS full steps after its last new minimum (53
+        # steps), not at the 500-step cap, with its lowest-residual iterate.
+        sigma, _ = generate_problem(GeneratorSpec(n=100, density=0.5, seed=0))
+        p = Problem(sigma=sigma, rho=0.01 * float(np.max(np.diag(sigma))))
+        t = 1e-3 / (2 * 100**2)
+        steps = []
+        solve = corrector.cg_solve
+
+        def counted(*args):
+            steps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(corrector, "cg_solve", counted)
+        with pytest.raises(MaxSweepsExceeded, match="residual stalled") as err:
+            solve_at(sigma, p.rho, t, CorrectorConfig(tol_residual=1e-7))
+        assert len(steps) <= 60
+        best = err.value.best
+        assert feasible(p, best.matrix)
+        H = residual(multipliers(p, best.matrix, t), best.inverse)
+        assert err.value.residual == pytest.approx(np.linalg.norm(H), rel=1e-12)
+        assert err.value.residual > 1e-7
+
+    def test_line_search_halves_a_trial_that_is_not_positive_definite(self, monkeypatch):
+        # Only the line search factors through corrector.pd_factor; the
+        # start is tested by barrier.feasible.
+        rng = np.random.default_rng(33)
+        p = random_instance(rng, 5, density=0.5)
+        U0 = random_feasible_point(rng, p)
+        trials = []
+
+        def first_fails(m):
+            trials.append(m.copy())
+            if len(trials) == 1:
+                raise NotPositiveDefinite("injected")
+            return pd_factor(m)
+
+        monkeypatch.setattr(corrector, "pd_factor", first_fails)
+        _, stats = corrector_run(p, U0, 1e-4, CorrectorConfig(tol_residual=1e-8))
+        assert stats.residual_norm <= 1e-8
+        first, second = trials[0] - U0, trials[1] - U0
+        assert np.abs(first).max() > 1e-6
+        assert np.allclose(second, 0.5 * first, rtol=0.0, atol=1e-12 * np.abs(U0).max())
+
+    def test_line_search_fails_when_no_trial_is_positive_definite(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        p = random_instance(rng, 5, density=0.5)
+        U0 = random_feasible_point(rng, p)
+        calls = []
+
+        def never(m):
+            calls.append(1)
+            raise NotPositiveDefinite("injected")
+
+        monkeypatch.setattr(corrector, "pd_factor", never)
+        with pytest.raises(LineSearchFailure, match="no acceptable Newton step"):
+            corrector_run(p, U0, 1e-4)
+        assert len(calls) == MAX_HALVINGS
+
+    def test_centered_needs_the_box_and_the_residual(self):
+        rng = np.random.default_rng(35)
+        p = random_instance(rng, 5, density=0.5)
+        t, tol = 1e-4, 1e-8
+        factor, _ = corrector_run(
+            p, random_feasible_point(rng, p), t, CorrectorConfig(tol_residual=tol)
+        )
+        assert centered(p, factor, t, tol)
+        # PD, but its diagonal lies above the upper face sigma_ii + rho.
+        outside = pd_factor(factor.matrix + 2.0 * p.rho * np.eye(p.n))
+        assert not centered(p, outside, t, tol)
+        # Inside the box, but far from the central point.
+        off = pd_factor(random_feasible_point(rng, p))
+        assert np.linalg.norm(residual(multipliers(p, off.matrix, t), off.inverse)) > tol
+        assert not centered(p, off, t, tol)
 
     def test_coordinate_descent_body_agrees_uncompiled(self, monkeypatch):
         # The paper's coordinate-descent body, run as plain Python in place

@@ -192,7 +192,7 @@ class TestRunPath:
         def no_retry(*args, **kwargs):
             raise AssertionError("the midpoint retry ran")
 
-        monkeypatch.setattr(predictor, "cg_solve", lambda sys: tangent)
+        monkeypatch.setattr(predictor, "cg_solve", lambda X, D, rhs: tangent)
         monkeypatch.setattr(path_mod, "predictor_step_detail", recorded_step)
         monkeypatch.setattr(path_mod, "_retry_through_midpoint", no_retry)
         res = run_path(sigma, PathConfig(rho_grid=grid, mode="predictor"))
@@ -531,7 +531,7 @@ class TestOnline:
         C = symmetrize(rng.standard_normal(p.sigma.shape))
         C *= 0.05 * p.rho / np.abs(C).max()
         # run_online's right-hand side: -dH/dmu = D o C with the tangent system's D.
-        rhs = build_system(p, factor, t).D * C
+        rhs = build_system(p, factor, t)[0] * C
 
         def h_hat(mu):
             sig = p.sigma + mu * C

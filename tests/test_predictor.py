@@ -10,7 +10,6 @@ from covpath.exceptions import NotPositiveDefinite
 from covpath.path import scaling_warm_start, solve_at
 from covpath.predictor import (
     CGResult,
-    PredictorSystem,
     build_system,
     cg_solve,
     matvec,
@@ -34,25 +33,25 @@ class TestBuildSystem:
         p = random_instance(rng, 4)
         U = pd_factor(random_feasible_point(rng, p))
         t = 1e-2
-        sys = build_system(p, U, t)
-        state = multipliers(p, U.matrix, t)
-        assert np.allclose(sys.D, (state.L**2 + state.M**2) / t, rtol=1e-14)
-        assert np.allclose(sys.rhs, (state.L**2 - state.M**2) / t, rtol=1e-14)
-        assert np.all(sys.D > 0)
+        D, rhs = build_system(p, U, t)
+        L, M = multipliers(p, U.matrix, t)
+        assert np.allclose(D, (L**2 + M**2) / t, rtol=1e-14)
+        assert np.allclose(rhs, (L**2 - M**2) / t, rtol=1e-14)
+        assert np.all(D > 0)
 
     def test_rhs_matches_finite_differences_in_rho(self):
         rng = np.random.default_rng(51)
         p = random_instance(rng, 4)
         U = random_feasible_point(rng, p)
         t = 1e-2
-        sys = build_system(p, pd_factor(U), t)
+        _, rhs = build_system(p, pd_factor(U), t)
         d = 1e-5
         fd = (
             h_of(Problem(sigma=p.sigma, rho=p.rho + d), U, t)
             - h_of(Problem(sigma=p.sigma, rho=p.rho - d), U, t)
         ) / (2 * d)
-        scale = max(1.0, np.abs(sys.rhs).max())
-        assert np.abs(fd - (-sys.rhs)).max() <= 1e-6 * scale
+        scale = max(1.0, np.abs(rhs).max())
+        assert np.abs(fd - (-rhs)).max() <= 1e-6 * scale
 
     def test_jacobian_matches_finite_differences_in_u(self):
         rng = np.random.default_rng(52)
@@ -60,7 +59,7 @@ class TestBuildSystem:
         U = random_feasible_point(rng, p)
         t = 1e-2
         factor = pd_factor(U)
-        sys = build_system(p, factor, t)
+        D, _ = build_system(p, factor, t)
         d = 1e-5
         for i in range(3):
             for j in range(3):
@@ -68,7 +67,7 @@ class TestBuildSystem:
                 E[i, j] = d
                 fd = (h_of(p, U + E, t) - h_of(p, U - E, t)) / (2 * d)
                 col = np.outer(factor.inverse[:, i], factor.inverse[j, :])
-                col = col + sys.D[i, j] * (np.arange(3)[:, None] == i) * (
+                col = col + D[i, j] * (np.arange(3)[:, None] == i) * (
                     np.arange(3)[None, :] == j
                 )
                 scale = max(1.0, np.abs(col).max())
@@ -77,36 +76,35 @@ class TestBuildSystem:
 
 class TestMatvec:
     def test_identity_with_unit_diag(self):
-        sys = PredictorSystem(U_inv=np.eye(3), D=np.ones((3, 3)), rhs=np.zeros((3, 3)))
         P = symmetrize(np.random.default_rng(53).standard_normal((3, 3)))
-        assert np.allclose(matvec(sys, P), 2.0 * P, rtol=1e-14)
+        assert np.allclose(matvec(np.eye(3), np.ones((3, 3)), P), 2.0 * P, rtol=1e-14)
 
     def test_zero_input(self):
-        sys = PredictorSystem(U_inv=np.eye(3), D=np.ones((3, 3)), rhs=np.zeros((3, 3)))
-        assert np.array_equal(matvec(sys, np.zeros((3, 3))), np.zeros((3, 3)))
+        zero = np.zeros((3, 3))
+        assert np.array_equal(matvec(np.eye(3), np.ones((3, 3)), zero), zero)
 
     def test_matches_explicit_kronecker(self):
         rng = np.random.default_rng(54)
         p = random_instance(rng, 5)
         U = pd_factor(random_feasible_point(rng, p))
         t = 1e-2
-        sys = build_system(p, U, t)
+        D, _ = build_system(p, U, t)
         K = explicit_system(p, U, t)
         for _ in range(5):
             P = symmetrize(rng.standard_normal((5, 5)))
             direct = (K @ P.reshape(-1)).reshape(5, 5)
-            assert np.abs(matvec(sys, P) - direct).max() <= 1e-12 * max(1, np.abs(direct).max())
+            assert np.abs(matvec(U.inverse, D, P) - direct).max() <= 1e-12 * max(1, np.abs(direct).max())
 
     def test_operator_is_self_adjoint(self):
         rng = np.random.default_rng(55)
         p = random_instance(rng, 4)
         U = pd_factor(random_feasible_point(rng, p))
-        sys = build_system(p, U, 1e-3)
+        D, _ = build_system(p, U, 1e-3)
         for _ in range(5):
             P = symmetrize(rng.standard_normal((4, 4)))
             Q = symmetrize(rng.standard_normal((4, 4)))
-            lhs = np.sum(matvec(sys, P) * Q)
-            rhs = np.sum(P * matvec(sys, Q))
+            lhs = np.sum(matvec(U.inverse, D, P) * Q)
+            rhs = np.sum(P * matvec(U.inverse, D, Q))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -114,8 +112,7 @@ class TestCgSolve:
     def test_identity_system_single_iteration(self):
         rng = np.random.default_rng(56)
         rhs = symmetrize(rng.standard_normal((4, 4)))
-        sys = PredictorSystem(U_inv=np.eye(4), D=np.ones((4, 4)), rhs=rhs)
-        res = cg_solve(sys, rel_drop=1e-10)
+        res = cg_solve(np.eye(4), np.ones((4, 4)), rhs, rel_drop=1e-10)
         assert res.iterations == 1
         assert res.converged
         assert np.allclose(res.direction, rhs / 2.0, atol=1e-12)
@@ -135,12 +132,11 @@ class TestCgSolve:
                 B = np.zeros((n, n))
                 B[i, j] = B[j, i] = 1.0 if i == j else 2**-0.5
                 expected[i, j] = B.reshape(-1) @ K @ B.reshape(-1)
-        got = operator_diagonal(build_system(p, factor, t))
+        got = operator_diagonal(factor.inverse, build_system(p, factor, t)[0])
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_zero_rhs(self):
-        sys = PredictorSystem(U_inv=np.eye(3), D=np.ones((3, 3)), rhs=np.zeros((3, 3)))
-        res = cg_solve(sys)
+        res = cg_solve(np.eye(3), np.ones((3, 3)), np.zeros((3, 3)))
         assert res.iterations == 0
         assert np.array_equal(res.direction, np.zeros((3, 3)))
 
@@ -150,10 +146,10 @@ class TestCgSolve:
         t = 1e-3 / 72
         p = Problem(sigma=sigma, rho=rho)
         factor = solve_at(sigma, rho, t, CorrectorConfig(tol_residual=1e-9))
-        sys = build_system(p, factor, t)
-        res = cg_solve(sys, rel_drop=1e-10)
+        D, rhs = build_system(p, factor, t)
+        res = cg_solve(factor.inverse, D, rhs, rel_drop=1e-10)
         K = explicit_system(p, factor, t)
-        dense = np.linalg.solve(K, sys.rhs.reshape(-1)).reshape(6, 6)
+        dense = np.linalg.solve(K, rhs.reshape(-1)).reshape(6, 6)
         rel = np.linalg.norm(res.direction - dense) / np.linalg.norm(dense)
         assert rel <= 1e-4
 
@@ -161,9 +157,9 @@ class TestCgSolve:
         rng = np.random.default_rng(58)
         p = random_instance(rng, 5)
         factor = pd_factor(random_feasible_point(rng, p))
-        sys = build_system(p, factor, 1e-4)
+        D, rhs = build_system(p, factor, 1e-4)
         # A zero target is never met: CG runs to its n^2 cap.
-        res = cg_solve(sys, rel_drop=0.0)
+        res = cg_solve(factor.inverse, D, rhs, rel_drop=0.0)
         assert res.iterations == 25
         assert not res.converged
         assert res.rel_residual > 0
@@ -171,7 +167,7 @@ class TestCgSolve:
 
 class TestInPlaceUpdates:
     """matvec, operator_diagonal and cg_solve update only arrays of their
-    own: the system's come back bitwise unchanged, and the operator image
+    own: X, D and rhs come back bitwise unchanged, and the operator image
     and the CG direction come back exactly symmetric."""
 
     @staticmethod
@@ -179,25 +175,24 @@ class TestInPlaceUpdates:
         rng = np.random.default_rng(seed)
         p = random_instance(rng, 6)
         factor = pd_factor(random_feasible_point(rng, p))
-        sys = build_system(p, factor, 1e-3)
-        return sys, symmetrize(rng.standard_normal((6, 6)))
+        D, rhs = build_system(p, factor, 1e-3)
+        return factor.inverse, D, rhs, symmetrize(rng.standard_normal((6, 6)))
 
     @pytest.mark.parametrize("rel_drop", [1e-1, 1e-10, 0.0])
     def test_inputs_are_left_alone(self, rel_drop):
-        sys, P = self._system(61)
-        inputs = (sys.U_inv, sys.D, sys.rhs, P)
+        X, D, rhs, P = inputs = self._system(61)
         before = [a.tobytes() for a in inputs]
-        matvec(sys, P)
-        operator_diagonal(sys)
-        cg_solve(sys, rel_drop)
+        matvec(X, D, P)
+        operator_diagonal(X, D)
+        cg_solve(X, D, rhs, rel_drop)
         assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("rel_drop", [1e-1, 1e-10, 0.0])
     def test_outputs_are_exactly_symmetric(self, rel_drop):
-        sys, P = self._system(62)
-        image = matvec(sys, P)
+        X, D, rhs, P = self._system(62)
+        image = matvec(X, D, P)
         assert np.array_equal(image, image.T)
-        direction = cg_solve(sys, rel_drop).direction
+        direction = cg_solve(X, D, rhs, rel_drop).direction
         assert np.array_equal(direction, direction.T)
 
 
@@ -271,7 +266,7 @@ class TestPredictorStep:
         tangent = CGResult(
             direction=1.5 * np.eye(2), iterations=1, converged=True, rel_residual=0.0
         )
-        monkeypatch.setattr(predictor, "cg_solve", lambda sys: tangent)
+        monkeypatch.setattr(predictor, "cg_solve", lambda X, D, rhs: tangent)
         out, h_used, _ = predictor_step_detail(p, factor, 1e-2, -1.0)
         assert h_used == -1.0
         assert np.array_equal(out, -0.5 * np.eye(2))

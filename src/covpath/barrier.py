@@ -18,20 +18,22 @@ from .symmat import PDFactor, checked_symmetric, cholesky_logdet, pd_factor
 # Steps toward the box boundary (the corrector's primal and dual steps, the
 # predictor's tangent step) stop STEP_FRAC of the way there.
 STEP_FRAC = 0.99
+# Orientation of the box faces along axis 0, upper then lower: face k lies
+# at sigma + SIDE[k] rho, and its slack is (face - U) * SIDE[k] > 0.
+SIDE = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
 class Problem:
     """One covariance-selection instance: sample covariance plus penalty.
 
-    ``upper`` = sigma + rho and ``lower`` = sigma - rho are the faces of
-    the dual box, computed once.
+    ``faces`` = [sigma + rho, sigma - rho], the upper and lower faces of
+    the dual box stacked along axis 0 (:data:`SIDE`), is computed once.
     """
 
     sigma: np.ndarray
     rho: float
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    faces: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = checked_symmetric(np.array(self.sigma, dtype=float), "sigma")
@@ -40,8 +42,7 @@ class Problem:
         if not 0.0 < self.rho < np.inf:
             raise ValueError("rho must be finite and positive")
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "upper", sigma + self.rho)
-        object.__setattr__(self, "lower", sigma - self.rho)
+        object.__setattr__(self, "faces", sigma + SIDE * self.rho)
 
     @property
     def n(self) -> int:
@@ -52,9 +53,7 @@ class Problem:
         return float(np.max(np.diagonal(self.sigma)))
 
 
-def feasible(
-    p: Problem, U: np.ndarray, name: str = "U"
-) -> tuple[PDFactor, tuple[np.ndarray, np.ndarray]]:
+def feasible(p: Problem, U: np.ndarray, name: str = "U") -> tuple[PDFactor, np.ndarray]:
     """Strict dual feasibility: U exactly symmetric (Cholesky reads one
     triangle), every box slack positive (:func:`slacks`) and U PD.
 
@@ -74,16 +73,16 @@ def feasible(
         raise Infeasible(f"{name} is not positive definite: {exc}") from exc
 
 
-def slacks(p: Problem, U: np.ndarray, name: str = "U") -> tuple[np.ndarray, np.ndarray]:
-    """Box slacks (slack+, slack-) = (sigma + rho - U, U - (sigma - rho)).
+def slacks(p: Problem, U: np.ndarray, name: str = "U") -> np.ndarray:
+    """Box slacks [s+, s-] = [sigma + rho - U, U - (sigma - rho)], stacked
+    as ``p.faces`` is.
 
     Raises Infeasible naming ``name`` unless every slack is positive (a NaN is not).
     """
-    slack_plus = p.upper - U
-    slack_minus = U - p.lower
-    if not (slack_plus.min() > 0.0 and slack_minus.min() > 0.0):
+    slack = (p.faces - U) * SIDE
+    if not slack.min() > 0.0:
         raise Infeasible(f"{name} leaves the box: a box slack is non-positive")
-    return slack_plus, slack_minus
+    return slack
 
 
 def step_to_boundary(reach: float) -> float:
@@ -94,24 +93,23 @@ def step_to_boundary(reach: float) -> float:
 
 
 def multipliers(
-    p: Problem, U: np.ndarray, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise barrier multipliers (L, M) = (t/slack+, t/slack-).
+    p: Problem, U: np.ndarray, t: float, slack: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise barrier multipliers [L, M] = t / [s+, s-], stacked as
+    the slacks are, so ``L, M = multipliers(...)`` unpacks them.
 
     ``slack`` is ``slacks(p, U)`` when the caller already has it. Raises
     Infeasible when any box slack is non-positive.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
-    slack_plus, slack_minus = slacks(p, U) if slack is None else slack
-    return t / slack_plus, t / slack_minus
+    return t / (slacks(p, U) if slack is None else slack)
 
 
-def residual(LM: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Central-path residual H = L - M - X, with (L, M) the multipliers at U
+def residual(LM: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Central-path residual H = L - M - X, with [L, M] the multipliers at U
     (:func:`multipliers`) and X = U^{-1}; zero exactly on the path."""
-    L, M = LM
-    H = L - M
+    H = LM[0] - LM[1]
     H -= X
     return H
 
@@ -131,9 +129,7 @@ def primal_objective(p: Problem, X: np.ndarray, logdet: float | None = None) -> 
     return float(logdet - np.vdot(p.sigma, X) - p.rho * np.abs(X).sum())
 
 
-def barrier_objective(
-    p: Problem, U: PDFactor, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
-) -> float:
+def barrier_objective(p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None) -> float:
     """Barrier function value at U.
 
     The barrier sums log slacks over all n^2 ordered index pairs, so each
@@ -141,8 +137,8 @@ def barrier_objective(
     the factor 2t on off-diagonal terms in the row/column block problem.
     ``slack`` is ``slacks(p, U.matrix)`` when the caller already has it.
     """
-    slack_plus, slack_minus = slacks(p, U.matrix) if slack is None else slack
-    return float(-U.logdet - t * np.log(slack_plus * slack_minus).sum())
+    slack = slacks(p, U.matrix) if slack is None else slack
+    return float(-U.logdet - t * np.log(slack[0] * slack[1]).sum())
 
 
 def gap_bound(n: int, t: float) -> float:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import (
+    SIDE,
     Problem,
     barrier_objective,
     feasible,
@@ -135,16 +136,18 @@ def corrector_run(
     it is feasible and the decrement -<H, P> is below the float resolution
     of f, where the Armijo test compares rounding noise.
 
-    Slack bookkeeping: each iterate comes with its slacks s+/- from the
+    Slack bookkeeping: each iterate comes with its slacks s = [s+, s-],
+    stacked along axis 0 as the box faces are (``barrier.SIDE``), from the
     test that admitted it, ``barrier.feasible`` or the line search
     (``barrier.slacks``; the line search also takes the barrier objective
-    from them). The step computes 1/s+/- and the multipliers
-    L, M = t/s+/- (``barrier.multipliers``) from them once, and builds from
-    these alone the residual H = L - M - X (``barrier.residual``), the two
-    parts L~/s+ and M~/s- of D, the dual directions
-    dL = L - L~ + (L~/s+) o P and dM = M - M~ - (M~/s-) o P, and both
-    step-to-boundary ratios. Inner products and norms are BLAS dots, and
-    the dual estimates are updated in place.
+    from them). The step computes 1/s and the multipliers [L, M] = t/s
+    (``barrier.multipliers``) from them once, and builds from these alone
+    the residual H = L - M - X (``barrier.residual``), the stacked dual
+    estimates [L~, M~] and their parts [L~/s+, M~/s-] of D, the dual
+    direction [L, M] - [L~, M~] + ([L~, M~]/s) o SIDE o P, and both
+    step-to-boundary ratios; each face formula is written once, over the
+    stack. Inner products and norms are BLAS dots, and the dual estimates
+    are updated in place.
 
     The run returns after a full step that leaves the residual, computed
     with a fresh inverse, at most ``cfg.residual_tol(n)`` and the duality
@@ -168,16 +171,15 @@ def corrector_run(
     factor, slack = feasible(p, start, "corrector start")
 
     f = barrier_objective(p, factor, t, slack)
-    L, M = multipliers(p, factor.matrix, t, slack)
-    L_dual = _clip(factor.inverse, L, KAPPA * L)
-    M_dual = _clip(-factor.inverse, M, KAPPA * M)
+    LM = multipliers(p, factor.matrix, t, slack)
+    dual = _clip(SIDE * factor.inverse, LM, KAPPA * LM)
     stats = CorrectorStats()
     full_step = False
     best, best_norm, stalled = factor, math.inf, 0
 
     while True:
         X = factor.inverse
-        H = residual((L, M), X)
+        H = residual(LM, X)
         stats.residual_norm = math.sqrt(np.vdot(H, H))
         if full_step and stats.residual_norm <= tol and duality_gap(p, X) <= max_gap:
             return factor, stats
@@ -199,26 +201,23 @@ def corrector_run(
                 residual=stats.residual_norm,
             )
 
-        inv_plus, inv_minus = 1.0 / slack[0], 1.0 / slack[1]
-        D_plus = L_dual * inv_plus
-        D_minus = M_dual * inv_minus
-        cg = cg_solve(X, D_plus + D_minus, -H, CG_REL)
+        inv_slack = 1.0 / slack
+        D_parts = dual * inv_slack
+        cg = cg_solve(X, D_parts[0] + D_parts[1], -H, CG_REL)
         P = cg.direction
         stats.inner_passes += cg.iterations
         stats.sweeps += 1
 
-        # The parts of D and the reciprocal slacks are not needed again:
-        # they take their products with P in place.
-        dL = L - L_dual
-        D_plus *= P
-        dL += D_plus
-        dM = M - M_dual
-        D_minus *= P
-        dM -= D_minus
-        a_dual = step_to_boundary(-min((dL / L_dual).min(), (dM / M_dual).min()))
-        inv_plus *= P
-        inv_minus *= P
-        a = step_to_boundary(max(inv_plus.max(), -inv_minus.min()))
+        # A primal step a P moves each slack by -a SIDE o P. The parts of D
+        # and the reciprocal slacks are not needed again: they take their
+        # products with it in place.
+        face_step = SIDE * P
+        d_dual = LM - dual
+        D_parts *= face_step
+        d_dual += D_parts
+        a_dual = step_to_boundary(-(d_dual / dual).min())
+        inv_slack *= face_step
+        a = step_to_boundary(inv_slack.max())
         decrement = -float(np.vdot(H, P))
         flat = decrement <= F_RESOLUTION * abs(f)
         for _ in range(MAX_HALVINGS):
@@ -238,13 +237,10 @@ def corrector_run(
             )
         full_step = a == 1.0
         factor, f, slack = trial, f_trial, trial_slack
-        L, M = multipliers(p, factor.matrix, t, slack)
-        dL *= a_dual
-        L_dual += dL
-        _clip(L_dual, L / KAPPA, KAPPA * L, out=L_dual)
-        dM *= a_dual
-        M_dual += dM
-        _clip(M_dual, M / KAPPA, KAPPA * M, out=M_dual)
+        LM = multipliers(p, factor.matrix, t, slack)
+        d_dual *= a_dual
+        dual += d_dual
+        _clip(dual, LM / KAPPA, KAPPA * LM, out=dual)
 
 
 def _clip(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None):

@@ -9,6 +9,7 @@ the bytes that ``np.savetxt`` and ``json`` would.
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +33,16 @@ PSD_SHIFT = 1e-10
 
 
 def load_matrix(path) -> np.ndarray:
-    """Numeric CSV to 2-D float array; raises ParseError on bad input."""
+    """Numeric CSV to 2-D float array; raises ParseError on bad input or none."""
     try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # A file with no data is rejected below, by name.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except (ValueError, OSError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if m.size == 0:
+        raise ParseError(f"{path}: no data")
     if not np.all(np.isfinite(m)):
         raise ParseError(f"{path}: non-finite entries")
     return m

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import Problem, multipliers, slacks, step_to_boundary
+from .barrier import SIDE, Problem, multipliers, slacks, step_to_boundary
 # perfbench/tracing.py wraps predictor.feasible, so the name stays here.
 from .barrier import feasible  # noqa: F401
 from .symmat import PDFactor
@@ -37,15 +37,15 @@ class CGResult:
 
 
 def build_system(
-    p: Problem, U: PDFactor, t: float, slack: tuple[np.ndarray, np.ndarray] | None = None
+    p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(D, rhs) of the tangent system at a (near-)central iterate U, from
     differentiating the multiplier maps: D = (L^2 + M^2)/t elementwise and
     rhs = -dH/drho = (L^2 - M^2)/t; X is ``U.inverse``. ``slack`` is
     ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
-    L, M = multipliers(p, U.matrix, t, slack)
-    D = (L**2 + M**2) / t
-    rhs = (L**2 - M**2) / t
+    squares = multipliers(p, U.matrix, t, slack) ** 2
+    D = (squares[0] + squares[1]) / t
+    rhs = (squares[0] - squares[1]) / t
     return D, rhs
 
 
@@ -143,12 +143,12 @@ def predictor_step_detail(
     driver builds from U_new is tested once, by the corrector run that
     starts from it (``path.run_path``).
     """
-    slack_plus, slack_minus = slacks(p, U.matrix)
-    D, rhs = build_system(p, U, t, (slack_plus, slack_minus))
+    slack = slacks(p, U.matrix)
+    D, rhs = build_system(p, U, t, slack)
     result = cg_solve(U.inverse, D, rhs)
     dU = result.direction
     # Largest relative move of a slack toward zero over the full step h.
-    reach = max((-h * (1.0 - dU) / slack_plus).max(), (-h * (1.0 + dU) / slack_minus).max())
+    reach = (-h * (1.0 - SIDE * dU) / slack).max()
     h_used = h * step_to_boundary(reach)
     # dU is exactly symmetric, so U + h_used dU is too.
     return U.matrix + h_used * dU, h_used, result

@@ -15,12 +15,12 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from covpath import kernels
-from covpath.barrier import Problem, dual_objective, gap_bound
+from covpath.barrier import Problem, dual_objective, gap_bound, initial_point
 from covpath.cli import main as cli_main
 import covpath.path
 from covpath.corrector import CorrectorConfig
 from covpath.data import GeneratorSpec, generate_problem, load_json
-from covpath.path import PathConfig, run_online, run_path, solve_at
+from covpath.path import PathConfig, recenter, run_online, run_path, solve_at
 from covpath.reference import (
     GUARD_FRAC,
     REFRESH_EVERY,
@@ -304,6 +304,23 @@ def test_criterion_09_performance_sanity(n100_predictor_path):
                 assert not result.truncated
             medians.append(statistics.median(walls))
         assert all(b > a for a, b in zip(medians, medians[1:])), medians
+
+
+def test_criterion_09_path_beats_points_alone():
+    # The paper's claim on a fine grid: warm-starting each grid value from
+    # the last one takes fewer Newton steps than re-centering every value
+    # alone from the sparse-end start (400 against 1179 when written).
+    # Coarse grids at n >= 200 do not yet keep it.
+    with criterion(9, "a fine-grid path takes fewer Newton steps than its points alone"):
+        sigma, _ = generate_problem(GeneratorSpec(n=100, density=0.1, seed=1100))
+        result = run_path(sigma, PathConfig(points=50, mode="predictor"))
+        assert not result.truncated
+        alone = 0
+        for pt in result.points:
+            p = Problem(sigma=sigma, rho=pt.rho)
+            alone += recenter(p, initial_point(p), result.t, CorrectorConfig())[1].sweeps
+        path_steps = sum(pt.sweeps for pt in result.points)
+        assert path_steps < alone, (path_steps, alone)
 
 
 def test_criterion_10_byte_identical_summaries(tmp_path):

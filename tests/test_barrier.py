@@ -16,6 +16,7 @@ from covpath.barrier import (
     primal_objective,
     residual,
     scaling_warm_start,
+    slacks,
 )
 from covpath.corrector import CorrectorConfig
 from covpath.exceptions import DegenerateInstance, Infeasible
@@ -150,6 +151,17 @@ class TestMultipliers:
             for j in range(2):
                 assert L[i, j] == 0.01 / (0.6 + sigma[i, j] - U[i, j])
                 assert M[i, j] == 0.01 / (0.6 - sigma[i, j] + U[i, j])
+
+    def test_stacked_faces_match_the_box(self):
+        # Axis 0 of the slacks and multipliers holds the upper face
+        # sigma + rho, then the lower face sigma - rho.
+        rng = np.random.default_rng(3)
+        p = random_instance(rng, 4)
+        U = random_feasible_point(rng, p)
+        slack = slacks(p, U)
+        assert np.array_equal(slack[0], p.sigma + p.rho - U)
+        assert np.array_equal(slack[1], U - (p.sigma - p.rho))
+        assert np.array_equal(multipliers(p, U, 0.3), 0.3 / slack)
 
     def test_infeasible_raises(self):
         p = Problem(sigma=np.diag([1.0, 1.0]), rho=0.1)

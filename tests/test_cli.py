@@ -112,6 +112,15 @@ class TestSolve:
     def test_missing_input_is_input_error(self, tmp_path):
         assert run_cli("solve", "--sigma", tmp_path / "nope.csv") == 2
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--samples"])
+    def test_empty_csv_is_input_error_naming_the_file(self, tmp_path, capsys, flag):
+        f = tmp_path / "empty.csv"
+        f.write_text("")
+        assert run_cli("solve", flag, f, "--output", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert f"input error: {f}: no data" in err
+        assert "UserWarning" not in err
+
     def test_asymmetric_input_is_input_error(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("1,0.9\n0.1,2\n")

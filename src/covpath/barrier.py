@@ -36,7 +36,20 @@ class Problem:
     faces: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = checked_symmetric(np.array(self.sigma, dtype=float), "sigma")
+        self._store(checked_symmetric(np.array(self.sigma, dtype=float), "sigma"))
+
+    @classmethod
+    def from_symmetric(cls, sigma: np.ndarray, rho: float) -> "Problem":
+        """The instance of a float64 ``sigma`` already known to be finite
+        and exactly symmetric, stored as given: no copy and no symmetry or
+        finiteness test. The diagonal and rho are tested as the
+        constructor tests them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rho", rho)
+        p._store(sigma)
+        return p
+
+    def _store(self, sigma: np.ndarray) -> None:
         if (sigma.diagonal() <= 0.0).any():
             raise ValueError("sigma must have a positive diagonal")
         if not 0.0 < self.rho < np.inf:

@@ -222,7 +222,7 @@ def corrector_run(
         flat = decrement <= F_RESOLUTION * abs(f)
         for _ in range(MAX_HALVINGS):
             try:
-                trial = pd_factor(factor.matrix + a * P)
+                trial = pd_factor(factor.matrix + (P if a == 1.0 else a * P))
             except NotPositiveDefinite:
                 a *= 0.5
                 continue
@@ -238,7 +238,8 @@ def corrector_run(
         full_step = a == 1.0
         factor, f, slack = trial, f_trial, trial_slack
         LM = multipliers(p, factor.matrix, t, slack)
-        d_dual *= a_dual
+        if a_dual != 1.0:
+            d_dual *= a_dual
         dual += d_dual
         _clip(dual, LM / KAPPA, KAPPA * LM, out=dual)
 

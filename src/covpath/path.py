@@ -29,7 +29,7 @@ from .barrier import (
 )
 from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible
-from .predictor import build_system, cg_solve, predictor_step_detail
+from .predictor import barrier_curvature, cg_solve, predictor_step_detail
 from .symmat import PDFactor, checked_symmetric
 # perfbench/tracing.py wraps path.pd_factor, so the name stays here.
 from .symmat import pd_factor  # noqa: F401
@@ -406,8 +406,18 @@ def solve_at(
 
 
 def shifted_problem(p: Problem, C: np.ndarray, mu: float) -> Problem:
-    """The instance with covariance sigma + mu C at the same penalty."""
-    return Problem(sigma=p.sigma + mu * C, rho=p.rho)
+    """The instance with covariance sigma + mu C at the same penalty, for a
+    finite, exactly symmetric C (``run_online`` checks it).
+
+    sigma + mu C is then exactly symmetric, so it is stored as computed
+    (``Problem.from_symmetric``), without the copy and symmetry test of the
+    constructor. A non-finite sum or a non-positive diagonal raises the
+    constructor's ValueError.
+    """
+    sigma = p.sigma + (C if mu == 1.0 else mu * C)
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma must be finite")
+    return Problem.from_symmetric(sigma, p.rho)
 
 
 def run_online(
@@ -425,11 +435,19 @@ def run_online(
     Continuation runs in mu from 0 to 1 in steps of 1/k (k=1 is usually
     enough for small C): each step takes a tangent move in mu from the CG
     solve of the same structured system with right-hand side -dH/dmu, then
-    re-centers with the corrector on the shifted problem. Only ``U_star``
-    is tested here (``barrier.feasible``); its factor and slacks build the
-    first tangent system. Each tangent point goes to a corrector run, which
-    tests it; while that run raises Infeasible the step halves, down to
-    2^-10, and beyond that Infeasible is raised (reduce C per call).
+    re-centers with the corrector on the shifted problem
+    (:func:`shifted_problem`). That system's D is the barrier curvature
+    (L^2 + M^2)/t (``predictor.barrier_curvature``), and -dH/dmu = D o C.
+    A step of 1 (k=1) adds the tangent direction unscaled.
+
+    C is held to sigma's symmetry rule (``symmat.checked_symmetric``).
+    Only ``U_star`` is tested here, by ``barrier.feasible`` alone, which
+    no U_star that is not finite and exactly symmetric passes; one that
+    fails is held to the same rule and tested again. Its factor and slacks
+    build the first tangent system. Each tangent point goes to a corrector
+    run, which tests it; while that run raises Infeasible the step halves,
+    down to 2^-10, and beyond that Infeasible is raised (reduce C per
+    call).
     The corrector takes at least one Newton step even from a tangent point
     that already passes its return test (``corrector.centered``): such a
     point can still be 1e-7 from the solution. Streams of 12 updates
@@ -440,9 +458,14 @@ def run_online(
     if k < 1:
         raise ValueError("k must be at least 1")
     C = checked_symmetric(np.asarray(C, dtype=float), "C")
-    U_star = checked_symmetric(np.asarray(U_star, dtype=float), "U_star")
-    factor, slack = feasible(p, U_star, "U_star")
-    if not np.any(C):
+    U_star = np.asarray(U_star, dtype=float)
+    try:
+        factor, slack = feasible(p, U_star, "U_star")
+    except Infeasible:
+        # A nearly symmetric U_star is averaged before the second test; an
+        # asymmetric or non-finite one raises ValueError.
+        factor, slack = feasible(p, checked_symmetric(U_star, "U_star"), "U_star")
+    if not C.any():
         return factor
 
     cc = corrector_cfg or CorrectorConfig()
@@ -450,14 +473,14 @@ def run_online(
     min_step = 2.0**-10
     while mu < 1.0:
         step = min(1.0 / k, 1.0 - mu)
-        D, _ = build_system(p_mu, factor, t, slack)
-        # -dH/dmu = ((L^2 + M^2)/t) o C, and (L^2 + M^2)/t is the system's D.
+        D, _ = barrier_curvature(p_mu, factor, t, slack)
         direction = cg_solve(factor.inverse, D, D * C).direction
         while True:
             mu_next = mu + step
             p_next = shifted_problem(p, C, mu_next)
+            start = factor.matrix + (direction if step == 1.0 else step * direction)
             try:
-                factor, _ = corrector_run(p_next, factor.matrix + step * direction, t, cc)
+                factor, _ = corrector_run(p_next, start, t, cc)
                 break
             except Infeasible:
                 step *= 0.5

@@ -36,17 +36,27 @@ class CGResult:
     rel_residual: float
 
 
+def barrier_curvature(
+    p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """D = (L^2 + M^2)/t = t/s+^2 + t/s-^2 elementwise, the barrier's
+    curvature at U and the D of its tangent systems, with the squared
+    multipliers [L^2, M^2] it is made from. ``slack`` is
+    ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
+    squares = multipliers(p, U.matrix, t, slack)
+    squares *= squares
+    return (squares[0] + squares[1]) / t, squares
+
+
 def build_system(
     p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D, rhs) of the tangent system at a (near-)central iterate U, from
-    differentiating the multiplier maps: D = (L^2 + M^2)/t elementwise and
-    rhs = -dH/drho = (L^2 - M^2)/t; X is ``U.inverse``. ``slack`` is
-    ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
-    squares = multipliers(p, U.matrix, t, slack) ** 2
-    D = (squares[0] + squares[1]) / t
-    rhs = (squares[0] - squares[1]) / t
-    return D, rhs
+    """(D, rhs) of the tangent system in rho at a (near-)central iterate U,
+    from differentiating the multiplier maps: D is
+    :func:`barrier_curvature` and rhs = -dH/drho = (L^2 - M^2)/t; X is
+    ``U.inverse``. ``slack`` is as there."""
+    D, squares = barrier_curvature(p, U, t, slack)
+    return D, (squares[0] - squares[1]) / t
 
 
 def matvec(X: np.ndarray, D: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -79,22 +89,28 @@ def cg_solve(
     """Solve X P X + D o P = rhs by Jacobi-preconditioned conjugate gradient
     on symmetric matrices under the Frobenius product; the preconditioner
     is :func:`operator_diagonal`. Stops once the unpreconditioned residual
-    has dropped by ``rel_drop``, or unconverged after n^2 iterations. The
-    iterate, residual and search direction are updated in place; X, D and
-    rhs are left as they are."""
+    has dropped by ``rel_drop``, or unconverged after n^2 iterations or at
+    the first direction of non-positive curvature.
+
+    CG starts from x = 0, so the first iteration takes r = rhs and the
+    preconditioned residual as its direction, and writes x and r afresh;
+    later ones update the iterate, residual and direction in place. When
+    the first direction already has non-positive curvature the result is
+    the zero direction after 0 iterations. X, D and rhs are left as they
+    are."""
     n = rhs.shape[0]
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    r0_norm = math.sqrt(np.vdot(r, r))
+    r0_norm = math.sqrt(np.vdot(rhs, rhs))
     if r0_norm == 0.0:
-        return CGResult(direction=x, iterations=0, converged=True, rel_residual=0.0)
+        return CGResult(
+            direction=np.zeros_like(rhs), iterations=0, converged=True, rel_residual=0.0
+        )
     target = rel_drop * r0_norm
 
     inv_diag = operator_diagonal(X, D)
     np.reciprocal(inv_diag, out=inv_diag)
-    z = r * inv_diag
-    p_dir = z.copy()
-    rz = float(np.vdot(r, z))
+    p_dir = rhs * inv_diag
+    rz = float(np.vdot(rhs, p_dir))
+    z = None
     iterations = 0
     r_norm = r0_norm
     converged = False
@@ -104,19 +120,27 @@ def cg_solve(
         if denom <= 0.0:
             break
         step = rz / denom
-        x += step * p_dir
         Ap *= step
-        r -= Ap
+        if iterations:
+            x += step * p_dir
+            r -= Ap
+        else:
+            x = step * p_dir
+            # A sum from x = 0 turns -0.0 into 0.0 and changes nothing else.
+            x += 0.0
+            r = rhs - Ap
         iterations += 1
         r_norm = math.sqrt(np.vdot(r, r))
         if r_norm <= target:
             converged = True
             break
-        np.multiply(r, inv_diag, out=z)
+        z = np.multiply(r, inv_diag, out=z)
         rz_new = float(np.vdot(r, z))
         p_dir *= rz_new / rz
         p_dir += z
         rz = rz_new
+    if not iterations:
+        x = np.zeros_like(rhs)
     x += x.T  # symmetric part, as in symmat.symmetrize
     x *= 0.5
     return CGResult(

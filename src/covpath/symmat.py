@@ -53,11 +53,17 @@ def cholesky_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     pivot is not above ``PIVOT_RTOL * max(diag(m))``, which a NaN or
     infinite entry never is.
     """
-    chol, info = _dpotrf(m, lower=1, clean=1)
+    # LAPACK flags go in by position, as f2py parses keywords slowly:
+    # (lower, clean) here, (lower, unitdiag, overwrite_c) for dtrtri.
+    chol, info = _dpotrf(m, 1, 1)
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (info {info})")
     d = chol.diagonal()
-    if not (d * d).min() > PIVOT_RTOL * m.diagonal().max():
+    # Rounded squaring is monotone on the pivots, which are positive (a NaN
+    # fails either way), so the smallest squared pivot is the smallest
+    # pivot squared.
+    smallest = d.min()
+    if not smallest * smallest > PIVOT_RTOL * m.diagonal().max():
         raise NotPositiveDefinite("pivot below relative tolerance")
     return chol, 2.0 * float(np.log(d).sum())
 
@@ -86,7 +92,7 @@ def pd_factor(m: np.ndarray) -> PDFactor:
     triangle; at n = 100 the two cost the same.
     """
     chol, logdet = cholesky_logdet(m)
-    half, info = _dtrtri(chol, lower=1, overwrite_c=1)
+    half, info = _dtrtri(chol, 1, 0, 1)
     if info != 0:
         raise NotPositiveDefinite(f"inversion of the Cholesky factor failed (info {info})")
     return PDFactor(matrix=np.array(m, dtype=float), logdet=logdet, inverse=half.T @ half)

@@ -34,6 +34,7 @@ from covpath.path import (
     recenter,
     run_online,
     run_path,
+    shifted_problem,
     singleton_slack,
     solve_at,
 )
@@ -665,6 +666,46 @@ class TestOnline:
         online = run_online(p, base.matrix, C, k=1, t=t, corrector_cfg=cc)
         scratch = solve_at(sigma + C, rho, t, cc)
         assert np.linalg.norm(online.matrix - scratch.matrix) <= 1e-6
+
+
+class TestShiftedProblem:
+    """shifted_problem stores sigma + mu C without the constructor's copy
+    and symmetry test, and must build the instance the constructor would."""
+
+    @staticmethod
+    def _base():
+        sigma, _ = generate_problem(GeneratorSpec(n=8, density=0.3, seed=2))
+        return Problem(sigma=sigma, rho=0.3 * float(np.max(np.diag(sigma))))
+
+    @pytest.mark.parametrize("mu", [1.0, 0.5, 1 / 3, -0.25])
+    def test_matches_the_constructor(self, mu):
+        p = self._base()
+        C = symmetrize(np.random.default_rng(9).standard_normal(p.sigma.shape))
+        C *= 1e-2 * np.linalg.norm(p.sigma) / np.linalg.norm(C)
+        shifted = shifted_problem(p, C, mu)
+        built = Problem(sigma=p.sigma + mu * C, rho=p.rho)
+        assert np.array_equal(shifted.sigma, built.sigma)
+        assert np.array_equal(shifted.faces, built.faces)
+        assert shifted.rho == built.rho
+
+    def test_non_positive_diagonal_raises_the_constructor_error(self):
+        p = self._base()
+        C = -2.0 * np.diag(np.diag(p.sigma))
+        with pytest.raises(ValueError) as built:
+            Problem(sigma=p.sigma + C, rho=p.rho)
+        with pytest.raises(ValueError) as shifted:
+            shifted_problem(p, C, 1.0)
+        assert str(shifted.value) == str(built.value) == "sigma must have a positive diagonal"
+
+    def test_non_finite_sum_raises_the_constructor_error(self):
+        p = self._base()
+        C = np.full(p.sigma.shape, 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as built:
+                Problem(sigma=p.sigma + 10.0 * C, rho=p.rho)
+            with pytest.raises(ValueError) as shifted:
+                shifted_problem(p, C, 10.0)
+        assert str(shifted.value) == str(built.value) == "sigma must be finite"
 
 
 class TestFactorizations:

@@ -153,6 +153,18 @@ class TestCgSolve:
         rel = np.linalg.norm(res.direction - dense) / np.linalg.norm(dense)
         assert rel <= 1e-4
 
+    def test_non_positive_curvature_at_once_gives_the_zero_direction(self):
+        # With X = I and D = -10 the operator is -9 times the identity, so
+        # the first direction already has negative curvature.
+        rhs = symmetrize(np.random.default_rng(59).standard_normal((4, 4)))
+        before = rhs.tobytes()
+        res = cg_solve(np.eye(4), np.full((4, 4), -10.0), rhs)
+        assert res.iterations == 0
+        assert not res.converged
+        assert np.array_equal(res.direction, np.zeros((4, 4)))
+        assert np.array_equal(res.direction, res.direction.T)
+        assert rhs.tobytes() == before
+
     def test_max_iters_flagged(self):
         rng = np.random.default_rng(58)
         p = random_instance(rng, 5)

@@ -162,7 +162,9 @@ def corrector_run(
     iterate, or, with the lowest-residual one, after ``STALL_STEPS`` full
     steps in a row that find no lower residual: rounding in the slacks near
     a face leaves a floor of about eps |U| |X|^2 / t that no tolerance below
-    it gets past. Raises LineSearchFailure when no step is acceptable.
+    it gets past; the message then states that iterate's
+    :func:`rounding_floor`. Raises LineSearchFailure when no step is
+    acceptable.
     """
     cfg = cfg or CorrectorConfig()
     n = p.n
@@ -189,8 +191,9 @@ def corrector_run(
             stalled = stalled + 1 if full_step else 0
         if stalled >= STALL_STEPS:
             raise MaxSweepsExceeded(
-                f"residual stalled at {best_norm:.3e} (tol {tol:.3e}) after "
-                f"{stats.sweeps} Newton steps, the last {STALL_STEPS} full",
+                f"residual stalled at {best_norm:.3e} (tol {tol:.3e}, rounding floor "
+                f"{rounding_floor(best, t):.3e}) after {stats.sweeps} Newton steps, "
+                f"the last {STALL_STEPS} full",
                 best=best, residual=best_norm,
             )
         if stats.sweeps >= cfg.max_sweeps:
@@ -242,6 +245,15 @@ def corrector_run(
             d_dual *= a_dual
         dual += d_dual
         _clip(dual, LM / KAPPA, KAPPA * LM, out=dual)
+
+
+def rounding_floor(factor: PDFactor, t: float) -> float:
+    """Estimate ||U| o X o X||_F eps / t of the residual's rounding floor at
+    U = ``factor.matrix``, X = its inverse: the slacks (sigma +- rho) -+ U
+    carry an absolute error of about eps |U|, which t/s turns into an
+    error of about eps |U| X^2 / t in H wherever s is near t/|X|."""
+    Y = np.abs(factor.matrix) * factor.inverse * factor.inverse
+    return math.sqrt(np.vdot(Y, Y)) * np.finfo(float).eps / t
 
 
 def _clip(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None):

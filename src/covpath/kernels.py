@@ -34,10 +34,12 @@ after a row/column replacement (Sherman-Woodbury-Morrison).
 import math
 
 import numpy as np
-from scipy.linalg.blas import dsyr as _dsyr
-from scipy.linalg.lapack import dposv as _dposv
 
 from .exceptions import Infeasible, NumericalBreakdown, SingularUpdate
+from .symmat import scipy_linalg_extension
+
+_dsyr = scipy_linalg_extension("_fblas").dsyr
+_dposv = scipy_linalg_extension("_flapack").dposv
 
 
 # --------------------------------------------------------------------------

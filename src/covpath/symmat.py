@@ -6,15 +6,60 @@ factorization L L^T as L^{-T} L^{-1}, a product that numpy computes as one
 triangle and mirrors, so it is exactly symmetric. The rank-2 inverse
 updates of the paper's block coordinate-descent corrector, which only the
 tests run, are kept with that corrector's row solvers.
+
+LAPACK and BLAS come from scipy's f2py extension modules
+``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, which
+:func:`scipy_linalg_extension` loads without running ``scipy.linalg``'s
+package import. That import clones the numpy namespace for scipy's array
+API layer, which loads numpy.f2py, numpy.testing, numpy.ma and
+numpy.random, and would take about half of covpath's start-up. The
+routines are the very objects that ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` export, in whichever order the two are imported.
 """
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _dpotrf
-from scipy.linalg.lapack import dtrtri as _dtrtri
 
 from .exceptions import NotPositiveDefinite
+
+
+def scipy_linalg_extension(name: str) -> ModuleType:
+    """scipy's compiled module ``scipy.linalg.<name>``, such as ``_flapack``,
+    loaded without importing the ``scipy`` or ``scipy.linalg`` packages.
+
+    The module goes into ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` reuses it (scipy takes it with ``from
+    scipy.linalg import _flapack``, which looks there; the package gets no
+    such attribute). After that import it is the module already there.
+
+    Raises ModuleNotFoundError naming ``scipy`` when scipy is not installed,
+    and naming ``scipy.linalg.<name>`` when it has no such extension module.
+    """
+    qualified = f"scipy.linalg.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not import
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualified)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {qualified!r}", name=qualified)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[qualified] = module
+    return module
+
+
+_flapack = scipy_linalg_extension("_flapack")
+_dpotrf = _flapack.dpotrf
+_dtrtri = _flapack.dtrtri
 
 # A Cholesky pivot d with d^2 not above PIVOT_RTOL * max(diag) counts as
 # not PD; so does a non-finite pivot.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -419,6 +421,15 @@ class TestCorrectorSolve:
         H = residual(multipliers(p, best.matrix, t), best.inverse)
         assert err.value.residual == pytest.approx(np.linalg.norm(H), rel=1e-12)
         assert err.value.residual > 1e-7
+        # The message states the floor estimate ||U| o X o X||_F eps / t of
+        # that iterate (1.07e-6 against a stalled residual of 2.37e-7).
+        stated = re.search(r"rounding floor (\S+)\)", str(err.value))
+        assert stated is not None, str(err.value)
+        floor = float(stated.group(1))
+        U, X = best.matrix, best.inverse
+        estimate = np.linalg.norm(np.abs(U) * X * X) * np.finfo(float).eps / t
+        assert floor == pytest.approx(estimate, rel=1e-3)
+        assert err.value.residual / 10 <= floor <= 10 * err.value.residual
 
     def test_line_search_halves_a_trial_that_is_not_positive_definite(self, monkeypatch):
         # Only the line search factors through corrector.pd_factor; the

@@ -6,10 +6,13 @@ The only names allowed to stay unused are those ``perfbench/tracing.py``
 wraps on the importing module (its ``target_keys()``): the tracer patches a
 callee on the module that calls it, so such a name must keep existing there.
 The same set bounds what a production module takes from ``kernels``.
+Importing the package or its CLI must not import ``scipy.linalg``.
 """
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,16 @@ def test_production_imports_no_reference_corrector(path, traced):
         if f"covpath.{path.stem}.{name}" not in traced
     ]
     assert kept == []
+
+
+@pytest.mark.parametrize("module", ["covpath", "covpath.cli"])
+def test_import_leaves_out_scipy_linalg(module):
+    # symmat loads scipy's LAPACK and BLAS extension modules directly;
+    # scipy.linalg's package import would add ~0.25 s to every start-up.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import {module}; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"

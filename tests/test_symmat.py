@@ -1,10 +1,22 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_pd
 from covpath.exceptions import NotPositiveDefinite, SingularUpdate
 from covpath.kernels import sub_inverse, swm_update_inverse
-from covpath.symmat import cholesky_logdet, invert_pd, pd_factor, symmetrize
+from covpath.symmat import (
+    cholesky_logdet,
+    invert_pd,
+    pd_factor,
+    scipy_linalg_extension,
+    symmetrize,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def det_by_cofactors(m):
@@ -213,3 +225,52 @@ def test_symmetrize_exact_on_symmetric_input():
     rng = np.random.default_rng(13)
     m = random_pd(rng, 4)
     assert np.array_equal(symmetrize(m), m)
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports covpath from this
+    tree; return its standard output."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestScipyLinalgExtension:
+    # Checks that run after both covpath and scipy.linalg are imported, in
+    # either order: reference and the tests import scipy.linalg in the same
+    # process as the library.
+    ONE_COPY = """
+import numpy as np
+import scipy.linalg
+from scipy.linalg import blas, lapack
+from covpath import kernels, symmat
+assert symmat._dpotrf is lapack.dpotrf
+assert symmat._dtrtri is lapack.dtrtri
+assert kernels._dposv is lapack.dposv
+assert kernels._dsyr is blas.dsyr
+assert sys.modules["scipy.linalg._flapack"] is symmat.scipy_linalg_extension("_flapack")
+assert np.array_equal(scipy.linalg.cholesky(4.0 * np.eye(3)), 2.0 * np.eye(3))
+print("one copy")
+"""
+
+    @pytest.mark.parametrize("first", ["covpath", "scipy.linalg"])
+    def test_one_copy_of_each_routine_whatever_the_import_order(self, first):
+        assert _run_fresh(f"import {first}\n{self.ONE_COPY}").strip() == "one copy"
+
+    def test_missing_extension_is_named(self):
+        with pytest.raises(ModuleNotFoundError, match="scipy.linalg._no_such_module") as err:
+            scipy_linalg_extension("_no_such_module")
+        assert err.value.name == "scipy.linalg._no_such_module"
+        assert "scipy.linalg._no_such_module" not in sys.modules
+
+    def test_missing_scipy_is_named(self):
+        # A None entry in sys.modules makes scipy unimportable.
+        out = _run_fresh(
+            "sys.modules['scipy'] = None\n"
+            "try:\n    import covpath\n"
+            "except ModuleNotFoundError as exc:\n    print(exc.name)\n"
+        )
+        assert out.strip() == "scipy"

@@ -21,6 +21,9 @@ and stay independent.
 * The median per-update wall-time ratio, new over old, is printed. The two
   trees alternate update by update, each going first on every other one,
   in one process pinned to one core with one BLAS thread.
+* The start-up time of each tree, the median wall time of
+  :data:`STARTUP_RUNS` fresh interpreters (on the same core) that import
+  its ``cli``, the trees alternating, is printed with their ratio.
 
 Exits 0 when everything matches and 1 on any difference or failed verify.
 """
@@ -36,6 +39,7 @@ import io
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -53,6 +57,7 @@ RUNS = [
     ["--gen", "n=60,density=0.2,seed=2", "--points", "20", "--mode", "predictor"],
 ]
 SKIPPED = {"timings.json"}  # wall times differ from run to run
+STARTUP_RUNS = 5
 
 
 def load_tree(src: Path, name: str, into: Path):
@@ -159,6 +164,20 @@ def compare_streams(trees, inputs) -> tuple[list[str], list[float]]:
     return faults, ratios
 
 
+def startup_times(trees, where: Path) -> list[float]:
+    """Median wall time of a fresh interpreter that imports each tree's
+    ``cli`` from ``where``, over ``STARTUP_RUNS`` runs with the trees
+    alternating."""
+    walls = [[], []]
+    for run in range(STARTUP_RUNS):
+        for j in (0, 1) if run % 2 == 0 else (1, 0):
+            code = f"import sys; sys.path.insert(0, {str(where)!r}); import {trees[j].__name__}.cli"
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], check=True)
+            walls[j].append(time.perf_counter() - start)
+    return [statistics.median(w) for w in walls]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -183,10 +202,16 @@ def main(argv=None) -> int:
         inputs = stream_inputs(trees[0], args.streams, args.seed)
         stream_faults, ratios = compare_streams(trees, inputs)
         faults += stream_faults
+        startup = startup_times(trees, tmp)
     q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(
         f"per-update time, new/old: median {statistics.median(ratios):.3f} "
         f"(quartiles {q1:.3f}, {q3:.3f}) over {len(ratios)} alternated updates"
+    )
+    print(
+        f"start-up (import cli), new/old: {startup[1] / startup[0]:.3f} "
+        f"({startup[0]:.3f} s -> {startup[1]:.3f} s, medians of {STARTUP_RUNS} "
+        f"alternated fresh interpreters)"
     )
     for fault in faults:
         print(f"DIFFERENT: {fault}")

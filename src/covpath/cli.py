@@ -16,17 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .barrier import Problem, multipliers, residual
+from .barrier import Problem, feasible, gap_bound, multipliers, residual
 from .corrector import CorrectorConfig
+from .data import POINT_FIELDS
 from .exceptions import (
     AsymmetricInput,
     CovpathError,
     DegenerateInstance,
+    Infeasible,
     NonPositiveDiagonal,
     ParseError,
 )
 from .path import MODES, PathConfig, cardinality, run_online, run_path, solve_at, support_mask
-from .symmat import pd_factor
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -36,10 +37,6 @@ EXIT_PARTIAL = 4
 # verify: largest relative Frobenius distance between a saved X and the
 # fresh inverse of the saved U.
 X_MATCH_RTOL = 1e-8
-# verify: the numbers every entry of summary["points"] must hold.
-POINT_FIELDS = (
-    "rho", "t", "cardinality", "sweeps", "cg_iterations", "dual_obj", "primal_obj", "gap_bound"
-)
 
 INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
 
@@ -277,6 +274,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
             failures.append(f"point {idx}: negative counter")
+        if sigma is not None and pt["gap_bound"] != gap_bound(sigma.shape[0], pt["t"]):
+            failures.append(f"point {idx}: gap bound {pt['gap_bound']:.3e} is not 2 n^2 t")
         gap = pt["dual_obj"] - pt["primal_obj"]
         if gap < -1e-9:
             failures.append(f"point {idx}: weak duality violated (gap {gap:.3e})")
@@ -294,12 +293,16 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             if not u_path.exists():
                 failures.append(f"point {idx}: {x_path.name} has no {u_path.name}")
                 continue
-            U = data.load_matrix(u_path)
-            fresh = pd_factor(U)
+            # Tested as a corrector start is: exact symmetry, box and PD.
+            problem = Problem(sigma=sigma, rho=pt["rho"])
+            try:
+                fresh, slack = feasible(problem, data.load_matrix(u_path), u_path.name)
+            except Infeasible as exc:
+                failures.append(f"point {idx}: {exc}")
+                continue
             if np.linalg.norm(X - fresh.inverse) > X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
                 failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
-            LM = multipliers(Problem(sigma=sigma, rho=pt["rho"]), fresh.matrix, pt["t"])
-            H = residual(LM, fresh.inverse)
+            H = residual(multipliers(problem, fresh.matrix, pt["t"], slack), fresh.inverse)
             resid = float(np.linalg.norm(H))
             if resid > 2.0 * tol + 1e-9:
                 failures.append(

@@ -229,19 +229,16 @@ def load_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# The numbers every entry of summary["points"] holds.
+POINT_FIELDS = (
+    "rho", "t", "cardinality", "sweeps", "cg_iterations", "dual_obj", "primal_obj", "gap_bound"
+)
+
+
 def build_summary(path_result, instance: dict, config: dict) -> dict:
     """Deterministic run summary (no wall-clock fields)."""
     points = [
-        {
-            "rho": pt.rho,
-            "t": path_result.t,
-            "cardinality": pt.cardinality,
-            "dual_obj": pt.dual_obj,
-            "primal_obj": pt.primal_obj,
-            "gap_bound": pt.gap_bound,
-            "cg_iterations": pt.cg_iterations,
-            "sweeps": pt.sweeps,
-        }
+        {key: path_result.t if key == "t" else getattr(pt, key) for key in POINT_FIELDS}
         for pt in path_result.points
     ]
     summary = {

@@ -44,19 +44,17 @@ class PathConfig:
     ``rho_grid``, when given, is the penalty grid: finite, positive,
     strictly descending and starting at or below rho_max = max_i sigma_ii.
     Otherwise the grid is ``points`` log-spaced penalties from rho_max down
-    to ``rho_min_frac * rho_max``. The barrier weight is ``t`` when given,
-    otherwise it is set from ``gap_target`` so that the surrogate duality
-    gap bound 2 n^2 t equals ``gap_target`` at every point; either way it
-    must be finite and positive. ``mode`` is one of :data:`MODES`: the warm
-    start from one grid value to the next. ``zero_tol`` is the relative
-    threshold of :func:`support_mask`, and ``corrector`` the stopping rule
-    of each re-centering.
+    to ``rho_min_frac * rho_max``. The barrier weight t is set from
+    ``gap_target`` so that the surrogate duality gap bound 2 n^2 t equals
+    ``gap_target`` at every point; it must be finite and positive. ``mode``
+    is one of :data:`MODES`: the warm start from one grid value to the
+    next. ``zero_tol`` is the relative threshold of :func:`support_mask`,
+    and ``corrector`` the stopping rule of each re-centering.
     """
 
     rho_grid: np.ndarray | None = None
     points: int = 50
     rho_min_frac: float = 0.01
-    t: float | None = None
     gap_target: float = 1e-3
     mode: str = "scaling"
     zero_tol: float = 1e-4
@@ -110,8 +108,12 @@ class RegularizationPath:
     t: float
     mode: str
     points: list[PathPoint] = field(default_factory=list)
-    truncated: bool = False
     failure: PathFailure | None = None
+
+    @property
+    def truncated(self) -> bool:
+        """Whether a grid value failed and the path stops before the grid's end."""
+        return self.failure is not None
 
 
 def default_rho_grid(sigma: np.ndarray, points: int, rho_min_frac: float) -> np.ndarray:
@@ -316,7 +318,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         else cfg.rho_grid,
         rho_max,
     )
-    t = cfg.t if cfg.t is not None else cfg.gap_target / (2.0 * n * n)
+    t = cfg.gap_target / (2.0 * n * n)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and positive, got {t}")
 
@@ -354,7 +356,6 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
         except CovpathError as exc:
             retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
             if retried is None:
-                path.truncated = True
                 path.failure = PathFailure(rho=float(rho), error=str(exc))
                 return path
             factor, stats = retried

@@ -24,7 +24,6 @@ from .barrier import (
 )
 from .corrector import CorrectorConfig, CorrectorStats
 from .exceptions import Infeasible, LineSearchFailure, MaxItersExceeded, MaxSweepsExceeded
-from .predictor import matvec
 from .symmat import PDFactor, invert_pd, pd_factor, symmetrize
 
 # Block coordinate-descent corrector. A row-kernel call stops at block
@@ -64,25 +63,14 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def _sym_basis(n):
-    """Orthogonal-ish basis of the symmetric matrices: E_ii and E_ij + E_ji."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    mats = []
-    for i, j in pairs:
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        E[j, i] = 1.0
-        mats.append(E)
-    return pairs, mats
-
-
 def newton_solve(
     p: Problem, U0: np.ndarray, t: float, cfg: OracleConfig | None = None
 ) -> PDFactor:
     """Damped Newton on the barrier problem over the free symmetric entries.
 
     Builds the dense Hessian of the barrier objective on the n(n+1)/2
-    coordinates, takes Newton steps with feasibility-preserving
+    coordinates from :func:`explicit_system` (so it shares no code with the
+    predictor's CG operator), takes Newton steps with feasibility-preserving
     backtracking, and stops when ||H||_F <= tol. Intended for n <= 30.
     Each point is factored once, by ``barrier.feasible``.
     """
@@ -90,37 +78,27 @@ def newton_solve(
     U = symmetrize(np.asarray(U0, dtype=float))
     factor, slack = feasible(p, U, "newton_solve start")
     n = p.n
-    pairs, basis = _sym_basis(n)
-    m = len(pairs)
+    # Column k of B is vec of the k-th free coordinate: E_ii, or E_ij + E_ji.
+    rows, cols = np.triu_indices(n)
+    k = np.arange(rows.size)
+    B = np.zeros((n, n, k.size))
+    B[rows, cols, k] = B[cols, rows, k] = 1.0
+    B = B.reshape(n * n, k.size)
 
     for _ in range(cfg.max_iters):
-        L, M = multipliers(p, U, t, slack)
-        H = L - M - factor.inverse
+        H = residual(multipliers(p, U, t, slack), factor.inverse)
         hnorm = float(np.linalg.norm(H))
         if hnorm <= cfg.tol:
             return factor
 
-        grad = np.array([H[i, j] if i == j else 2.0 * H[i, j] for i, j in pairs])
-        D = (L**2 + M**2) / t
-        cols = [matvec(factor.inverse, D, E) for E in basis]
-        hess = np.empty((m, m))
-        for a in range(m):
-            Ea = basis[a]
-            for b in range(a, m):
-                val = float(np.sum(Ea * cols[b]))
-                hess[a, b] = val
-                hess[b, a] = val
-
+        grad = B.T @ H.reshape(-1)
+        hess = B.T @ explicit_system(p, factor, t) @ B
         try:
             chol = scipy.linalg.cho_factor(hess)
             step_vec = scipy.linalg.cho_solve(chol, -grad)
         except scipy.linalg.LinAlgError:
             step_vec = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-
-        step = np.zeros((n, n))
-        for val, (i, j) in zip(step_vec, pairs):
-            step[i, j] = val
-            step[j, i] = val
+        step = (B @ step_vec).reshape(n, n)
 
         f0 = barrier_objective(p, factor, t, slack)
         slope = float(grad @ step_vec)

@@ -65,9 +65,8 @@ def n100_predictor_path():
 def test_criterion_01_diagonal_closed_form():
     with criterion(1, "diagonal instance matches 1/(sigma_ii + rho) closed form"):
         sigma = np.diag([1.0, 2.0, 3.0])
-        t = 1e-6 / (2 * 9)
         tick = time.perf_counter()
-        result = run_path(sigma, PathConfig(points=7, t=t))
+        result = run_path(sigma, PathConfig(points=7, gap_target=1e-6))
         wall = time.perf_counter() - tick
         assert len(result.points) == 7
         for pt in result.points:

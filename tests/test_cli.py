@@ -222,7 +222,7 @@ class TestSolve:
 
         def fake_run_path(sigma, cfg):
             return RegularizationPath(
-                sigma=sigma, t=1e-5, mode="scaling", points=[], truncated=True,
+                sigma=sigma, t=1e-5, mode="scaling", points=[],
                 failure=PathFailure(rho=1.0, error="stalled"),
             )
 
@@ -357,6 +357,35 @@ class TestVerify:
         (out / "U_001.csv").unlink()
         assert run_cli("verify", out) == 3
 
+    def test_infeasible_saved_u_fails_its_point_and_verify_goes_on(self, tmp_path, capsys):
+        # Each saved U is tested as a corrector start is: one that leaves
+        # the box, or is not exactly symmetric, fails its own point by name.
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=6,density=0.3,seed=2", "--points", 3,
+                       "--output", out) == 0
+        U = load_matrix(out / "U_001.csv")
+        write_matrix(out / "U_001.csv", U + 5.0 * np.eye(6))
+        U = load_matrix(out / "U_002.csv")
+        U[0, 1] = np.nextafter(U[0, 1], np.inf)
+        write_matrix(out / "U_002.csv", U)
+        capsys.readouterr()
+        assert run_cli("verify", out) == 3
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
+        assert len(fails) == 2
+        assert "point 1: U_001.csv leaves the box" in fails[0]
+        assert "point 2: U_002.csv is not exactly symmetric" in fails[1]
+
+    def test_gap_bound_is_rederived(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        summary["points"][2]["gap_bound"] *= 10.0
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run_cli("verify", out) == 3
+        assert "point 2: gap bound" in capsys.readouterr().out
+
     def test_missing_state_fails_a_run_with_points(self, tmp_path, capsys):
         # The matrix checks need state.json's sigma: without it, a run with
         # points must not pass, whatever its matrices hold.
@@ -373,7 +402,7 @@ class TestVerify:
         # A path truncated before its first point writes no state.json.
         def no_points(sigma, cfg):
             return covpath.path.RegularizationPath(
-                sigma=sigma, t=1e-5, mode="scaling", truncated=True,
+                sigma=sigma, t=1e-5, mode="scaling",
                 failure=covpath.path.PathFailure(rho=1.0, error="stalled"),
             )
 

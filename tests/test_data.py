@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from covpath.data import (
+    POINT_FIELDS,
     GeneratorSpec,
     _to_jsonable,
     build_state,
@@ -286,3 +287,15 @@ class TestJsonArtifacts:
             resources.files("covpath.schemas").joinpath("summary.schema.json").read_text()
         )
         jsonschema.validate(load_json(tmp_path / "s.json"), schema)
+
+    def test_point_fields_match_summary_and_schema(self):
+        from importlib import resources
+
+        sigma, _ = generate_problem(GeneratorSpec(n=4, density=0.3, seed=4))
+        summary = build_summary(run_path(sigma, PathConfig(points=2)), {}, {})
+        schema = json.loads(
+            resources.files("covpath.schemas").joinpath("summary.schema.json").read_text()
+        )
+        required = schema["properties"]["points"]["items"]["required"]
+        for pt in summary["points"]:
+            assert set(pt) == set(POINT_FIELDS) == set(required)

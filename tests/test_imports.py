@@ -98,6 +98,13 @@ def test_production_imports_no_reference_corrector(path, traced):
     assert kept == []
 
 
+def test_reference_imports_nothing_from_predictor():
+    # The dense Newton oracle checks the CG operator's answers, so it builds
+    # its Hessian without the predictor's code.
+    source = (ROOT / "src" / "covpath" / "reference.py").read_text()
+    assert _imports_from(source, "predictor") == []
+
+
 @pytest.mark.parametrize("module", ["covpath", "covpath.cli"])
 def test_import_leaves_out_scipy_linalg(module):
     # symmat loads scipy's LAPACK and BLAS extension modules directly;

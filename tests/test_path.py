@@ -70,9 +70,9 @@ class TestGrid:
             run_path(sigma, PathConfig(rho_grid=np.array([2.0, np.nan])))
         with pytest.raises(ValueError, match="strictly descending"):
             run_path(sigma, PathConfig(points=3, rho_min_frac=1.0))
-        for t in (np.nan, np.inf, 0.0):
+        for gap_target in (np.nan, np.inf, 0.0):
             with pytest.raises(ValueError, match="t must be"):
-                run_path(sigma, PathConfig(t=t))
+                run_path(sigma, PathConfig(gap_target=gap_target))
 
 
 class TestCardinality:
@@ -312,11 +312,10 @@ class TestSolveAt:
 
     def test_matches_path_final_point(self, small_instance):
         rho = 0.2 * float(np.max(np.diag(small_instance)))
-        t = 1e-5
         cc = CorrectorConfig(tol_residual=1e-9)
-        direct = solve_at(small_instance, rho, t, cc)
         grid = np.geomspace(float(np.max(np.diag(small_instance))), rho, 10)
-        res = run_path(small_instance, PathConfig(rho_grid=grid, t=t, corrector=cc))
+        res = run_path(small_instance, PathConfig(rho_grid=grid, corrector=cc))
+        direct = solve_at(small_instance, rho, res.t, cc)
         assert np.linalg.norm(direct.matrix - res.points[-1].U) <= 1e-6
 
 

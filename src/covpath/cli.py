@@ -252,6 +252,7 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         points = summary["points"]
         tol = float(summary["config"]["tol_residual"])
         zero_tol = float(summary["config"]["zero_tol"])
+        config_t = float(summary["config"]["t"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{summary_path}: no usable points/config ({exc!r})") from exc
     if not isinstance(points, list):
@@ -268,12 +269,28 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     sigma = None
     state_path = run_dir / "state.json"
     if state_path.exists():
-        sigma, _, _, _ = data.state_arrays(data.load_json(state_path))
+        sigma, state_U, state_rho, state_t = data.state_arrays(data.load_json(state_path))
+        if state_t != config_t:
+            failures.append(f"{state_path.name}: t {state_t!r} is not config.t {config_t!r}")
+        if points:
+            if state_rho != points[-1]["rho"]:
+                failures.append(
+                    f"{state_path.name}: rho {state_rho!r} is not the last point's "
+                    f"rho {points[-1]['rho']!r}"
+                )
+            # %.17g round-trips a double, so the last U_###.csv holds the same bits.
+            last_u = run_dir / f"U_{len(points) - 1:03d}.csv"
+            if last_u.exists():
+                saved = data.load_matrix(last_u)
+                if saved.shape != state_U.shape or saved.tobytes() != state_U.tobytes():
+                    failures.append(f"{state_path.name}: U is not bitwise the U of {last_u.name}")
     elif points:
         failures.append(f"{state_path.name} is missing, so no matrix can be checked")
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
             failures.append(f"point {idx}: negative counter")
+        if pt["t"] != config_t:
+            failures.append(f"point {idx}: t {pt['t']!r} is not config.t {config_t!r}")
         if sigma is not None and pt["gap_bound"] != gap_bound(sigma.shape[0], pt["t"]):
             failures.append(f"point {idx}: gap bound {pt['gap_bound']:.3e} is not 2 n^2 t")
         gap = pt["dual_obj"] - pt["primal_obj"]

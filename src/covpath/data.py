@@ -3,12 +3,16 @@
 Matrices travel as plain CSV (one row per line, 17 significant digits, so
 doubles round-trip exactly); run summaries and reports are versioned JSON.
 Wall-clock timings live in a separate artifact so that summaries are
-byte-identical across repeated runs with the same flags and seed. The
-writers format each distinct entry of a symmetric matrix once, and write
-the bytes that ``np.savetxt`` and ``json`` would.
+byte-identical across repeated runs with the same flags and seed. The CSV
+writer formats each distinct entry of a symmetric matrix once, and writes
+the bytes that ``np.savetxt`` would; JSON files are the bytes of ``json``.
+The hand-off state for ``covpath online`` holds its matrices as base64 of
+their little-endian float64 bytes, which is exact and needs no formatting.
 """
 
+import base64
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +25,7 @@ from .exceptions import (
 from .symmat import cholesky_logdet, invert_pd, symmetrize
 
 SUMMARY_SCHEMA = "covpath.summary/1"
-STATE_SCHEMA = "covpath.state/1"
+STATE_SCHEMA = "covpath.state/2"
 BENCH_SCHEMA = "covpath.bench/1"
 
 FLOAT_FMT = "%.17g"
@@ -197,28 +201,14 @@ def _to_jsonable(value):
     return value
 
 
-def _json_text(value) -> str:
-    if (
-        isinstance(value, np.ndarray)
-        and value.ndim == 2
-        and value.dtype == np.float64
-        and value.size
-        and np.isfinite(value).all()
-    ):
-        # json writes a finite float as float.__repr__, which is %r.
-        return "[[" + "],[".join(_text_rows(value, "%r")) + "]]"
-    # Compact: an indent would push json onto its pure-Python encoder.
-    return json.dumps(_to_jsonable(value), sort_keys=True, separators=(",", ":"))
-
-
 def dump_json(path, payload: dict) -> None:
     """Write ``payload`` (string keys) as ``json.dumps`` would with sorted
-    keys and compact separators; top-level matrices go through the CSV
-    row formatter."""
+    keys and compact separators."""
     if not all(isinstance(key, str) for key in payload):
         raise TypeError("JSON artifact keys must be strings")
-    fields = (json.dumps(key) + ":" + _json_text(payload[key]) for key in sorted(payload))
-    Path(path).write_text("{" + ",".join(fields) + "}\n")
+    # Compact: an indent would push json onto its pure-Python encoder.
+    text = json.dumps(_to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    Path(path).write_text(text + "\n")
 
 
 def load_json(path) -> dict:
@@ -265,29 +255,49 @@ def build_timings(path_result) -> dict:
     }
 
 
+def _encode_matrix(m: np.ndarray) -> str:
+    """Base64 (RFC 4648, padded) of ``m`` as little-endian float64, row-major."""
+    return base64.b64encode(np.ascontiguousarray(m, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_matrix(state: dict, key: str) -> np.ndarray:
+    """The square matrix ``state[key]`` that ``_encode_matrix`` wrote."""
+    text = state[key]
+    if not isinstance(text, str):
+        raise ParseError(f"state {key} must be a base64 string, not {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParseError(f"state {key} is not valid base64: {exc}") from exc
+    n = math.isqrt(len(raw) // 8)
+    if n < 1 or len(raw) != 8 * n * n:
+        raise ParseError(f"state {key} holds {len(raw)} bytes, not 8 n^2 for an integer n >= 1")
+    # astype copies into a writable array of native byte order.
+    return np.frombuffer(raw, dtype="<f8").reshape(n, n).astype(np.float64)
+
+
 def build_state(sigma: np.ndarray, U: np.ndarray, rho: float, t: float) -> dict:
     return {
         "schema": STATE_SCHEMA,
-        "sigma": sigma,
-        "U": U,
+        "sigma": _encode_matrix(sigma),
+        "U": _encode_matrix(U),
         "rho": rho,
         "t": t,
     }
 
 
 def state_arrays(state: dict) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(sigma, U, rho, t)`` of a state that ``build_state`` wrote."""
     if not isinstance(state, dict):
         raise ParseError(f"state must be a JSON object, not {type(state).__name__}")
     if state.get("schema") != STATE_SCHEMA:
-        raise ParseError(f"unexpected state schema {state.get('schema')!r}")
+        raise ParseError(f"state schema {state.get('schema')!r} is not {STATE_SCHEMA!r}")
     try:
-        sigma = np.asarray(state["sigma"], dtype=float)
-        U = np.asarray(state["U"], dtype=float)
+        sigma = _decode_matrix(state, "sigma")
+        U = _decode_matrix(state, "U")
         rho, t = float(state["rho"]), float(state["t"])
     except KeyError as exc:
         raise ParseError(f"state is missing the key {exc}") from exc
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ParseError(f"state sigma must be a square matrix, got shape {sigma.shape}")
     if U.shape != sigma.shape:
         raise ParseError(f"state U has shape {U.shape}, sigma {sigma.shape}")
     if not (0.0 < rho < np.inf and 0.0 < t < np.inf):

@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import connected_components
 
 import covpath.path
 from covpath import cli
+from covpath.barrier import Problem
 from covpath.cli import POINT_FIELDS, main
 from covpath.corrector import CorrectorConfig
 from covpath.data import (
@@ -17,10 +18,14 @@ from covpath.data import (
     load_covariance,
     load_json,
     load_matrix,
+    load_perturbation,
+    state_arrays,
     write_matrix,
 )
 from covpath.exceptions import NumericalBreakdown
-from covpath.path import PathConfig, cardinality, default_rho_grid, run_path, support_mask
+from covpath.path import (
+    PathConfig, cardinality, default_rho_grid, run_online, run_path, support_mask
+)
 
 
 def run_cli(*args):
@@ -333,6 +338,7 @@ class TestVerify:
         result = run_path(INDEFINITE, PathConfig(points=8))
         assert result.truncated and len(result.points) == 3
         config = {
+            "t": result.t,
             "zero_tol": PathConfig.zero_tol,
             "tol_residual": CorrectorConfig().residual_tol(3),
         }
@@ -371,9 +377,11 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli("verify", out) == 3
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
-        assert len(fails) == 2
-        assert "point 1: U_001.csv leaves the box" in fails[0]
-        assert "point 2: U_002.csv is not exactly symmetric" in fails[1]
+        # U_002.csv is the last point's, so it no longer matches state.json.
+        assert len(fails) == 3
+        assert "state.json: U is not bitwise the U of U_002.csv" in fails[0]
+        assert "point 1: U_001.csv leaves the box" in fails[1]
+        assert "point 2: U_002.csv is not exactly symmetric" in fails[2]
 
     def test_gap_bound_is_rederived(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -385,6 +393,54 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli("verify", out) == 3
         assert "point 2: gap bound" in capsys.readouterr().out
+
+    @staticmethod
+    def _fails(capsys, out):
+        capsys.readouterr()
+        assert run_cli("verify", out) == 3
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
+
+    def test_point_t_is_checked_against_config_and_state(self, tmp_path, capsys):
+        # Without matrices no residual sees t: a point whose t and gap bound
+        # are both ten times too large is consistent with itself.
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--no-matrices", "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        summary["points"][2]["t"] *= 10.0
+        summary["points"][2]["gap_bound"] *= 10.0
+        (out / "summary.json").write_text(json.dumps(summary))
+        fails = self._fails(capsys, out)
+        assert any("point 2: t " in line and "is not config.t" in line for line in fails)
+        assert not any("point 1" in line or "point 3" in line for line in fails)
+        summary["points"][2]["t"] /= 10.0
+        summary["points"][2]["gap_bound"] /= 10.0
+        summary["config"]["t"] *= 2.0
+        (out / "summary.json").write_text(json.dumps(summary))
+        fails = self._fails(capsys, out)
+        assert "state.json: t" in fails[0]
+        assert len([line for line in fails if "is not config.t" in line]) == 1 + 4
+
+    def test_state_rho_is_the_last_points(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out) == 0
+        state = load_json(out / "state.json")
+        state["rho"] *= 1.5
+        dump_json(out / "state.json", state)
+        fails = self._fails(capsys, out)
+        assert len(fails) == 1
+        assert "state.json: rho" in fails[0] and "last point's rho" in fails[0]
+
+    def test_state_u_is_bitwise_the_last_saved_u(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out) == 0
+        sigma, U, rho, t = state_arrays(load_json(out / "state.json"))
+        U[2, 2] = np.nextafter(U[2, 2], np.inf)
+        dump_json(out / "state.json", build_state(sigma, U, rho, t))
+        fails = self._fails(capsys, out)
+        assert fails == ["FAIL: state.json: U is not bitwise the U of U_003.csv"]
 
     def test_missing_state_fails_a_run_with_points(self, tmp_path, capsys):
         # The matrix checks need state.json's sigma: without it, a run with
@@ -449,14 +505,13 @@ class TestOnlineCmd:
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", zero,
                        "--output", out) == 0
-        before = np.asarray(load_json(state_path)["U"])
-        after = np.asarray(load_json(out / "state.json")["U"])
-        assert np.array_equal(before, after)
+        before = load_json(state_path)["U"]
+        after = load_json(out / "state.json")["U"]
+        assert isinstance(before, str) and before == after
 
     def test_small_perturbation_with_verify(self, tmp_path):
         state_path = self._solved_state(tmp_path)
-        state = load_json(state_path)
-        sigma = np.asarray(state["sigma"])
+        sigma, _, _, _ = state_arrays(load_json(state_path))
         rng = np.random.default_rng(10)
         C = rng.standard_normal((6, 6))
         C = 0.5 * (C + C.T)
@@ -469,6 +524,30 @@ class TestOnlineCmd:
         report = load_json(out / "online_report.json")
         assert report["k"] == 1
         assert report["verify_frobenius_discrepancy"] <= 1e-6
+
+    def test_state_hands_off_the_last_point_losslessly(self, tmp_path):
+        # solve -> state.json -> online gives the bits of an online update
+        # from the in-memory last point of the same path.
+        state_path = self._solved_state(tmp_path)
+        C = np.zeros((6, 6))
+        C[1, 4] = C[4, 1] = 1e-3
+        pert = tmp_path / "c.csv"
+        write_matrix(pert, C)
+        out = tmp_path / "online"
+        assert run_cli("online", "--state", state_path, "--perturbation", pert,
+                       "--output", out) == 0
+        sigma, _ = generate_problem(GeneratorSpec(n=6, density=0.3, seed=5))
+        result = run_path(sigma, PathConfig(points=6))
+        last = result.points[-1]
+        C = load_perturbation(pert)
+        factor = run_online(
+            Problem(sigma=sigma, rho=last.rho), last.U, C, k=1, t=result.t,
+            corrector_cfg=CorrectorConfig(tol_residual=1e-9 * 6),
+        )
+        sigma_online, U_online, rho, t = state_arrays(load_json(out / "state.json"))
+        assert U_online.tobytes() == factor.matrix.tobytes()
+        assert sigma_online.tobytes() == (sigma + C).tobytes()
+        assert (rho, t) == (last.rho, result.t)
 
     def test_shape_mismatch_is_input_error(self, tmp_path):
         state_path = self._solved_state(tmp_path)
@@ -492,14 +571,18 @@ class TestOnlineCmd:
         # (scale 0) returns the state without a solve.
         state_path = self._solved_state(tmp_path)
         state = load_json(state_path)
-        state[key] = [row[:5] for row in state["U"][:5]] if key == "U" else float("nan")
+        sigma, U, rho, t = state_arrays(state)
+        state[key] = build_state(sigma, U[:5, :5], rho, t)["U"] if key == "U" else float("nan")
         state_path.write_text(json.dumps(state))
         pert = tmp_path / "c.csv"
         write_matrix(pert, scale * np.eye(6))
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", pert,
                        "--output", out) == 2
-        assert "input error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error:" in err
+        if key == "U":
+            assert "state U has shape (5, 5), sigma (6, 6)" in err
         assert not out.exists()
 
     def test_state_not_an_object_is_input_error(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -242,14 +243,24 @@ class TestJsonArtifacts:
         assert "wall_time" not in loaded["points"][0]
 
     def test_state_roundtrip(self, tmp_path):
-        sigma = np.diag([1.0, 2.0])
-        U = np.diag([1.5, 2.5])
+        # Bit for bit: signed zero, the least subnormal, the largest finite
+        # magnitudes, and a U that is not symmetric are stored as given.
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(8)
+        sigma = rng.standard_normal((4, 4))
+        sigma[0, :] = extremes
+        U = rng.standard_normal((4, 4))
+        U[:, 3] = extremes[::-1]
         f = tmp_path / "state.json"
         dump_json(f, build_state(sigma, U, 0.7, 1e-4))
-        s2, u2, rho, t = state_arrays(load_json(f))
+        state = load_json(f)
+        assert state["schema"] == "covpath.state/2"
+        s2, u2, rho, t = state_arrays(state)
         assert np.array_equal(s2, sigma)
         assert np.array_equal(u2, U)
+        assert s2.tobytes() == sigma.tobytes() and u2.tobytes() == U.tobytes()
         assert rho == 0.7 and t == 1e-4
+        u2[0, 0] = 1.0  # a writable copy, not a view of the decoded bytes
 
     def test_numeric_arrays_dump_as_the_recursive_form(self, tmp_path):
         # Numeric arrays take a tolist() fast path; an object-dtype copy of
@@ -299,3 +310,43 @@ class TestJsonArtifacts:
         required = schema["properties"]["points"]["items"]["required"]
         for pt in summary["points"]:
             assert set(pt) == set(POINT_FIELDS) == set(required)
+
+
+class TestStateEncoding:
+    def _state(self, n=3):
+        sigma = np.diag(np.arange(1.0, n + 1.0))
+        return build_state(sigma, np.eye(n), 0.5, 1e-4)
+
+    def test_matrix_is_base64_of_little_endian_float64(self):
+        m = np.array([[1.0, -2.5], [0.25, 3.0]])
+        state = build_state(m, m.T, 0.5, 1e-4)
+        raw = base64.b64decode(state["U"])
+        assert raw == m.T.copy().astype("<f8").tobytes()
+        assert np.array_equal(np.frombuffer(raw, "<f8").reshape(2, 2), m.T)
+
+    def test_schema_1_names_both_schemas(self):
+        state = dict(self._state(), schema="covpath.state/1")
+        with pytest.raises(ParseError, match="covpath.state/1.*covpath.state/2"):
+            state_arrays(state)
+
+    @pytest.mark.parametrize("key", ["sigma", "U"])
+    def test_matrix_must_be_a_string(self, key):
+        state = dict(self._state(), **{key: np.eye(3).tolist()})
+        with pytest.raises(ParseError, match=f"state {key} must be a base64 string"):
+            state_arrays(state)
+
+    @pytest.mark.parametrize("text", ["not base64!", "AAAA AAA=", "AAAAAAA", "AAAAAAé="])
+    def test_invalid_base64(self, text):
+        with pytest.raises(ParseError, match="state sigma is not valid base64"):
+            state_arrays(dict(self._state(), sigma=text))
+
+    @pytest.mark.parametrize("nbytes", [0, 16, 24, 31, 8 * 4 + 1])
+    def test_byte_count_must_be_8_n_squared(self, nbytes):
+        text = base64.b64encode(bytes(nbytes)).decode()
+        with pytest.raises(ParseError, match=f"state sigma holds {nbytes} bytes, not 8 n"):
+            state_arrays(dict(self._state(), sigma=text))
+
+    def test_u_must_match_sigma(self):
+        state = dict(self._state(3), U=self._state(2)["U"])
+        with pytest.raises(ParseError, match=r"state U has shape \(2, 2\), sigma \(3, 3\)"):
+            state_arrays(state)

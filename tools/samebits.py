@@ -12,7 +12,10 @@ and stay independent.
 
 * The first ``--runs`` of the reference runs (:data:`RUNS`) are made with
   ``covpath solve`` from each tree. Every artifact except ``timings.json``
-  must be byte-identical, and ``covpath verify`` must pass on each run.
+  and ``state.json`` must be byte-identical, and ``covpath verify`` must
+  pass on each run. Each tree's ``state.json`` is decoded with that tree's
+  own ``data.state_arrays``, so trees that encode the state differently
+  compare by content: the arrays bit for bit, rho and t exactly.
 * ``--streams`` update streams shaped like the benchmark's online-stream
   workload (``perfbench/workloads.py``: n=10, 12 rank-one updates each at
   rho = 0.3 rho_max) go through ``path.run_online`` with each tree. Every
@@ -36,6 +39,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import shutil
 import statistics
@@ -63,17 +67,24 @@ STARTUP_RUNS = 5
 def load_tree(src: Path, name: str, into: Path):
     """Copy ``src/covpath`` to ``into/name`` and import it under that name."""
     shutil.copytree(src / "covpath", into / name, ignore=shutil.ignore_patterns("__pycache__"))
-    for sub in ("cli", "path", "barrier", "corrector", "exceptions"):
+    for sub in ("cli", "data", "path", "barrier", "corrector", "exceptions"):
         importlib.import_module(f"{name}.{sub}")
     return sys.modules[name]
 
 
-def artifacts(out: Path) -> dict[str, bytes]:
-    return {
-        str(f.relative_to(out)): f.read_bytes()
-        for f in sorted(out.rglob("*"))
-        if f.is_file() and f.name not in SKIPPED
-    }
+def state_content(tree, f: Path) -> tuple:
+    """``state.json``'s shape, matrix bytes, rho and t, decoded by ``tree``."""
+    sigma, U, rho, t = tree.data.state_arrays(json.loads(f.read_bytes()))
+    return sigma.shape, sigma.tobytes(), U.tobytes(), rho, t
+
+
+def artifacts(tree, out: Path) -> dict:
+    files = {}
+    for f in sorted(out.rglob("*")):
+        if f.is_file() and f.name not in SKIPPED:
+            name = str(f.relative_to(out))
+            files[name] = state_content(tree, f) if f.name == "state.json" else f.read_bytes()
+    return files
 
 
 def quiet_main(tree, argv) -> int:
@@ -92,7 +103,7 @@ def compare_runs(trees, runs, work: Path) -> list[str]:
                 faults.append(f"{' '.join(args)}: {tree.__name__} solve exited {code}")
             if quiet_main(tree, ["verify", str(out)]) != 0:
                 faults.append(f"{' '.join(args)}: {tree.__name__} run fails covpath verify")
-            files.append(artifacts(out))
+            files.append(artifacts(tree, out))
         old, new = files
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         if differ:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 input error, 3 numerical failure, 4 partial path
 import argparse
 import functools
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -37,6 +36,9 @@ EXIT_PARTIAL = 4
 # verify: largest relative Frobenius distance between a saved X and the
 # fresh inverse of the saved U.
 X_MATCH_RTOL = 1e-8
+
+# A run's matrices: (P, n, n) float64 stacks of every point's U and X.
+STACKS = ("U.npy", "X.npy")
 
 INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
 
@@ -105,10 +107,11 @@ def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool)
     data.write_csv(out / "plot_cardinality.csv", card_rows.reshape(-1, 2))
     data.write_csv(out / "plot_cg.csv", cg_rows.reshape(-1, 2))
     if write_matrices:
+        if result.points:
+            data.write_stack(out / "U.npy", [pt.U for pt in result.points])
+            data.write_stack(out / "X.npy", [pt.X for pt in result.points])
         zero_tol = summary["config"]["zero_tol"]
         for idx, pt in enumerate(result.points):
-            data.write_matrix(out / f"U_{idx:03d}.csv", pt.U)
-            data.write_matrix(out / f"X_{idx:03d}.csv", pt.X)
             ii, jj = np.nonzero(np.triu(support_mask(pt.X, zero_tol), 1))
             data.write_csv(
                 out / f"edges_{idx:03d}.csv", np.column_stack([ii, jj]).reshape(-1, 2), "%d"
@@ -207,19 +210,20 @@ def cmd_bench(args) -> int:
                 cg_iterations.append(
                     sum(pt.cg_iterations + pt.corrector_cg_iterations for pt in result.points)
                 )
+            median = float(np.median(walls))
             cells.append(
                 {
                     "n": n,
                     "points": points,
                     "density": args.density,
                     "wall_times": walls,
-                    "median_wall_time": statistics.median(walls),
+                    "median_wall_time": median,
                     "newton_steps": newton_steps,
                     "cg_iterations": cg_iterations,
                 }
             )
             print(
-                f"n={n:>4d} points={points:>3d} median={statistics.median(walls):8.3f}s "
+                f"n={n:>4d} points={points:>3d} median={median:8.3f}s "
                 f"min={min(walls):8.3f}s newton_steps={newton_steps[0]} cg={cg_iterations[0]}"
             )
     report = {
@@ -237,6 +241,41 @@ def cmd_bench(args) -> int:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
+    """The run's ``(U, X)`` stacks, each float64 of shape (count, n, n) for
+    the n x n ``sigma`` of its state; None when the run wrote none (with
+    ``--no-matrices``), or when they fail these tests or cannot be checked,
+    which ``failures`` then records. Per-point matrix CSVs are an older run
+    format that holds the matrices elsewhere, so they fail the run."""
+    leftovers = sorted(f.name for f in run_dir.glob("[UX]_[0-9][0-9][0-9].csv"))
+    if leftovers:
+        failures.append(
+            f"{leftovers[0]}: {len(leftovers)} per-point matrix CSVs of an older run "
+            f"format, which verify does not read; matrices belong in {' and '.join(STACKS)}"
+        )
+    present = [(run_dir / name).exists() for name in STACKS]
+    if not any(present):
+        return None
+    if not all(present):
+        have, missing = STACKS if present[0] else STACKS[::-1]
+        failures.append(f"{have} without {missing}")
+        return None
+    if not count:
+        failures.append(f"{' and '.join(STACKS)} in a run without points")
+        return None
+    if sigma is None:  # state.json is missing, which fails the run already
+        return None
+    stacks = [data.load_stack(run_dir / name) for name in STACKS]
+    expected = (count, *sigma.shape)
+    bad = [
+        f"{name} holds {stack.dtype} {stack.shape}, not float64 {expected}"
+        for name, stack in zip(STACKS, stacks)
+        if stack.dtype != np.dtype("<f8") or stack.shape != expected
+    ]
+    failures += bad
+    return None if bad else stacks
 
 
 def _verify_run_dir(run_dir: Path) -> list[str]:
@@ -272,20 +311,16 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         sigma, state_U, state_rho, state_t = data.state_arrays(data.load_json(state_path))
         if state_t != config_t:
             failures.append(f"{state_path.name}: t {state_t!r} is not config.t {config_t!r}")
-        if points:
-            if state_rho != points[-1]["rho"]:
-                failures.append(
-                    f"{state_path.name}: rho {state_rho!r} is not the last point's "
-                    f"rho {points[-1]['rho']!r}"
-                )
-            # %.17g round-trips a double, so the last U_###.csv holds the same bits.
-            last_u = run_dir / f"U_{len(points) - 1:03d}.csv"
-            if last_u.exists():
-                saved = data.load_matrix(last_u)
-                if saved.shape != state_U.shape or saved.tobytes() != state_U.tobytes():
-                    failures.append(f"{state_path.name}: U is not bitwise the U of {last_u.name}")
+        if points and state_rho != points[-1]["rho"]:
+            failures.append(
+                f"{state_path.name}: rho {state_rho!r} is not the last point's "
+                f"rho {points[-1]['rho']!r}"
+            )
     elif points:
         failures.append(f"{state_path.name} is missing, so no matrix can be checked")
+    stacks = _matrix_stacks(run_dir, len(points), sigma, failures)
+    if stacks is not None and stacks[0][-1].tobytes() != state_U.tobytes():
+        failures.append(f"{state_path.name}: U is not bitwise U.npy[{len(points) - 1}]")
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
             failures.append(f"point {idx}: negative counter")
@@ -298,33 +333,30 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             failures.append(f"point {idx}: weak duality violated (gap {gap:.3e})")
         if gap > pt["gap_bound"] + 10.0 * tol + 1e-9:
             failures.append(f"point {idx}: gap {gap:.3e} above bound {pt['gap_bound']:.3e}")
-        x_path = run_dir / f"X_{idx:03d}.csv"
-        if sigma is not None and x_path.exists():
-            X = data.load_matrix(x_path)
-            if cardinality(X, zero_tol) != pt["cardinality"]:
-                failures.append(f"point {idx}: cardinality mismatch on recount")
-            # The residual is checked on the saved U: X = U^{-1} stored in
-            # float64 fixes U only to about cond(X) * eps, and the
-            # multipliers magnify that by t / slack^2.
-            u_path = run_dir / f"U_{idx:03d}.csv"
-            if not u_path.exists():
-                failures.append(f"point {idx}: {x_path.name} has no {u_path.name}")
-                continue
-            # Tested as a corrector start is: exact symmetry, box and PD.
-            problem = Problem(sigma=sigma, rho=pt["rho"])
-            try:
-                fresh, slack = feasible(problem, data.load_matrix(u_path), u_path.name)
-            except Infeasible as exc:
-                failures.append(f"point {idx}: {exc}")
-                continue
-            if np.linalg.norm(X - fresh.inverse) > X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
-                failures.append(f"point {idx}: {x_path.name} is not the inverse of {u_path.name}")
-            H = residual(multipliers(problem, fresh.matrix, pt["t"], slack), fresh.inverse)
-            resid = float(np.linalg.norm(H))
-            if resid > 2.0 * tol + 1e-9:
-                failures.append(
-                    f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"
-                )
+        if stacks is None:
+            continue
+        X = stacks[1][idx]
+        if cardinality(X, zero_tol) != pt["cardinality"]:
+            failures.append(f"point {idx}: cardinality mismatch on recount")
+        # The residual is checked on the saved U: X = U^{-1} stored in
+        # float64 fixes U only to about cond(X) * eps, and the multipliers
+        # magnify that by t / slack^2.
+        # Tested as a corrector start is: exact symmetry, box and PD.
+        problem = Problem(sigma=sigma, rho=pt["rho"])
+        try:
+            fresh, slack = feasible(problem, stacks[0][idx], f"U.npy[{idx}]")
+        except Infeasible as exc:
+            failures.append(f"point {idx}: {exc}")
+            continue
+        # Negated, so that a NaN in X fails.
+        if not np.linalg.norm(X - fresh.inverse) <= X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
+            failures.append(f"point {idx}: X.npy[{idx}] is not the inverse of U.npy[{idx}]")
+        H = residual(multipliers(problem, fresh.matrix, pt["t"], slack), fresh.inverse)
+        resid = float(np.linalg.norm(H))
+        if resid > 2.0 * tol + 1e-9:
+            failures.append(
+                f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"
+            )
     return failures
 
 
@@ -359,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--zero-tol", type=float, default=PathConfig.zero_tol)
     solve.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     solve.add_argument("--output", default="covpath_run")
-    solve.add_argument("--no-matrices", action="store_true", help="skip per-point X/edge files")
+    solve.add_argument(
+        "--no-matrices", action="store_true", help="skip the U and X stacks and the edge files"
+    )
 
     online = sub.add_parser("online", help="re-solve after a covariance perturbation")
     online.add_argument("--state", required=True, help="state.json from a previous run")

@@ -1,13 +1,15 @@
 """Matrix file I/O, the random problem generator, and JSON artifacts.
 
-Matrices travel as plain CSV (one row per line, 17 significant digits, so
-doubles round-trip exactly); run summaries and reports are versioned JSON.
-Wall-clock timings live in a separate artifact so that summaries are
-byte-identical across repeated runs with the same flags and seed. The CSV
-writer formats each distinct entry of a symmetric matrix once, and writes
-the bytes that ``np.savetxt`` would; JSON files are the bytes of ``json``.
-The hand-off state for ``covpath online`` holds its matrices as base64 of
-their little-endian float64 bytes, which is exact and needs no formatting.
+Inputs are plain CSV matrices. A run's solved matrices go out as numpy
+``.npy`` stacks (NEP 1), one (P, n, n) little-endian float64 array per
+kind, written slice by slice; they are exact and ``np.load`` reads them.
+The small human-read outputs stay text: the CSV writer prints the bytes
+that ``np.savetxt`` would, and run summaries and reports are versioned
+JSON, the bytes of ``json``. Wall-clock timings live in a separate
+artifact so that summaries are byte-identical across repeated runs with
+the same flags and seed. The hand-off state for ``covpath online`` holds
+its matrices as base64 of their little-endian float64 bytes, which is
+exact and needs no formatting.
 """
 
 import base64
@@ -98,38 +100,42 @@ def load_samples(path) -> np.ndarray:
     return samples_covariance(load_matrix(path))
 
 
-def _text_rows(m: np.ndarray, fmt: str) -> list[str]:
-    """Rows of the 2-D array ``m`` as text: each entry printed with the
-    printf format ``fmt``, entries joined by commas.
-
-    A float64 matrix that is bitwise symmetric has only n(n+1)/2 distinct
-    entries, so those are formatted once and the mirrored strings reused.
-    Bits decide symmetry because 0.0 == -0.0, yet the two print apart.
-    """
-    n = m.shape[0]
-    if m.dtype == np.float64 and m.shape == (n, n):
-        bits = m.view(np.uint64)
-        if np.array_equal(bits, bits.T):
-            upper = ~np.tri(n, k=-1, dtype=bool)
-            # One % over the whole triangle; NUL never occurs in a number.
-            cells = ("\0".join([fmt] * (n * (n + 1) // 2)) % tuple(m[upper].tolist())).split("\0")
-            pos = np.cumsum(upper).reshape(n, n) - 1
-            mirrored = np.array(cells, dtype=object)[np.where(upper, pos, pos.T)]
-            return [",".join(row) for row in mirrored.tolist()]
-    row_fmt = ",".join([fmt] * m.shape[1])
-    return [row_fmt % tuple(row) for row in m.tolist()]
-
-
 def write_csv(path, m: np.ndarray, fmt: str = FLOAT_FMT) -> None:
     """Write a 2-D array as the bytes of ``np.savetxt(path, m, delimiter=",", fmt=fmt)``."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got {m.ndim}-D")
-    Path(path).write_text("".join(row + "\n" for row in _text_rows(m, fmt)))
+    row_fmt = ",".join([fmt] * m.shape[1])
+    Path(path).write_text("".join(row_fmt % tuple(row) + "\n" for row in m.tolist()))
 
 
-def write_matrix(path, m: np.ndarray) -> None:
-    write_csv(path, np.asarray(m, dtype=float))
+def write_stack(path, matrices: list[np.ndarray]) -> None:
+    """Write equal-shape matrices as one ``.npy`` file holding their stack
+    as little-endian float64 in C order, the bytes of
+    ``np.save(path, np.stack(matrices).astype("<f8"))``. The header goes
+    first and then each matrix, so the stack is never built."""
+    shape = (len(matrices), *np.shape(matrices[0]))
+    header = {"descr": "<f8", "fortran_order": False, "shape": shape}
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(f, header)
+        for m in matrices:
+            if np.shape(m) != shape[1:]:
+                raise ValueError(f"matrix of shape {np.shape(m)} in a stack of {shape[1:]}")
+            f.write(np.ascontiguousarray(m, dtype="<f8"))
+
+
+def load_stack(path) -> np.ndarray:
+    """The array of a ``.npy`` file, memory-mapped read-only. Raises
+    ParseError naming the file if it cannot be read, is not ``.npy`` or
+    holds Python objects, which would need unpickling."""
+    try:
+        stack = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(stack, np.ndarray):  # an .npz archive
+        stack.close()
+        raise ParseError(f"{path}: not a .npy array")
+    return stack
 
 
 @dataclass(frozen=True)

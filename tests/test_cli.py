@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from covpath.data import (
     load_matrix,
     load_perturbation,
     state_arrays,
-    write_matrix,
+    write_csv,
 )
 from covpath.exceptions import NumericalBreakdown
 from covpath.path import (
@@ -40,7 +41,7 @@ INDEFINITE = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
 @pytest.fixture()
 def diag3_csv(tmp_path):
     f = tmp_path / "diag3.csv"
-    write_matrix(f, np.diag([1.0, 2.0, 3.0]))
+    write_csv(f, np.diag([1.0, 2.0, 3.0]))
     return f
 
 
@@ -59,8 +60,9 @@ class TestSolve:
         assert (out / "state.json").exists()
         assert (out / "plot_cardinality.csv").exists()
         assert (out / "plot_cg.csv").exists()
-        for idx in range(5):
-            X = load_matrix(out / f"X_{idx:03d}.csv")
+        stack = np.load(out / "X.npy")
+        assert stack.shape == (5, 3, 3)
+        for X in stack:
             off = X - np.diag(np.diag(X))
             assert np.abs(off).max() <= 1e-4 * np.abs(X).max()
 
@@ -75,7 +77,7 @@ class TestSolve:
         cards = [pt["cardinality"] for pt in summary["points"]]
         # grid descends in rho, so cardinality may only grow along it
         assert all(b >= a for a, b in zip(cards, cards[1:]))
-        assert not (out / "X_000.csv").exists()
+        assert not (out / "U.npy").exists() and not (out / "X.npy").exists()
 
     def test_modes_agree_cli_level(self, tmp_path):
         outs = {}
@@ -86,7 +88,8 @@ class TestSolve:
                 "--mode", mode, "--output", out,
             )
             assert code == 0
-            outs[mode] = [load_matrix(out / f"X_{i:03d}.csv") for i in range(5)]
+            outs[mode] = np.load(out / "X.npy")
+            assert outs[mode].shape == (5, 8, 8)
         tol = load_json(tmp_path / "scaling" / "summary.json")["config"]["tol_residual"]
         for a, b in zip(outs["scaling"], outs["predictor"]):
             assert np.linalg.norm(a - b) <= 2 * tol
@@ -136,7 +139,7 @@ class TestSolve:
 
     def test_indefinite_sigma_is_input_error(self, tmp_path, capsys):
         f = tmp_path / "indef.csv"
-        write_matrix(f, INDEFINITE)
+        write_csv(f, INDEFINITE)
         out = tmp_path / "run"
         assert run_cli("solve", "--sigma", f, "--output", out) == 2
         assert "positive semidefinite" in capsys.readouterr().err
@@ -149,7 +152,7 @@ class TestSolve:
         sigma, _ = generate_problem(GeneratorSpec(n=n, density=0.3, seed=4))
         x = np.random.default_rng(4).standard_normal((3 * n, n)) @ np.linalg.cholesky(sigma).T
         f = tmp_path / "samples.csv"
-        write_matrix(f, x)
+        write_csv(f, x)
         out = tmp_path / "run"
         assert run_cli("solve", "--samples", f, "--points", 4, "--output", out) == 0
         summary = load_json(out / "summary.json")
@@ -164,7 +167,7 @@ class TestSolve:
             x = np.random.default_rng(n).standard_normal((m, n))
             x -= x.mean(axis=0)
             f = tmp_path / f"sigma{n}.csv"
-            write_matrix(f, x.T @ x / m)
+            write_csv(f, x.T @ x / m)
             sigma = load_covariance(f)
             assert abs(np.linalg.eigvalsh(sigma)[0]) <= 1e-12 * np.diagonal(sigma).max()
 
@@ -243,7 +246,7 @@ class TestSolve:
         # midpoint retry included. The run keeps the solved prefix.
         sigma = np.diag([1.0, 2.0, 3.0]) + 0.2
         f = tmp_path / "sigma.csv"
-        write_matrix(f, sigma)
+        write_csv(f, sigma)
         third = default_rho_grid(sigma, 8, PathConfig.rho_min_frac)[2]
         corrector_run = covpath.path.corrector_run
 
@@ -258,6 +261,8 @@ class TestSolve:
         summary = load_json(out / "summary.json")
         assert summary["truncated"]
         assert len(summary["points"]) == 3
+        # The stacks hold the three solved points.
+        assert np.load(out / "U.npy").shape == np.load(out / "X.npy").shape == (3, 3, 3)
         assert run_cli("verify", out) == 0
 
     def test_edges_are_the_upper_support_that_cardinality_counts(self, tmp_path):
@@ -266,8 +271,9 @@ class TestSolve:
                        "--output", out) == 0
         summary = load_json(out / "summary.json")
         zero_tol = summary["config"]["zero_tol"]
+        stack = np.load(out / "X.npy")
         for idx, pt in enumerate(summary["points"]):
-            X = load_matrix(out / f"X_{idx:03d}.csv")
+            X = stack[idx]
             mask = support_mask(X, zero_tol)
             lines = (out / f"edges_{idx:03d}.csv").read_text().split()
             edges = np.array([line.split(",") for line in lines], dtype=int).reshape(-1, 2)
@@ -277,24 +283,32 @@ class TestSolve:
 
     def test_artifacts_are_savetxt_and_json_bytes(self, tmp_path):
         # Pins the artifact format: each CSV round-trips through load_matrix
-        # to the bytes np.savetxt writes, each JSON file to json.dumps's.
+        # to the bytes np.savetxt writes, each .npy stack through np.load to
+        # np.save's, each JSON file to json.dumps's.
         run = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
                        "--mode", "predictor", "--output", run) == 0
         pert = tmp_path / "pert.csv"
         x = np.linspace(-1.0, 1.0, 12)
-        write_matrix(pert, 1e-3 * np.outer(x, x))
+        write_csv(pert, 1e-3 * np.outer(x, x))
         online = tmp_path / "online"
         assert run_cli("online", "--state", run / "state.json", "--perturbation", pert,
                        "--output", online) == 0
         ref = tmp_path / "ref.csv"
         csvs = sorted(run.glob("*.csv"))
-        assert len(csvs) == 2 + 3 * 5
+        assert len(csvs) == 2 + 5
         for f in csvs:
             fmt = "%d" if f.name.startswith("edges_") else "%.17g"
             m = load_matrix(f) if f.stat().st_size else np.empty((0, 2))
             np.savetxt(ref, m, delimiter=",", fmt=fmt)
             assert f.read_bytes() == ref.read_bytes(), f.name
+        stacks = sorted(run.glob("*.npy"))
+        assert [f.name for f in stacks] == ["U.npy", "X.npy"]
+        for f in stacks:
+            m = np.load(f)
+            assert m.shape == (5, 12, 12) and m.dtype == np.dtype("<f8")
+            np.save(tmp_path / "ref.npy", m)
+            assert f.read_bytes() == (tmp_path / "ref.npy").read_bytes(), f.name
         jsons = [f for f in [*run.glob("*.json"), *online.glob("*.json")]
                  if f.name != "timings.json"]
         assert len(jsons) == 4
@@ -323,9 +337,9 @@ class TestVerify:
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
                        "--output", out) == 0
-        X = load_matrix(out / "X_002.csv")
-        X[0, 1] = X[1, 0] = X[0, 1] + 0.5 * np.abs(X).max()
-        write_matrix(out / "X_002.csv", X)
+        X = np.load(out / "X.npy")
+        X[2, 0, 1] = X[2, 1, 0] = X[2, 0, 1] + 0.5 * np.abs(X[2]).max()
+        np.save(out / "X.npy", X)
         assert run_cli("verify", out) == 3
 
     def test_residual_is_recomputed_from_the_saved_u(self, tmp_path):
@@ -345,22 +359,25 @@ class TestVerify:
         meta = {"n": 3, "source": "indefinite", "seed": None}
         out = tmp_path / "run"
         cli._write_run_artifacts(out, result, build_summary(result, meta, config), True)
-        X = load_matrix(out / "X_002.csv")
+        stack = np.load(out / "X.npy")
+        X = stack[2].copy()
         rng = np.random.default_rng(12)
         for _ in range(20):
             ulps = np.triu(rng.integers(-2, 3, X.shape))
             ulps = ulps + np.triu(ulps, 1).T
-            write_matrix(out / "X_002.csv", X * (1.0 + ulps * np.finfo(float).eps))
+            stack[2] = X * (1.0 + ulps * np.finfo(float).eps)
+            np.save(out / "X.npy", stack)
             assert run_cli("verify", out) == 0
 
     def test_verify_detects_u_corruption(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
                        "--output", out) == 0
-        U = load_matrix(out / "U_001.csv")
-        write_matrix(out / "U_001.csv", U + 1e-3 * np.eye(7))
+        U = np.load(out / "U.npy")
+        U[1] += 1e-3 * np.eye(7)
+        np.save(out / "U.npy", U)
         assert run_cli("verify", out) == 3
-        (out / "U_001.csv").unlink()
+        (out / "U.npy").unlink()
         assert run_cli("verify", out) == 3
 
     def test_infeasible_saved_u_fails_its_point_and_verify_goes_on(self, tmp_path, capsys):
@@ -369,19 +386,18 @@ class TestVerify:
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=6,density=0.3,seed=2", "--points", 3,
                        "--output", out) == 0
-        U = load_matrix(out / "U_001.csv")
-        write_matrix(out / "U_001.csv", U + 5.0 * np.eye(6))
-        U = load_matrix(out / "U_002.csv")
-        U[0, 1] = np.nextafter(U[0, 1], np.inf)
-        write_matrix(out / "U_002.csv", U)
+        U = np.load(out / "U.npy")
+        U[1] += 5.0 * np.eye(6)
+        U[2, 0, 1] = np.nextafter(U[2, 0, 1], np.inf)
+        np.save(out / "U.npy", U)
         capsys.readouterr()
         assert run_cli("verify", out) == 3
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
-        # U_002.csv is the last point's, so it no longer matches state.json.
+        # U.npy[2] is the last point's, so it no longer matches state.json.
         assert len(fails) == 3
-        assert "state.json: U is not bitwise the U of U_002.csv" in fails[0]
-        assert "point 1: U_001.csv leaves the box" in fails[1]
-        assert "point 2: U_002.csv is not exactly symmetric" in fails[2]
+        assert "state.json: U is not bitwise U.npy[2]" in fails[0]
+        assert "point 1: U.npy[1] leaves the box" in fails[1]
+        assert "point 2: U.npy[2] is not exactly symmetric" in fails[2]
 
     def test_gap_bound_is_rederived(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -440,7 +456,7 @@ class TestVerify:
         U[2, 2] = np.nextafter(U[2, 2], np.inf)
         dump_json(out / "state.json", build_state(sigma, U, rho, t))
         fails = self._fails(capsys, out)
-        assert fails == ["FAIL: state.json: U is not bitwise the U of U_003.csv"]
+        assert fails == ["FAIL: state.json: U is not bitwise U.npy[3]"]
 
     def test_missing_state_fails_a_run_with_points(self, tmp_path, capsys):
         # The matrix checks need state.json's sigma: without it, a run with
@@ -449,7 +465,7 @@ class TestVerify:
         assert run_cli("solve", "--gen", "n=8,density=0.3,seed=2", "--points", 3,
                        "--output", out) == 0
         (out / "state.json").unlink()
-        write_matrix(out / "X_001.csv", np.eye(2))
+        np.save(out / "X.npy", np.eye(2)[None])
         capsys.readouterr()
         assert run_cli("verify", out) == 3
         assert "state.json is missing" in capsys.readouterr().out
@@ -466,7 +482,79 @@ class TestVerify:
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=6,density=0.2,seed=1", "--output", out) == 4
         assert not (out / "state.json").exists()
+        assert not (out / "U.npy").exists() and not (out / "X.npy").exists()
         assert run_cli("verify", out) == 0
+        np.save(out / "U.npy", np.empty((0, 6, 6)))
+        np.save(out / "X.npy", np.empty((0, 6, 6)))
+        assert run_cli("verify", out) == 3
+
+    @pytest.fixture()
+    def run7(self, tmp_path):
+        """A verified 4-point n=7 run; tests tamper with its stacks."""
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out) == 0
+        return out
+
+    def test_one_ulp_in_the_last_u_fails_the_state_check(self, run7, capsys):
+        U = np.load(run7 / "U.npy")
+        U[-1, 2, 2] = np.nextafter(U[-1, 2, 2], np.inf)
+        np.save(run7 / "U.npy", U)
+        assert self._fails(capsys, run7) == ["FAIL: state.json: U is not bitwise U.npy[3]"]
+
+    def test_asymmetric_u_entry_fails_its_point(self, run7, capsys):
+        U = np.load(run7 / "U.npy")
+        U[1, 0, 1] = np.nextafter(U[1, 0, 1], np.inf)
+        np.save(run7 / "U.npy", U)
+        assert self._fails(capsys, run7) == ["FAIL: point 1: U.npy[1] is not exactly symmetric"]
+
+    def test_nan_in_x_fails_its_point(self, run7, capsys):
+        X = np.load(run7 / "X.npy")
+        X[1, 0, 0] = np.nan
+        np.save(run7 / "X.npy", X)
+        assert self._fails(capsys, run7) == [
+            "FAIL: point 1: cardinality mismatch on recount",
+            "FAIL: point 1: X.npy[1] is not the inverse of U.npy[1]",
+        ]
+
+    @pytest.mark.parametrize("name", ["U.npy", "X.npy"])
+    @pytest.mark.parametrize("change, held", [
+        (lambda m: m[:-1], "float64 (3, 7, 7)"),
+        (lambda m: np.concatenate([m, m[-1:]]), "float64 (5, 7, 7)"),
+        (lambda m: m[:, :-1, :-1], "float64 (4, 6, 6)"),
+        (lambda m: m.astype(np.float32), "float32 (4, 7, 7)"),
+        (lambda m: m.astype(">f8"), ">f8 (4, 7, 7)"),
+    ], ids=["fewer-points", "more-points", "smaller-n", "float32", "big-endian"])
+    def test_stack_of_another_dtype_or_shape_fails(self, run7, capsys, name, change, held):
+        np.save(run7 / name, change(np.load(run7 / name)))
+        assert self._fails(capsys, run7) == [
+            f"FAIL: {name} holds {held}, not float64 (4, 7, 7)"
+        ]
+
+    @pytest.mark.parametrize("missing", ["U.npy", "X.npy"])
+    def test_one_stack_without_the_other_fails(self, run7, capsys, missing):
+        (run7 / missing).unlink()
+        other = "X.npy" if missing == "U.npy" else "U.npy"
+        assert self._fails(capsys, run7) == [f"FAIL: {other} without {missing}"]
+
+    def test_object_stack_is_input_error(self, run7, capsys):
+        np.save(run7 / "U.npy", np.array([None, "x"], dtype=object))
+        assert run_cli("verify", run7) == 2
+        err = capsys.readouterr().err
+        assert "input error:" in err and "U.npy" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--no-matrices",)], ids=["stacks", "no-matrices"])
+    def test_leftover_matrix_csv_fails(self, tmp_path, capsys, flags):
+        # A per-point CSV is a run in the older format: its matrices are
+        # not checked, so the run must not pass on its summary alone.
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out, *flags) == 0
+        sigma, U, _, _ = state_arrays(load_json(out / "state.json"))
+        write_csv(out / "U_000.csv", U)
+        fails = self._fails(capsys, out)
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL: U_000.csv: 1 per-point matrix CSVs of an older run")
 
     def test_missing_summary_is_input_error(self, tmp_path, capsys):
         assert run_cli("verify", tmp_path) == 2
@@ -501,7 +589,7 @@ class TestOnlineCmd:
     def test_zero_perturbation_returns_state(self, tmp_path):
         state_path = self._solved_state(tmp_path)
         zero = tmp_path / "zero.csv"
-        write_matrix(zero, np.zeros((6, 6)))
+        write_csv(zero, np.zeros((6, 6)))
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", zero,
                        "--output", out) == 0
@@ -517,7 +605,7 @@ class TestOnlineCmd:
         C = 0.5 * (C + C.T)
         C *= 1e-3 * np.linalg.norm(sigma) / np.linalg.norm(C)
         pert = tmp_path / "c.csv"
-        write_matrix(pert, C)
+        write_csv(pert, C)
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", pert,
                        "--k", 1, "--verify", "--output", out) == 0
@@ -532,7 +620,7 @@ class TestOnlineCmd:
         C = np.zeros((6, 6))
         C[1, 4] = C[4, 1] = 1e-3
         pert = tmp_path / "c.csv"
-        write_matrix(pert, C)
+        write_csv(pert, C)
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", pert,
                        "--output", out) == 0
@@ -552,7 +640,7 @@ class TestOnlineCmd:
     def test_shape_mismatch_is_input_error(self, tmp_path):
         state_path = self._solved_state(tmp_path)
         pert = tmp_path / "c.csv"
-        write_matrix(pert, np.zeros((4, 4)))
+        write_csv(pert, np.zeros((4, 4)))
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
 
     def test_state_without_u_is_input_error(self, tmp_path, capsys):
@@ -561,7 +649,7 @@ class TestOnlineCmd:
         state_path = tmp_path / "state.json"
         dump_json(state_path, state)
         pert = tmp_path / "c.csv"
-        write_matrix(pert, np.zeros((3, 3)))
+        write_csv(pert, np.zeros((3, 3)))
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
         assert "input error:" in capsys.readouterr().err
 
@@ -575,7 +663,7 @@ class TestOnlineCmd:
         state[key] = build_state(sigma, U[:5, :5], rho, t)["U"] if key == "U" else float("nan")
         state_path.write_text(json.dumps(state))
         pert = tmp_path / "c.csv"
-        write_matrix(pert, scale * np.eye(6))
+        write_csv(pert, scale * np.eye(6))
         out = tmp_path / "online"
         assert run_cli("online", "--state", state_path, "--perturbation", pert,
                        "--output", out) == 2
@@ -589,12 +677,21 @@ class TestOnlineCmd:
         state_path = tmp_path / "state.json"
         state_path.write_text("[1, 2]\n")
         pert = tmp_path / "c.csv"
-        write_matrix(pert, np.zeros((3, 3)))
+        write_csv(pert, np.zeros((3, 3)))
         assert run_cli("online", "--state", state_path, "--perturbation", pert) == 2
         assert "input error:" in capsys.readouterr().err
 
 
 class TestBench:
+    def test_median_wall_time_is_the_median_of_the_repeats(self, tmp_path):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--sizes", "6", "--lengths", "3", "--repeats", 2,
+                       "--output", out) == 0
+        (cell,) = load_json(out / "bench_report.json")["cells"]
+        assert len(cell["wall_times"]) == 2
+        assert cell["median_wall_time"] == statistics.median(cell["wall_times"])
+
+
     def test_small_bench_report_schema(self, tmp_path):
         import jsonschema
         from importlib import resources

@@ -20,10 +20,11 @@ from covpath.data import (
     load_matrix,
     load_perturbation,
     load_samples,
+    load_stack,
     samples_covariance,
     state_arrays,
     write_csv,
-    write_matrix,
+    write_stack,
 )
 from covpath.exceptions import AsymmetricInput, NonPositiveDiagonal, ParseError
 from covpath.path import PathConfig, run_path
@@ -100,7 +101,7 @@ class TestRoundTrip:
         m = rng.standard_normal((6, 6))
         m = 0.5 * (m + m.T) + 6 * np.eye(6)
         f = tmp_path / "m.csv"
-        write_matrix(f, m)
+        write_csv(f, m)
         assert np.array_equal(load_matrix(f), m)
 
 
@@ -161,6 +162,53 @@ class TestWriteCsv:
     def test_empty_and_one_by_one(self, tmp_path, m, fmt):
         write_csv(tmp_path / "m.csv", m, fmt)
         assert (tmp_path / "m.csv").read_bytes() == savetxt_bytes(tmp_path / "ref.csv", m, fmt)
+
+
+class TestStacks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ms=st.integers(1, 4).flatmap(
+            lambda n: st.lists(hnp.arrays(np.float64, (n, n), elements=ANY_FLOAT), min_size=1,
+                               max_size=4)
+        )
+    )
+    def test_bytes_equal_np_save_of_the_stack(self, tmp_path_factory, ms):
+        d = tmp_path_factory.mktemp("npy")
+        write_stack(d / "m.npy", ms)
+        np.save(d / "ref.npy", np.stack(ms))
+        assert (d / "m.npy").read_bytes() == (d / "ref.npy").read_bytes()
+        stack = load_stack(d / "m.npy")
+        assert stack.shape == (len(ms), *ms[0].shape) and not stack.flags.writeable
+        for k, m in enumerate(ms):
+            assert stack[k].tobytes() == m.tobytes()
+
+    def test_slices_are_written_as_little_endian_c_order_float64(self, tmp_path):
+        # A Fortran-order, big-endian or integer matrix is converted.
+        m = np.arange(6.0).reshape(2, 3)
+        write_stack(tmp_path / "m.npy", [np.asfortranarray(m), m.astype(">f8"), m.astype(int)])
+        assert np.load(tmp_path / "m.npy").tobytes() == np.stack([m, m, m]).tobytes()
+
+    def test_matrices_of_another_shape_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            write_stack(tmp_path / "m.npy", [np.eye(3), np.eye(2)])
+
+    @pytest.mark.parametrize("case", ["missing", "empty", "text", "truncated", "pickled", "npz"])
+    def test_unreadable_stack_is_a_parse_error_naming_the_file(self, tmp_path, case):
+        f = tmp_path / "m.npy"
+        if case == "empty":
+            f.write_bytes(b"")
+        elif case == "text":
+            f.write_text("1,2\n3,4\n")
+        elif case == "truncated":
+            np.save(f, np.ones((2, 3, 3)))
+            f.write_bytes(f.read_bytes()[:-8])
+        elif case == "pickled":
+            np.save(f, np.array([None, "x"], dtype=object))
+        elif case == "npz":
+            with open(f, "wb") as out:
+                np.savez(out, np.eye(2))
+        with pytest.raises(ParseError, match="m.npy"):
+            load_stack(f)
 
 
 class TestGenerator:

@@ -116,3 +116,15 @@ def test_import_leaves_out_scipy_linalg(module):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+
+
+def test_cli_import_leaves_out_statistics():
+    # cmd_bench takes its median from numpy; statistics would also load
+    # fractions and decimal at every start-up.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import covpath.cli; "
+        "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -91,31 +91,39 @@ def _load_instance(args) -> tuple[np.ndarray, dict]:
     return sigma, meta
 
 
+def _derived_csvs(points: list[dict], n: int, zero_tol: float, Xs) -> dict[str, str]:
+    """Text of each CSV a run derives, by file name: the two plot files from
+    the summary's ``points`` of an n x n instance, and one edge list per
+    matrix of ``Xs``, the upper-triangle support (:func:`support_mask`) of
+    that point's X."""
+    card = [[math.log10(pt["rho"]), pt["cardinality"] / n**2] for pt in points]
+    cg = [[pt["cardinality"], pt["cg_iterations"]] for pt in points]
+    texts = {
+        "plot_cardinality.csv": data.csv_text(np.array(card).reshape(-1, 2)),
+        "plot_cg.csv": data.csv_text(np.array(cg).reshape(-1, 2)),
+    }
+    for idx, X in enumerate(Xs):
+        edges = np.argwhere(np.triu(support_mask(X, zero_tol), 1))
+        texts[f"edges_{idx:03d}.csv"] = data.csv_text(edges, "%d")
+    return texts
+
+
 def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
     data.dump_json(out / "summary.json", summary)
     data.dump_json(out / "timings.json", data.build_timings(result))
+    Xs = [pt.X for pt in result.points] if write_matrices else []
     if result.points:
         last = result.points[-1]
         data.dump_json(
             out / "state.json", data.build_state(result.sigma, last.U, last.rho, result.t)
         )
-    card_rows = np.array(
-        [[math.log10(pt.rho), pt.cardinality / result.sigma.shape[0] ** 2] for pt in result.points]
-    )
-    cg_rows = np.array([[pt.cardinality, pt.cg_iterations] for pt in result.points])
-    data.write_csv(out / "plot_cardinality.csv", card_rows.reshape(-1, 2))
-    data.write_csv(out / "plot_cg.csv", cg_rows.reshape(-1, 2))
-    if write_matrices:
-        if result.points:
-            data.write_stack(out / "U.npy", [pt.U for pt in result.points])
-            data.write_stack(out / "X.npy", [pt.X for pt in result.points])
-        zero_tol = summary["config"]["zero_tol"]
-        for idx, pt in enumerate(result.points):
-            ii, jj = np.nonzero(np.triu(support_mask(pt.X, zero_tol), 1))
-            data.write_csv(
-                out / f"edges_{idx:03d}.csv", np.column_stack([ii, jj]).reshape(-1, 2), "%d"
-            )
+    if Xs:
+        data.write_stack(out / "U.npy", [pt.U for pt in result.points])
+        data.write_stack(out / "X.npy", Xs)
+    n, zero_tol = result.sigma.shape[0], summary["config"]["zero_tol"]
+    for name, text in _derived_csvs(summary["points"], n, zero_tol, Xs).items():
+        (out / name).write_text(text)
 
 
 def cmd_solve(args) -> int:
@@ -245,10 +253,11 @@ def _is_number(value) -> bool:
 
 def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
     """The run's ``(U, X)`` stacks, each float64 of shape (count, n, n) for
-    the n x n ``sigma`` of its state; None when the run wrote none (with
-    ``--no-matrices``), or when they fail these tests or cannot be checked,
-    which ``failures`` then records. Per-point matrix CSVs are an older run
-    format that holds the matrices elsewhere, so they fail the run."""
+    the n x n ``sigma`` of its state; ``()`` when the run wrote none (with
+    ``--no-matrices``); None when they fail these tests or cannot be
+    checked, which ``failures`` then records. Per-point matrix CSVs are an
+    older run format that holds the matrices elsewhere, so they fail the
+    run."""
     leftovers = sorted(f.name for f in run_dir.glob("[UX]_[0-9][0-9][0-9].csv"))
     if leftovers:
         failures.append(
@@ -257,7 +266,7 @@ def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
         )
     present = [(run_dir / name).exists() for name in STACKS]
     if not any(present):
-        return None
+        return ()
     if not all(present):
         have, missing = STACKS if present[0] else STACKS[::-1]
         failures.append(f"{have} without {missing}")
@@ -319,7 +328,7 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     elif points:
         failures.append(f"{state_path.name} is missing, so no matrix can be checked")
     stacks = _matrix_stacks(run_dir, len(points), sigma, failures)
-    if stacks is not None and stacks[0][-1].tobytes() != state_U.tobytes():
+    if stacks and stacks[0][-1].tobytes() != state_U.tobytes():
         failures.append(f"{state_path.name}: U is not bitwise U.npy[{len(points) - 1}]")
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
@@ -333,7 +342,7 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             failures.append(f"point {idx}: weak duality violated (gap {gap:.3e})")
         if gap > pt["gap_bound"] + 10.0 * tol + 1e-9:
             failures.append(f"point {idx}: gap {gap:.3e} above bound {pt['gap_bound']:.3e}")
-        if stacks is None:
+        if not stacks:
             continue
         X = stacks[1][idx]
         if cardinality(X, zero_tol) != pt["cardinality"]:
@@ -357,6 +366,22 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             failures.append(
                 f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"
             )
+    # The derived CSVs are checked unless a stack failed its own checks, or
+    # a run with points lacks the state that gives n (either failed above).
+    # A run without stacks derives no edge list.
+    if stacks is not None and (sigma is not None or not points):
+        n = sigma.shape[0] if points else 1  # no point, no n needed
+        expected = _derived_csvs(points, n, zero_tol, stacks[1] if stacks else ())
+        for name, text in expected.items():
+            if not (run_dir / name).exists():
+                failures.append(f"{name} is missing")
+            elif (run_dir / name).read_bytes() != text.encode():
+                failures.append(f"{name} is not the CSV the run derives")
+        failures += [
+            f"{f.name} belongs to no point"
+            for f in sorted(run_dir.glob("edges_*.csv"))
+            if f.name not in expected
+        ]
     return failures
 
 

@@ -5,11 +5,11 @@ Inputs are plain CSV matrices. A run's solved matrices go out as numpy
 kind, written slice by slice; they are exact and ``np.load`` reads them.
 The small human-read outputs stay text: the CSV writer prints the bytes
 that ``np.savetxt`` would, and run summaries and reports are versioned
-JSON, the bytes of ``json``. Wall-clock timings live in a separate
-artifact so that summaries are byte-identical across repeated runs with
-the same flags and seed. The hand-off state for ``covpath online`` holds
-its matrices as base64 of their little-endian float64 bytes, which is
-exact and needs no formatting.
+JSON of plain Python values, the bytes of ``json``. Wall-clock timings
+live in a separate artifact so that summaries are byte-identical across
+repeated runs with the same flags and seed. The hand-off state for
+``covpath online`` holds its matrices as base64 of their little-endian
+float64 bytes, which is exact and needs no formatting.
 """
 
 import base64
@@ -100,13 +100,18 @@ def load_samples(path) -> np.ndarray:
     return samples_covariance(load_matrix(path))
 
 
-def write_csv(path, m: np.ndarray, fmt: str = FLOAT_FMT) -> None:
-    """Write a 2-D array as the bytes of ``np.savetxt(path, m, delimiter=",", fmt=fmt)``."""
+def csv_text(m: np.ndarray, fmt: str = FLOAT_FMT) -> str:
+    """A 2-D array as the text of ``np.savetxt(path, m, delimiter=",", fmt=fmt)``."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got {m.ndim}-D")
     row_fmt = ",".join([fmt] * m.shape[1])
-    Path(path).write_text("".join(row_fmt % tuple(row) + "\n" for row in m.tolist()))
+    return "".join(row_fmt % tuple(row) + "\n" for row in m.tolist())
+
+
+def write_csv(path, m: np.ndarray, fmt: str = FLOAT_FMT) -> None:
+    """Write :func:`csv_text` of ``m`` to ``path``."""
+    Path(path).write_text(csv_text(m, fmt))
 
 
 def write_stack(path, matrices: list[np.ndarray]) -> None:
@@ -191,29 +196,13 @@ def generate_problem(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _to_jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "biuf":  # tolist() already yields plain Python numbers
-            return value.tolist()
-        return [_to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    return value
-
-
 def dump_json(path, payload: dict) -> None:
-    """Write ``payload`` (string keys) as ``json.dumps`` would with sorted
-    keys and compact separators."""
+    """Write ``payload`` (string keys, plain Python values: numpy arrays raise
+    TypeError) as ``json.dumps`` would with sorted keys, compact separators."""
     if not all(isinstance(key, str) for key in payload):
         raise TypeError("JSON artifact keys must be strings")
     # Compact: an indent would push json onto its pure-Python encoder.
-    text = json.dumps(_to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n")
 
 

@@ -264,7 +264,7 @@ def recenter(
         block = np.ix_(rest, rest)
         keep = same[block]
         U0 = np.asarray(start, dtype=float)
-        reduced = Problem(sigma=np.where(keep, p.sigma[block], 0.0), rho=p.rho)
+        reduced = Problem.from_symmetric(np.where(keep, p.sigma[block], 0.0), p.rho)
         reduced_cfg = CorrectorConfig(
             tol_residual=0.99 * math.sqrt(tol * tol - cross * cross),
             max_sweeps=cfg.max_sweeps,
@@ -286,7 +286,7 @@ def recenter(
 
 def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> RegularizationPath:
     """Trace the full regularization path over the penalty grid; sigma
-    must be symmetric (:class:`barrier.Problem` checks it).
+    must be symmetric (:class:`barrier.Problem` checks it once, at rho_max).
 
     The first point starts from the sparse-end diagonal matrix; every later
     point warm-starts from its predecessor. :func:`recenter` solves each
@@ -325,48 +325,40 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     path = RegularizationPath(sigma=sigma, t=t, mode=cfg.mode)
     U_prev = initial_point(p_max)
     factor_prev: PDFactor | None = None
-    problem_prev: Problem | None = None
-    rho_prev = rho_max
+    prev = p_max
 
-    for rho in grid:
+    for rho in grid.tolist():
         tick = time.perf_counter()
-        problem = Problem(sigma=sigma, rho=float(rho))
-        h = float(rho) - rho_prev
+        problem = Problem.from_symmetric(sigma, rho)
+        h = rho - prev.rho
         cg_iterations = 0
         try:
             solved = None
             if cfg.mode == "predictor" and factor_prev is not None:
-                start, h_used, cg_res = predictor_step_detail(problem_prev, factor_prev, t, h)
+                start, h_used, cg_res = predictor_step_detail(prev, factor_prev, t, h)
                 cg_iterations = cg_res.iterations
                 if h_used != h:
                     # The tangent stopped short of the grid value. Rescaling
                     # carries its endpoint the rest of the way (the max
                     # keeps rounding from asking it to raise the penalty).
-                    start = scaling_warm_start(
-                        sigma, start, max(rho_prev + h_used, float(rho)), float(rho)
-                    )
+                    start = scaling_warm_start(sigma, start, max(prev.rho + h_used, rho), rho)
                 try:
                     solved = recenter(problem, start, t, cfg.corrector)
                 except Infeasible:
                     pass  # the run rejected the start; take the scaling start
             if solved is None:
-                start = scaling_warm_start(sigma, U_prev, rho_prev, float(rho))
+                start = scaling_warm_start(sigma, U_prev, prev.rho, rho)
                 solved = recenter(problem, start, t, cfg.corrector)
             factor, stats = solved
         except CovpathError as exc:
-            retried = _retry_through_midpoint(sigma, U_prev, rho_prev, float(rho), t, cfg)
+            retried = _retry_through_midpoint(sigma, U_prev, prev.rho, rho, t, cfg)
             if retried is None:
-                path.failure = PathFailure(rho=float(rho), error=str(exc))
+                path.failure = PathFailure(rho=rho, error=str(exc))
                 return path
             factor, stats = retried
         wall = time.perf_counter() - tick
-        path.points.append(
-            _make_point(problem, factor, t, cfg, cg_iterations, stats, wall)
-        )
-        factor_prev = factor
-        problem_prev = problem
-        U_prev = factor.matrix
-        rho_prev = float(rho)
+        path.points.append(_make_point(problem, factor, t, cfg, cg_iterations, stats, wall))
+        factor_prev, U_prev, prev = factor, factor.matrix, problem
     return path
 
 
@@ -375,9 +367,9 @@ def _retry_through_midpoint(sigma, U_prev, rho_prev, rho, t, cfg):
     rho_mid = math.sqrt(rho_prev * rho)
     try:
         U_mid = scaling_warm_start(sigma, U_prev, rho_prev, rho_mid)
-        factor_mid, _ = recenter(Problem(sigma=sigma, rho=rho_mid), U_mid, t, cfg.corrector)
+        factor_mid, _ = recenter(Problem.from_symmetric(sigma, rho_mid), U_mid, t, cfg.corrector)
         U_start = scaling_warm_start(sigma, factor_mid.matrix, rho_mid, rho)
-        return recenter(Problem(sigma=sigma, rho=rho), U_start, t, cfg.corrector)
+        return recenter(Problem.from_symmetric(sigma, rho), U_start, t, cfg.corrector)
     except CovpathError:
         return None
 

@@ -515,7 +515,29 @@ class TestVerify:
         assert self._fails(capsys, run7) == [
             "FAIL: point 1: cardinality mismatch on recount",
             "FAIL: point 1: X.npy[1] is not the inverse of U.npy[1]",
+            "FAIL: edges_001.csv is not the CSV the run derives",
         ]
+
+    def test_edited_edge_list_fails(self, run7, capsys):
+        assert (run7 / "edges_002.csv").read_text() != "0,1\n"
+        (run7 / "edges_002.csv").write_text("0,1\n")
+        assert self._fails(capsys, run7) == ["FAIL: edges_002.csv is not the CSV the run derives"]
+
+    def test_missing_edge_list_fails(self, run7, capsys):
+        (run7 / "edges_003.csv").unlink()
+        assert self._fails(capsys, run7) == ["FAIL: edges_003.csv is missing"]
+
+    def test_edited_plot_file_fails(self, run7, capsys):
+        (run7 / "plot_cg.csv").write_text("1,2\n")
+        assert self._fails(capsys, run7) == ["FAIL: plot_cg.csv is not the CSV the run derives"]
+
+    @pytest.mark.parametrize("flags", [(), ("--no-matrices",)], ids=["stacks", "no-matrices"])
+    def test_edge_list_of_no_point_fails(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
+                       "--output", out, *flags) == 0
+        (out / "edges_004.csv").write_text("0,1\n")
+        assert self._fails(capsys, out) == ["FAIL: edges_004.csv belongs to no point"]
 
     @pytest.mark.parametrize("name", ["U.npy", "X.npy"])
     @pytest.mark.parametrize("change, held", [

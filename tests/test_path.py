@@ -108,6 +108,23 @@ class TestRunPath:
             assert pt.gap_bound == 2 * 30 * 30 * res.t
             assert pt.dual_obj - pt.primal_obj <= pt.gap_bound, pt.rho
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sigma_is_checked_once_per_path(self, monkeypatch, mode):
+        # The rho_max instance is the path's one check of sigma; the grid
+        # values' instances and the split points' reduced ones (4 on this
+        # path) are built from the sigma it checked.
+        calls = []
+
+        def counted(m, name):
+            calls.append(name)
+            return symmat_mod.checked_symmetric(m, name)
+
+        monkeypatch.setattr(barrier, "checked_symmetric", counted)
+        sigma, _ = generate_problem(GeneratorSpec(n=30, density=0.1, seed=3))
+        res = run_path(sigma, PathConfig(points=10, mode=mode))
+        assert len(res.points) == 10
+        assert calls == ["sigma"]
+
     def test_deterministic(self, small_instance):
         a = run_path(small_instance, PathConfig(points=4))
         b = run_path(small_instance, PathConfig(points=4))

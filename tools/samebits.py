@@ -12,14 +12,13 @@ and stay independent.
 
 * The first ``--runs`` of the reference runs (:data:`RUNS`) are made with
   ``covpath solve`` from each tree. Every artifact except ``timings.json``,
-  ``state.json`` and the per-point matrices must be byte-identical, and
+  ``state.json`` and the matrix stacks must be byte-identical, and
   ``covpath verify`` must pass on each run. Each tree's ``state.json`` is
   decoded with that tree's own ``data.state_arrays``, so trees that encode
   the state differently compare by content: the arrays bit for bit, rho
-  and t exactly. The per-point U and X compare by content too, point k of
-  one tree bit for bit against point k of the other, whichever format
-  holds them: ``U_###.csv``/``X_###.csv`` read with ``np.loadtxt``, or
-  slice k of the ``U.npy``/``X.npy`` stacks read with ``np.load``.
+  and t exactly. The ``U.npy``/``X.npy`` stacks compare slice by slice,
+  slice k of one tree bit for bit against slice k of the other, so that a
+  difference names its point.
 * ``--streams`` update streams shaped like the benchmark's online-stream
   workload (``perfbench/workloads.py``: n=10, 12 rank-one updates each at
   rho = 0.3 rho_max) go through ``path.run_online`` with each tree. Every
@@ -45,7 +44,6 @@ import importlib.util
 import io
 import json
 import os
-import re
 import shutil
 import statistics
 import subprocess
@@ -68,7 +66,6 @@ RUNS = [
     ["--gen", "n=60,density=0.2,seed=2", "--points", "20", "--mode", "predictor"],
 ]
 SKIPPED = {"timings.json"}  # wall times differ from run to run
-MATRIX_CSV = re.compile(r"([UX])_(\d{3})\.csv")  # one point's U or X
 STARTUP_RUNS = 5
 
 
@@ -92,22 +89,18 @@ def matrix_content(m) -> tuple:
 
 
 def artifacts(tree, out: Path) -> dict:
-    """A run's artifacts by name; each point's U and X under ``U[k]`` and
-    ``X[k]``, whichever file format holds them."""
+    """A run's artifacts by name; each point's U and X, slice k of its
+    ``.npy`` stack, under ``U[k]`` and ``X[k]``."""
     files = {}
     for f in sorted(out.rglob("*")):
         if not f.is_file() or f.name in SKIPPED:
             continue
         name = str(f.relative_to(out))
-        csv = MATRIX_CSV.fullmatch(f.name)
         if f.name == "state.json":
             files[name] = state_content(tree, f)
         elif f.suffix == ".npy":
             for k, m in enumerate(np.load(f, allow_pickle=False)):
                 files[f"{f.stem}[{k}]"] = matrix_content(m)
-        elif csv:
-            m = np.loadtxt(f, delimiter=",", ndmin=2)
-            files[f"{csv[1]}[{int(csv[2])}]"] = matrix_content(m)
         else:
             files[name] = f.read_bytes()
     return files

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure, 4 partial path
 import argparse
 import functools
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -93,18 +94,18 @@ def _load_instance(args) -> tuple[np.ndarray, dict]:
 
 def _derived_csvs(points: list[dict], n: int, zero_tol: float, Xs) -> dict[str, str]:
     """Text of each CSV a run derives, by file name: the two plot files from
-    the summary's ``points`` of an n x n instance, and one edge list per
-    matrix of ``Xs``, the upper-triangle support (:func:`support_mask`) of
-    that point's X."""
+    the summary's ``points`` of an n x n instance and, when ``Xs`` holds
+    their matrices, ``edges.csv``: a row ``k,i,j`` for each entry (i, j) of
+    the upper-triangle support (:func:`support_mask`) of point k's X."""
     card = [[math.log10(pt["rho"]), pt["cardinality"] / n**2] for pt in points]
     cg = [[pt["cardinality"], pt["cg_iterations"]] for pt in points]
     texts = {
         "plot_cardinality.csv": data.csv_text(np.array(card).reshape(-1, 2)),
         "plot_cg.csv": data.csv_text(np.array(cg).reshape(-1, 2)),
     }
-    for idx, X in enumerate(Xs):
-        edges = np.argwhere(np.triu(support_mask(X, zero_tol), 1))
-        texts[f"edges_{idx:03d}.csv"] = data.csv_text(edges, "%d")
+    if len(Xs):
+        masks = np.triu([support_mask(X, zero_tol) for X in Xs], 1)
+        texts["edges.csv"] = data.csv_text(np.argwhere(masks), "%d")
     return texts
 
 
@@ -287,6 +288,29 @@ def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
     return None if bad else stacks
 
 
+def _timings_failures(path: Path, count: int) -> list[str]:
+    """Failures of a run's ``timings.json`` for a summary of ``count`` points."""
+    if not path.exists():
+        return [f"{path.name} is missing"]
+    timings = data.load_json(path)
+    if not isinstance(timings, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    if timings.get("schema") != data.TIMINGS_SCHEMA:
+        return [f"{path.name}: schema {timings.get('schema')!r} is not {data.TIMINGS_SCHEMA!r}"]
+    walls = timings.get("per_point_wall_time")
+    if not (
+        isinstance(walls, list)
+        and len(walls) == count
+        and all(_is_number(w) and 0.0 <= w < math.inf for w in walls)
+    ):
+        return [f"{path.name}: per_point_wall_time is not {count} finite numbers >= 0"]
+    # The writer's own sum; JSON round-trips a float exactly.
+    total = timings.get("total_wall_time")
+    if not (_is_number(total) and total == float(sum(walls))):
+        return [f"{path.name}: total_wall_time {total!r} is not the sum of per_point_wall_time"]
+    return []
+
+
 def _verify_run_dir(run_dir: Path) -> list[str]:
     """Re-validate an emitted run; returns a list of failure messages."""
     failures = []
@@ -301,6 +325,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         tol = float(summary["config"]["tol_residual"])
         zero_tol = float(summary["config"]["zero_tol"])
         config_t = float(summary["config"]["t"])
+        config_points = operator.index(summary["config"]["points"])
+        config_mode = summary["config"]["mode"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{summary_path}: no usable points/config ({exc!r})") from exc
     if not isinstance(points, list):
@@ -314,10 +340,32 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     rhos = [pt["rho"] for pt in points]
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         failures.append("points are not strictly descending in rho")
+    mode = summary.get("mode")
+    if mode not in MODES:
+        failures.append(f"mode {mode!r} is not one of {', '.join(MODES)}")
+    elif mode != config_mode:
+        failures.append(f"mode {mode!r} is not config.mode {config_mode!r}")
+    truncated = "failure" in summary
+    if summary.get("truncated") is not truncated:
+        failures.append(
+            f"truncated is {summary.get('truncated')!r} in a summary "
+            f"{'with' if truncated else 'without'} a failure"
+        )
+    if truncated and len(points) >= config_points:
+        failures.append(f"truncated run holds {len(points)} of config.points {config_points}")
+    elif not truncated and len(points) != config_points:
+        failures.append(f"run holds {len(points)} points, not config.points {config_points}")
+    failures += _timings_failures(run_dir / "timings.json", len(points))
     sigma = None
     state_path = run_dir / "state.json"
     if state_path.exists():
         sigma, state_U, state_rho, state_t = data.state_arrays(data.load_json(state_path))
+        instance = summary.get("instance")
+        instance_n = instance.get("n") if isinstance(instance, dict) else None
+        if instance_n != sigma.shape[0]:
+            failures.append(
+                f"{state_path.name}: sigma is n={sigma.shape[0]}, not instance.n {instance_n!r}"
+            )
         if state_t != config_t:
             failures.append(f"{state_path.name}: t {state_t!r} is not config.t {config_t!r}")
         if points and state_rho != points[-1]["rho"]:
@@ -377,11 +425,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
                 failures.append(f"{name} is missing")
             elif (run_dir / name).read_bytes() != text.encode():
                 failures.append(f"{name} is not the CSV the run derives")
-        failures += [
-            f"{f.name} belongs to no point"
-            for f in sorted(run_dir.glob("edges_*.csv"))
-            if f.name not in expected
-        ]
+        if not stacks and (run_dir / "edges.csv").exists():
+            failures.append("edges.csv in a run without stacks")
     return failures
 
 
@@ -417,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     solve.add_argument("--output", default="covpath_run")
     solve.add_argument(
-        "--no-matrices", action="store_true", help="skip the U and X stacks and the edge files"
+        "--no-matrices", action="store_true", help="skip the U and X stacks and edges.csv"
     )
 
     online = sub.add_parser("online", help="re-solve after a covariance perturbation")

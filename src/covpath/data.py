@@ -29,6 +29,7 @@ from .symmat import cholesky_logdet, invert_pd, symmetrize
 SUMMARY_SCHEMA = "covpath.summary/1"
 STATE_SCHEMA = "covpath.state/2"
 BENCH_SCHEMA = "covpath.bench/1"
+TIMINGS_SCHEMA = "covpath.timings/1"
 
 FLOAT_FMT = "%.17g"
 
@@ -244,7 +245,7 @@ def build_summary(path_result, instance: dict, config: dict) -> dict:
 
 def build_timings(path_result) -> dict:
     return {
-        "schema": "covpath.timings/1",
+        "schema": TIMINGS_SCHEMA,
         "per_point_wall_time": [pt.wall_time for pt in path_result.points],
         "total_wall_time": float(sum(pt.wall_time for pt in path_result.points)),
     }

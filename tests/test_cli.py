@@ -60,6 +60,7 @@ class TestSolve:
         assert (out / "state.json").exists()
         assert (out / "plot_cardinality.csv").exists()
         assert (out / "plot_cg.csv").exists()
+        assert (out / "edges.csv").read_text() == ""
         stack = np.load(out / "X.npy")
         assert stack.shape == (5, 3, 3)
         for X in stack:
@@ -272,11 +273,14 @@ class TestSolve:
         summary = load_json(out / "summary.json")
         zero_tol = summary["config"]["zero_tol"]
         stack = np.load(out / "X.npy")
+        lines = (out / "edges.csv").read_text().split()
+        rows = np.array([line.split(",") for line in lines], dtype=int).reshape(-1, 3)
+        assert np.all(np.diff(rows[:, 0]) >= 0)
+        assert set(rows[:, 0]) <= set(range(5))
         for idx, pt in enumerate(summary["points"]):
             X = stack[idx]
             mask = support_mask(X, zero_tol)
-            lines = (out / f"edges_{idx:03d}.csv").read_text().split()
-            edges = np.array([line.split(",") for line in lines], dtype=int).reshape(-1, 2)
+            edges = rows[rows[:, 0] == idx, 1:]
             assert np.array_equal(edges, np.argwhere(np.triu(mask, 1)))
             assert cardinality(X, zero_tol) == pt["cardinality"] == np.count_nonzero(mask)
             assert pt["cardinality"] == np.count_nonzero(np.diag(mask)) + 2 * len(edges)
@@ -296,9 +300,9 @@ class TestSolve:
                        "--output", online) == 0
         ref = tmp_path / "ref.csv"
         csvs = sorted(run.glob("*.csv"))
-        assert len(csvs) == 2 + 5
+        assert len(csvs) == 2 + 1
         for f in csvs:
-            fmt = "%d" if f.name.startswith("edges_") else "%.17g"
+            fmt = "%d" if f.name == "edges.csv" else "%.17g"
             m = load_matrix(f) if f.stat().st_size else np.empty((0, 2))
             np.savetxt(ref, m, delimiter=",", fmt=fmt)
             assert f.read_bytes() == ref.read_bytes(), f.name
@@ -315,6 +319,19 @@ class TestSolve:
         for f in jsons:
             expected = json.dumps(load_json(f), sort_keys=True, separators=(",", ":"))
             assert f.read_text() == expected + "\n", f.name
+
+    @pytest.mark.parametrize("flags, names", [
+        ((), ["U.npy", "X.npy", "edges.csv", "plot_cardinality.csv", "plot_cg.csv",
+              "state.json", "summary.json", "timings.json"]),
+        (("--no-matrices",), ["plot_cardinality.csv", "plot_cg.csv", "state.json",
+                              "summary.json", "timings.json"]),
+    ], ids=["matrices", "no-matrices"])
+    def test_run_directory_holds_these_files(self, tmp_path, flags, names):
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
+                       "--output", out, *flags) == 0
+        assert sorted(f.name for f in out.iterdir()) == names
+        assert run_cli("verify", out) == 0
 
 
 class TestVerify:
@@ -352,6 +369,8 @@ class TestVerify:
         result = run_path(INDEFINITE, PathConfig(points=8))
         assert result.truncated and len(result.points) == 3
         config = {
+            "points": 8,
+            "mode": "scaling",
             "t": result.t,
             "zero_tol": PathConfig.zero_tol,
             "tol_residual": CorrectorConfig().residual_tol(3),
@@ -515,29 +534,83 @@ class TestVerify:
         assert self._fails(capsys, run7) == [
             "FAIL: point 1: cardinality mismatch on recount",
             "FAIL: point 1: X.npy[1] is not the inverse of U.npy[1]",
-            "FAIL: edges_001.csv is not the CSV the run derives",
+            "FAIL: edges.csv is not the CSV the run derives",
         ]
 
     def test_edited_edge_list_fails(self, run7, capsys):
-        assert (run7 / "edges_002.csv").read_text() != "0,1\n"
-        (run7 / "edges_002.csv").write_text("0,1\n")
-        assert self._fails(capsys, run7) == ["FAIL: edges_002.csv is not the CSV the run derives"]
+        rows = (run7 / "edges.csv").read_text()
+        assert "2,0,1\n" not in rows
+        (run7 / "edges.csv").write_text(rows + "2,0,1\n")
+        assert self._fails(capsys, run7) == ["FAIL: edges.csv is not the CSV the run derives"]
 
     def test_missing_edge_list_fails(self, run7, capsys):
-        (run7 / "edges_003.csv").unlink()
-        assert self._fails(capsys, run7) == ["FAIL: edges_003.csv is missing"]
+        (run7 / "edges.csv").unlink()
+        assert self._fails(capsys, run7) == ["FAIL: edges.csv is missing"]
 
     def test_edited_plot_file_fails(self, run7, capsys):
         (run7 / "plot_cg.csv").write_text("1,2\n")
         assert self._fails(capsys, run7) == ["FAIL: plot_cg.csv is not the CSV the run derives"]
 
-    @pytest.mark.parametrize("flags", [(), ("--no-matrices",)], ids=["stacks", "no-matrices"])
-    def test_edge_list_of_no_point_fails(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, fail", [
+        ((), "edges.csv is not the CSV the run derives"),
+        (("--no-matrices",), "edges.csv in a run without stacks"),
+    ], ids=["stacks", "no-matrices"])
+    def test_edge_list_of_no_point_fails(self, tmp_path, capsys, flags, fail):
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
                        "--output", out, *flags) == 0
-        (out / "edges_004.csv").write_text("0,1\n")
-        assert self._fails(capsys, out) == ["FAIL: edges_004.csv belongs to no point"]
+        with open(out / "edges.csv", "a") as f:
+            f.write("4,0,1\n")
+        assert self._fails(capsys, out) == [f"FAIL: {fail}"]
+
+    @pytest.mark.parametrize("name", [
+        "state.json", "timings.json", "U.npy", "X.npy", "edges.csv",
+        "plot_cardinality.csv", "plot_cg.csv",
+    ])
+    def test_every_written_file_is_checked(self, run7, name):
+        (run7 / name).unlink()
+        assert run_cli("verify", run7) == 3
+
+    @pytest.mark.parametrize("edit, fail", [
+        (lambda tm: tm.update(schema="covpath.timings/0"),
+         "timings.json: schema 'covpath.timings/0' is not 'covpath.timings/1'"),
+        (lambda tm: tm["per_point_wall_time"].pop(),
+         "timings.json: per_point_wall_time is not 4 finite numbers >= 0"),
+        (lambda tm: tm["per_point_wall_time"].__setitem__(1, -1e-3),
+         "timings.json: per_point_wall_time is not 4 finite numbers >= 0"),
+        (lambda tm: tm.update(total_wall_time=tm["total_wall_time"] * (1 + 2**-52)),
+         "timings.json: total_wall_time"),
+    ], ids=["schema", "one-short", "negative", "edited-total"])
+    def test_timings_are_checked(self, run7, capsys, edit, fail):
+        timings = load_json(run7 / "timings.json")
+        edit(timings)
+        dump_json(run7 / "timings.json", timings)
+        fails = self._fails(capsys, run7)
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL: {fail}")
+
+    @pytest.mark.parametrize("edit, fail", [
+        (lambda s: s["instance"].update(n=99), "state.json: sigma is n=7, not instance.n 99"),
+        (lambda s: s.update(mode="bogus"), "mode 'bogus' is not one of scaling, predictor"),
+        (lambda s: s.update(mode="predictor"), "mode 'predictor' is not config.mode 'scaling'"),
+        (lambda s: s.update(truncated=True),
+         "truncated is True in a summary without a failure"),
+        (lambda s: s["config"].update(points=3), "run holds 4 points, not config.points 3"),
+        (lambda s: s.update(truncated=True, failure={"rho": 0.1, "error": "stalled"}),
+         "truncated run holds 4 of config.points 4"),
+    ], ids=["instance-n", "mode", "config-mode", "truncated", "points", "truncated-points"])
+    def test_summary_fields_are_checked(self, run7, capsys, edit, fail):
+        summary = load_json(run7 / "summary.json")
+        edit(summary)
+        dump_json(run7 / "summary.json", summary)
+        assert self._fails(capsys, run7) == [f"FAIL: {fail}"]
+
+    @pytest.mark.parametrize("key", ["points", "mode"])
+    def test_config_without_points_or_mode_is_input_error(self, run7, capsys, key):
+        summary = load_json(run7 / "summary.json")
+        del summary["config"][key]
+        dump_json(run7 / "summary.json", summary)
+        assert run_cli("verify", run7) == 2
+        assert "input error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["U.npy", "X.npy"])
     @pytest.mark.parametrize("change, held", [

@@ -18,7 +18,11 @@ and stay independent.
   the state differently compare by content: the arrays bit for bit, rho
   and t exactly. The ``U.npy``/``X.npy`` stacks compare slice by slice,
   slice k of one tree bit for bit against slice k of the other, so that a
-  difference names its point.
+  difference names its point. Edge lists compare point by point too:
+  point k's is the bytes of ``edges_###.csv`` number k in a tree that
+  writes one file per point, and the ``i,j`` part of the ``k,`` rows of
+  ``edges.csv`` in one that writes a file per run, so the two layouts
+  compare by content.
 * ``--streams`` update streams shaped like the benchmark's online-stream
   workload (``perfbench/workloads.py``: n=10, 12 rank-one updates each at
   rho = 0.3 rho_max) go through ``path.run_online`` with each tree. Every
@@ -88,9 +92,22 @@ def matrix_content(m) -> tuple:
     return m.shape, m.dtype.str, np.ascontiguousarray(m).tobytes()
 
 
+def edge_lists(f: Path, count: int) -> dict:
+    """``edges[k]`` for each of a run's ``count`` points: the bytes of the
+    ``i,j`` part of the ``k,`` rows of its ``edges.csv``, empty for a point
+    with no edge."""
+    rows = f.read_bytes().splitlines(keepends=True)
+    lists = {}
+    for k in range(count):
+        prefix = f"{k},".encode()
+        lists[f"edges[{k}]"] = b"".join(r[len(prefix):] for r in rows if r.startswith(prefix))
+    return lists
+
+
 def artifacts(tree, out: Path) -> dict:
     """A run's artifacts by name; each point's U and X, slice k of its
-    ``.npy`` stack, under ``U[k]`` and ``X[k]``."""
+    ``.npy`` stack, under ``U[k]`` and ``X[k]``, and its edge list under
+    ``edges[k]``."""
     files = {}
     for f in sorted(out.rglob("*")):
         if not f.is_file() or f.name in SKIPPED:
@@ -101,6 +118,11 @@ def artifacts(tree, out: Path) -> dict:
         elif f.suffix == ".npy":
             for k, m in enumerate(np.load(f, allow_pickle=False)):
                 files[f"{f.stem}[{k}]"] = matrix_content(m)
+        elif f.name == "edges.csv":
+            count = len(json.loads((out / "summary.json").read_bytes())["points"])
+            files.update(edge_lists(f, count))
+        elif f.name.startswith("edges_"):  # one file per point, edges_###.csv
+            files[f"edges[{int(f.stem.removeprefix('edges_'))}]"] = f.read_bytes()
         else:
             files[name] = f.read_bytes()
     return files

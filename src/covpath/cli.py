@@ -41,7 +41,8 @@ X_MATCH_RTOL = 1e-8
 # A run's matrices: (P, n, n) float64 stacks of every point's U and X.
 STACKS = ("U.npy", "X.npy")
 
-INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError)
+INPUT_ERRORS = (ParseError, AsymmetricInput, NonPositiveDiagonal, DegenerateInstance, ValueError,
+                OSError)
 
 # --gen key -> (GeneratorSpec field, parser).
 GEN_KEYS = {
@@ -52,10 +53,9 @@ GEN_KEYS = {
 }
 
 
-def _parse_gen_spec(text: str, fallback_seed: int) -> data.GeneratorSpec:
-    """GeneratorSpec from ``key=value`` items; ``seed`` falls back to
-    ``fallback_seed`` and the other omitted keys to GeneratorSpec's defaults.
-    Unknown and repeated keys are input errors."""
+def _parse_gen_spec(text: str) -> data.GeneratorSpec:
+    """GeneratorSpec from ``key=value`` items, an omitted key taking its
+    GeneratorSpec default. Unknown and repeated keys are input errors."""
     fields = {}
     for item in text.split(","):
         if not item:
@@ -72,13 +72,12 @@ def _parse_gen_spec(text: str, fallback_seed: int) -> data.GeneratorSpec:
         fields[name] = parse(value.strip())
     if "n" not in fields:
         raise ValueError("--gen needs n=<int>")
-    fields.setdefault("seed", fallback_seed)
     return data.GeneratorSpec(**fields)
 
 
 def _load_instance(args) -> tuple[np.ndarray, dict]:
     if args.gen:
-        spec = _parse_gen_spec(args.gen, args.seed)
+        spec = _parse_gen_spec(args.gen)
         sigma, _ = data.generate_problem(spec)
         meta = {"n": sigma.shape[0], "source": f"gen:{args.gen}", "seed": spec.seed}
     elif args.sigma:
@@ -109,12 +108,26 @@ def _derived_csvs(points: list[dict], n: int, zero_tol: float, Xs) -> dict[str, 
     return texts
 
 
+def _run_files(points: int, matrices: bool) -> set[str]:
+    """Names of the files a run of ``points`` points writes: four in every
+    run, ``state.json`` with points, and the stacks and ``edges.csv`` with
+    points and ``matrices``. ``_run_files(1, True)`` holds every name."""
+    names = {"summary.json", "timings.json", "plot_cardinality.csv", "plot_cg.csv"}
+    if points:
+        names |= {"state.json", *STACKS, "edges.csv"} if matrices else {"state.json"}
+    return names
+
+
 def _write_run_artifacts(out: Path, result, summary: dict, write_matrices: bool) -> None:
+    """Write a run into ``out``, removing an earlier run's files that it does not."""
+    files = _run_files(len(result.points), write_matrices)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _run_files(1, True) - files:
+        (out / name).unlink(missing_ok=True)
     data.dump_json(out / "summary.json", summary)
     data.dump_json(out / "timings.json", data.build_timings(result))
-    Xs = [pt.X for pt in result.points] if write_matrices else []
-    if result.points:
+    Xs = [pt.X for pt in result.points] if "X.npy" in files else []
+    if "state.json" in files:
         last = result.points[-1]
         data.dump_json(
             out / "state.json", data.build_state(result.sigma, last.U, last.rho, result.t)
@@ -200,6 +213,8 @@ def cmd_online(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError("--repeats must be at least 1")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     lengths = [int(s) for s in args.lengths.split(",") if s]
     cells = []
@@ -254,29 +269,8 @@ def _is_number(value) -> bool:
 
 def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
     """The run's ``(U, X)`` stacks, each float64 of shape (count, n, n) for
-    the n x n ``sigma`` of its state; ``()`` when the run wrote none (with
-    ``--no-matrices``); None when they fail these tests or cannot be
-    checked, which ``failures`` then records. Per-point matrix CSVs are an
-    older run format that holds the matrices elsewhere, so they fail the
-    run."""
-    leftovers = sorted(f.name for f in run_dir.glob("[UX]_[0-9][0-9][0-9].csv"))
-    if leftovers:
-        failures.append(
-            f"{leftovers[0]}: {len(leftovers)} per-point matrix CSVs of an older run "
-            f"format, which verify does not read; matrices belong in {' and '.join(STACKS)}"
-        )
-    present = [(run_dir / name).exists() for name in STACKS]
-    if not any(present):
-        return ()
-    if not all(present):
-        have, missing = STACKS if present[0] else STACKS[::-1]
-        failures.append(f"{have} without {missing}")
-        return None
-    if not count:
-        failures.append(f"{' and '.join(STACKS)} in a run without points")
-        return None
-    if sigma is None:  # state.json is missing, which fails the run already
-        return None
+    the n x n ``sigma`` of its state, or None when either is not, which
+    ``failures`` then records."""
     stacks = [data.load_stack(run_dir / name) for name in STACKS]
     expected = (count, *sigma.shape)
     bad = [
@@ -290,8 +284,6 @@ def _matrix_stacks(run_dir: Path, count: int, sigma, failures: list[str]):
 
 def _timings_failures(path: Path, count: int) -> list[str]:
     """Failures of a run's ``timings.json`` for a summary of ``count`` points."""
-    if not path.exists():
-        return [f"{path.name} is missing"]
     timings = data.load_json(path)
     if not isinstance(timings, dict):
         raise ParseError(f"{path}: not a JSON object")
@@ -355,10 +347,27 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         failures.append(f"truncated run holds {len(points)} of config.points {config_points}")
     elif not truncated and len(points) != config_points:
         failures.append(f"run holds {len(points)} points, not config.points {config_points}")
-    failures += _timings_failures(run_dir / "timings.json", len(points))
-    sigma = None
+    # Each covpath file on disk must be one this run writes, and each one
+    # it writes must be there; only those are checked.
+    present = {name for name in _run_files(1, True) if (run_dir / name).exists()}
+    expected = _run_files(len(points), not present.isdisjoint(STACKS))
+    failures += [f"{name} is missing" for name in sorted(expected - present)]
+    without = "stacks" if points else "points"
+    failures += [f"{name} in a run without {without}" for name in sorted(present - expected)]
+    present &= expected
+    # Per-point matrix CSVs are an older run format that holds the matrices
+    # elsewhere, so they fail the run.
+    leftovers = sorted(f.name for f in run_dir.glob("[UX]_[0-9][0-9][0-9].csv"))
+    if leftovers:
+        failures.append(
+            f"{leftovers[0]}: {len(leftovers)} per-point matrix CSVs of an older run "
+            f"format, which verify does not read; matrices belong in {' and '.join(STACKS)}"
+        )
+    if "timings.json" in present:
+        failures += _timings_failures(run_dir / "timings.json", len(points))
+    sigma = stacks = None
     state_path = run_dir / "state.json"
-    if state_path.exists():
+    if "state.json" in present:
         sigma, state_U, state_rho, state_t = data.state_arrays(data.load_json(state_path))
         instance = summary.get("instance")
         instance_n = instance.get("n") if isinstance(instance, dict) else None
@@ -368,14 +377,13 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             )
         if state_t != config_t:
             failures.append(f"{state_path.name}: t {state_t!r} is not config.t {config_t!r}")
-        if points and state_rho != points[-1]["rho"]:
+        if state_rho != points[-1]["rho"]:
             failures.append(
                 f"{state_path.name}: rho {state_rho!r} is not the last point's "
                 f"rho {points[-1]['rho']!r}"
             )
-    elif points:
-        failures.append(f"{state_path.name} is missing, so no matrix can be checked")
-    stacks = _matrix_stacks(run_dir, len(points), sigma, failures)
+    if sigma is not None and present.issuperset(STACKS):
+        stacks = _matrix_stacks(run_dir, len(points), sigma, failures)
     if stacks and stacks[0][-1].tobytes() != state_U.tobytes():
         failures.append(f"{state_path.name}: U is not bitwise U.npy[{len(points) - 1}]")
     for idx, pt in enumerate(points):
@@ -414,19 +422,14 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
             failures.append(
                 f"point {idx}: recomputed residual {resid:.3e} above 2*tol={2*tol:.3e}"
             )
-    # The derived CSVs are checked unless a stack failed its own checks, or
-    # a run with points lacks the state that gives n (either failed above).
-    # A run without stacks derives no edge list.
-    if stacks is not None and (sigma is not None or not points):
+    # The plot files need the n of the state, when the run has points, and
+    # edges.csv the X stack; a run lacking either has failed above.
+    if sigma is not None or not points:
         n = sigma.shape[0] if points else 1  # no point, no n needed
-        expected = _derived_csvs(points, n, zero_tol, stacks[1] if stacks else ())
-        for name, text in expected.items():
-            if not (run_dir / name).exists():
-                failures.append(f"{name} is missing")
-            elif (run_dir / name).read_bytes() != text.encode():
+        texts = _derived_csvs(points, n, zero_tol, stacks[1] if stacks else ())
+        for name, text in texts.items():
+            if name in present and (run_dir / name).read_bytes() != text.encode():
                 failures.append(f"{name} is not the CSV the run derives")
-        if not stacks and (run_dir / "edges.csv").exists():
-            failures.append("edges.csv in a run without stacks")
     return failures
 
 
@@ -459,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gap-target", type=float, default=PathConfig.gap_target)
     solve.add_argument("--mode", choices=MODES, default=PathConfig.mode)
     solve.add_argument("--zero-tol", type=float, default=PathConfig.zero_tol)
-    solve.add_argument("--seed", type=int, default=data.GeneratorSpec.seed)
     solve.add_argument("--output", default="covpath_run")
     solve.add_argument(
         "--no-matrices", action="store_true", help="skip the U and X stacks and edges.csv"

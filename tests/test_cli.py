@@ -105,12 +105,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("source, seed", [
         (("--gen", "n=10,seed=7"), 7),
-        (("--gen", "n=10", "--seed", "5"), 5),
+        (("--gen", "n=10"), 0),
         (("--sigma", "diag3"), None),
-    ], ids=["gen-seed-key", "gen-seed-flag", "sigma"])
+    ], ids=["gen-seed-key", "gen-default-seed", "sigma"])
     def test_summary_records_the_seed_once(self, tmp_path, diag3_csv, source, seed):
-        # --seed is only the fallback of --gen's seed key; the instance
-        # record holds the seed actually drawn, null when none was.
+        # The instance record holds the seed actually drawn (GeneratorSpec's
+        # default when --gen names none), null when none was.
         args = [diag3_csv if arg == "diag3" else arg for arg in source]
         out = tmp_path / "run"
         assert run_cli("solve", *args, "--points", 3, "--output", out) == 0
@@ -186,10 +186,14 @@ class TestSolve:
         assert not out.exists()
 
     def test_gen_keys_map_to_generator_fields(self):
-        assert cli._parse_gen_spec("n=6", 7) == GeneratorSpec(n=6, seed=7)
-        assert cli._parse_gen_spec(" margin = 0.5,seed=2,n=6,density=0.3,", 7) == GeneratorSpec(
+        assert cli._parse_gen_spec("n=6") == GeneratorSpec(n=6)
+        assert cli._parse_gen_spec(" margin = 0.5,seed=2,n=6,density=0.3,") == GeneratorSpec(
             n=6, density=0.3, seed=2, identity_shift_margin=0.5
         )
+        # The seed is --gen's key alone; solve has no --seed flag.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--gen", "n=6", "--seed", 5)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag, value", [
         ("--rho-min-frac", "1"),
@@ -320,14 +324,20 @@ class TestSolve:
             expected = json.dumps(load_json(f), sort_keys=True, separators=(",", ":"))
             assert f.read_text() == expected + "\n", f.name
 
-    @pytest.mark.parametrize("flags, names", [
-        ((), ["U.npy", "X.npy", "edges.csv", "plot_cardinality.csv", "plot_cg.csv",
-              "state.json", "summary.json", "timings.json"]),
-        (("--no-matrices",), ["plot_cardinality.csv", "plot_cg.csv", "state.json",
-                              "summary.json", "timings.json"]),
-    ], ids=["matrices", "no-matrices"])
-    def test_run_directory_holds_these_files(self, tmp_path, flags, names):
+    @pytest.mark.parametrize("earlier, flags, names", [
+        (None, (), ["U.npy", "X.npy", "edges.csv", "plot_cardinality.csv", "plot_cg.csv",
+                    "state.json", "summary.json", "timings.json"]),
+        (None, ("--no-matrices",), ["plot_cardinality.csv", "plot_cg.csv", "state.json",
+                                    "summary.json", "timings.json"]),
+        # An --output reused from a run of another instance with matrices
+        # holds only this run's files.
+        (("--gen", "n=10,density=0.15,seed=2", "--points", 3), ("--no-matrices",),
+         ["plot_cardinality.csv", "plot_cg.csv", "state.json", "summary.json", "timings.json"]),
+    ], ids=["matrices", "no-matrices", "no-matrices-over-matrices"])
+    def test_run_directory_holds_these_files(self, tmp_path, earlier, flags, names):
         out = tmp_path / "run"
+        if earlier:
+            assert run_cli("solve", *earlier, "--output", out) == 0
         assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
                        "--output", out, *flags) == 0
         assert sorted(f.name for f in out.iterdir()) == names
@@ -489,23 +499,35 @@ class TestVerify:
         assert run_cli("verify", out) == 3
         assert "state.json is missing" in capsys.readouterr().out
 
-    def test_run_without_points_needs_no_state(self, tmp_path, monkeypatch):
-        # A path truncated before its first point writes no state.json.
+    def test_run_without_points_needs_no_state(self, tmp_path, monkeypatch, capsys):
+        # A path truncated before its first point writes no state.json, and
+        # removes the one an earlier run left in its --output, with the
+        # earlier run's matrices.
         def no_points(sigma, cfg):
             return covpath.path.RegularizationPath(
                 sigma=sigma, t=1e-5, mode="scaling",
                 failure=covpath.path.PathFailure(rho=1.0, error="stalled"),
             )
 
-        monkeypatch.setattr(cli, "run_path", no_points)
         out = tmp_path / "run"
-        assert run_cli("solve", "--gen", "n=6,density=0.2,seed=1", "--output", out) == 4
-        assert not (out / "state.json").exists()
-        assert not (out / "U.npy").exists() and not (out / "X.npy").exists()
+        args = ("solve", "--gen", "n=6,density=0.2,seed=1", "--output", out)
+        assert run_cli(*args, "--points", 5) == 0
+        state = (out / "state.json").read_bytes()
+        monkeypatch.setattr(cli, "run_path", no_points)
+        assert run_cli(*args) == 4
+        assert sorted(f.name for f in out.iterdir()) == [
+            "plot_cardinality.csv", "plot_cg.csv", "summary.json", "timings.json"
+        ]
         assert run_cli("verify", out) == 0
         np.save(out / "U.npy", np.empty((0, 6, 6)))
         np.save(out / "X.npy", np.empty((0, 6, 6)))
-        assert run_cli("verify", out) == 3
+        assert self._fails(capsys, out) == [
+            "FAIL: U.npy in a run without points", "FAIL: X.npy in a run without points"
+        ]
+        (out / "U.npy").unlink()
+        (out / "X.npy").unlink()
+        (out / "state.json").write_bytes(state)
+        assert self._fails(capsys, out) == ["FAIL: state.json in a run without points"]
 
     @pytest.fixture()
     def run7(self, tmp_path):
@@ -567,9 +589,9 @@ class TestVerify:
         "state.json", "timings.json", "U.npy", "X.npy", "edges.csv",
         "plot_cardinality.csv", "plot_cg.csv",
     ])
-    def test_every_written_file_is_checked(self, run7, name):
+    def test_every_written_file_is_checked(self, run7, capsys, name):
         (run7 / name).unlink()
-        assert run_cli("verify", run7) == 3
+        assert self._fails(capsys, run7) == [f"FAIL: {name} is missing"]
 
     @pytest.mark.parametrize("edit, fail", [
         (lambda tm: tm.update(schema="covpath.timings/0"),
@@ -629,8 +651,7 @@ class TestVerify:
     @pytest.mark.parametrize("missing", ["U.npy", "X.npy"])
     def test_one_stack_without_the_other_fails(self, run7, capsys, missing):
         (run7 / missing).unlink()
-        other = "X.npy" if missing == "U.npy" else "U.npy"
-        assert self._fails(capsys, run7) == [f"FAIL: {other} without {missing}"]
+        assert self._fails(capsys, run7) == [f"FAIL: {missing} is missing"]
 
     def test_object_stack_is_input_error(self, run7, capsys):
         np.save(run7 / "U.npy", np.array([None, "x"], dtype=object))
@@ -778,6 +799,14 @@ class TestOnlineCmd:
 
 
 class TestBench:
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_is_input_error(self, tmp_path, capsys, repeats):
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--sizes", "6", "--lengths", "3", "--repeats", repeats,
+                       "--output", out) == 2
+        assert "input error: --repeats must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_median_wall_time_is_the_median_of_the_repeats(self, tmp_path):
         out = tmp_path / "bench"
         assert run_cli("bench", "--sizes", "6", "--lengths", "3", "--repeats", 2,
@@ -820,3 +849,24 @@ class TestBench:
             assert coupled > 0
             assert cell["newton_steps"][0] >= coupled
             assert cell["cg_iterations"][0] >= cell["newton_steps"][0]
+
+
+@pytest.mark.parametrize("command", ["solve", "online", "bench"])
+def test_output_naming_a_file_is_input_error(tmp_path, capsys, command):
+    args = {
+        "solve": ("--gen", "n=6,density=0.3,seed=1", "--points", 3),
+        "online": ("--state", tmp_path / "run" / "state.json", "--perturbation",
+                   tmp_path / "zero.csv"),
+        "bench": ("--sizes", 6, "--lengths", 3, "--repeats", 1),
+    }[command]
+    if command == "online":
+        assert run_cli("solve", "--gen", "n=6,density=0.3,seed=5", "--points", 3,
+                       "--output", tmp_path / "run") == 0
+        write_csv(tmp_path / "zero.csv", np.zeros((6, 6)))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    capsys.readouterr()
+    assert run_cli(command, *args, "--output", taken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(taken) in err
+    assert taken.read_text() == "not a directory\n"

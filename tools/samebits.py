@@ -11,18 +11,12 @@ each other relatively, so the two copies load side by side in this process
 and stay independent.
 
 * The first ``--runs`` of the reference runs (:data:`RUNS`) are made with
-  ``covpath solve`` from each tree. Every artifact except ``timings.json``,
-  ``state.json`` and the matrix stacks must be byte-identical, and
-  ``covpath verify`` must pass on each run. Each tree's ``state.json`` is
-  decoded with that tree's own ``data.state_arrays``, so trees that encode
-  the state differently compare by content: the arrays bit for bit, rho
-  and t exactly. The ``U.npy``/``X.npy`` stacks compare slice by slice,
-  slice k of one tree bit for bit against slice k of the other, so that a
-  difference names its point. Edge lists compare point by point too:
-  point k's is the bytes of ``edges_###.csv`` number k in a tree that
-  writes one file per point, and the ``i,j`` part of the ``k,`` rows of
-  ``edges.csv`` in one that writes a file per run, so the two layouts
-  compare by content.
+  ``covpath solve`` from each tree. Every artifact except ``timings.json``
+  must be byte-identical, and ``covpath verify`` must pass on each run.
+  The ``U.npy``/``X.npy`` stacks compare slice by slice, slice k of one
+  tree bit for bit against slice k of the other, and ``edges.csv`` point
+  by point, point k's being the ``i,j`` part of its ``k,`` rows, so that
+  a difference names its point.
 * ``--streams`` update streams shaped like the benchmark's online-stream
   workload (``perfbench/workloads.py``: n=10, 12 rank-one updates each at
   rho = 0.3 rho_max) go through ``path.run_online`` with each tree. Every
@@ -81,12 +75,6 @@ def load_tree(src: Path, name: str, into: Path):
     return sys.modules[name]
 
 
-def state_content(tree, f: Path) -> tuple:
-    """``state.json``'s shape, matrix bytes, rho and t, decoded by ``tree``."""
-    sigma, U, rho, t = tree.data.state_arrays(json.loads(f.read_bytes()))
-    return sigma.shape, sigma.tobytes(), U.tobytes(), rho, t
-
-
 def matrix_content(m) -> tuple:
     """A matrix's shape, dtype and bytes."""
     return m.shape, m.dtype.str, np.ascontiguousarray(m).tobytes()
@@ -104,7 +92,7 @@ def edge_lists(f: Path, count: int) -> dict:
     return lists
 
 
-def artifacts(tree, out: Path) -> dict:
+def artifacts(out: Path) -> dict:
     """A run's artifacts by name; each point's U and X, slice k of its
     ``.npy`` stack, under ``U[k]`` and ``X[k]``, and its edge list under
     ``edges[k]``."""
@@ -113,16 +101,12 @@ def artifacts(tree, out: Path) -> dict:
         if not f.is_file() or f.name in SKIPPED:
             continue
         name = str(f.relative_to(out))
-        if f.name == "state.json":
-            files[name] = state_content(tree, f)
-        elif f.suffix == ".npy":
+        if f.suffix == ".npy":
             for k, m in enumerate(np.load(f, allow_pickle=False)):
                 files[f"{f.stem}[{k}]"] = matrix_content(m)
         elif f.name == "edges.csv":
             count = len(json.loads((out / "summary.json").read_bytes())["points"])
             files.update(edge_lists(f, count))
-        elif f.name.startswith("edges_"):  # one file per point, edges_###.csv
-            files[f"edges[{int(f.stem.removeprefix('edges_'))}]"] = f.read_bytes()
         else:
             files[name] = f.read_bytes()
     return files
@@ -144,7 +128,7 @@ def compare_runs(trees, runs, work: Path) -> list[str]:
                 faults.append(f"{' '.join(args)}: {tree.__name__} solve exited {code}")
             if quiet_main(tree, ["verify", str(out)]) != 0:
                 faults.append(f"{' '.join(args)}: {tree.__name__} run fails covpath verify")
-            files.append(artifacts(tree, out))
+            files.append(artifacts(out))
         old, new = files
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         if differ:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateInstance, Infeasible, NotPositiveDefinite
-from .symmat import PDFactor, checked_symmetric, cholesky_logdet, pd_factor
+from .symmat import PDFactor, checked_symmetric, pd_factor
 
 # Steps toward the box boundary (the corrector's primal and dual steps, the
 # predictor's tangent step) stop STEP_FRAC of the way there.
@@ -105,18 +105,13 @@ def step_to_boundary(reach: float) -> float:
     return 1.0 if reach <= STEP_FRAC else STEP_FRAC / reach
 
 
-def multipliers(
-    p: Problem, U: np.ndarray, t: float, slack: np.ndarray | None = None
-) -> np.ndarray:
-    """Elementwise barrier multipliers [L, M] = t / [s+, s-], stacked as
-    the slacks are, so ``L, M = multipliers(...)`` unpacks them.
-
-    ``slack`` is ``slacks(p, U)`` when the caller already has it. Raises
-    Infeasible when any box slack is non-positive.
-    """
+def multipliers(t: float, slack: np.ndarray) -> np.ndarray:
+    """Elementwise barrier multipliers [L, M] = t / [s+, s-] of the box
+    slacks ``slack`` (:func:`slacks`), stacked as they are, so
+    ``L, M = multipliers(...)`` unpacks them."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    return t / (slacks(p, U) if slack is None else slack)
+    return t / slack
 
 
 def residual(LM: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -132,25 +127,19 @@ def dual_objective(U: PDFactor) -> float:
     return -U.logdet - U.n
 
 
-def primal_objective(p: Problem, X: np.ndarray, logdet: float | None = None) -> float:
-    """Penalized log-likelihood log det X - tr(sigma X) - rho ||X||_1.
-
-    ``logdet`` is log det X when the caller already has it.
-    """
-    if logdet is None:
-        _, logdet = cholesky_logdet(X)
+def primal_objective(p: Problem, X: np.ndarray, logdet: float) -> float:
+    """Penalized log-likelihood log det X - tr(sigma X) - rho ||X||_1, with
+    ``logdet`` = log det X."""
     return float(logdet - np.vdot(p.sigma, X) - p.rho * np.abs(X).sum())
 
 
-def barrier_objective(p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None) -> float:
-    """Barrier function value at U.
+def barrier_objective(U: PDFactor, t: float, slack: np.ndarray) -> float:
+    """Barrier function value at U, whose box slacks are ``slack``.
 
     The barrier sums log slacks over all n^2 ordered index pairs, so each
     off-diagonal face is counted twice; this convention is what produces
     the factor 2t on off-diagonal terms in the row/column block problem.
-    ``slack`` is ``slacks(p, U.matrix)`` when the caller already has it.
     """
-    slack = slacks(p, U.matrix) if slack is None else slack
     return float(-U.logdet - t * np.log(slack[0] * slack[1]).sum())
 
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .barrier import Problem, feasible, gap_bound, multipliers, residual
+from .barrier import (Problem, dual_objective, feasible, gap_bound, multipliers,
+                      primal_objective, residual)
 from .corrector import CorrectorConfig
 from .data import POINT_FIELDS
 from .exceptions import (
@@ -217,9 +218,11 @@ def cmd_bench(args) -> int:
         raise ValueError("--repeats must be at least 1")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     lengths = [int(s) for s in args.lengths.split(",") if s]
+    if min(lengths, default=1) < 1:
+        raise ValueError("--lengths must be at least 1")
+    specs = [data.GeneratorSpec(n=n, density=args.density, seed=args.seed + n) for n in sizes]
     cells = []
-    for n in sizes:
-        spec = data.GeneratorSpec(n=n, density=args.density, seed=args.seed + n)
+    for n, spec in zip(sizes, specs):
         sigma, _ = data.generate_problem(spec)
         for points in lengths:
             cfg = PathConfig(points=points, gap_target=args.gap_target)
@@ -355,14 +358,16 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     without = "stacks" if points else "points"
     failures += [f"{name} in a run without {without}" for name in sorted(present - expected)]
     present &= expected
-    # Per-point matrix CSVs are an older run format that holds the matrices
-    # elsewhere, so they fail the run.
-    leftovers = sorted(f.name for f in run_dir.glob("[UX]_[0-9][0-9][0-9].csv"))
-    if leftovers:
-        failures.append(
-            f"{leftovers[0]}: {len(leftovers)} per-point matrix CSVs of an older run "
-            f"format, which verify does not read; matrices belong in {' and '.join(STACKS)}"
-        )
+    # Per-point CSVs are an older run format that holds the matrices and
+    # edge lists elsewhere, so they fail the run.
+    for prefix, kind, home in (("[UX]", "matrix CSVs", " and ".join(STACKS)),
+                               ("edges", "edge lists", "edges.csv")):
+        leftovers = sorted(f.name for f in run_dir.glob(f"{prefix}_[0-9][0-9][0-9].csv"))
+        if leftovers:
+            failures.append(
+                f"{leftovers[0]}: {len(leftovers)} per-point {kind} of an older run "
+                f"format, which verify does not read; they belong in {home}"
+            )
     if "timings.json" in present:
         failures += _timings_failures(run_dir / "timings.json", len(points))
     sigma = stacks = None
@@ -416,7 +421,13 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         # Negated, so that a NaN in X fails.
         if not np.linalg.norm(X - fresh.inverse) <= X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
             failures.append(f"point {idx}: X.npy[{idx}] is not the inverse of U.npy[{idx}]")
-        H = residual(multipliers(problem, fresh.matrix, pt["t"], slack), fresh.inverse)
+        # The gap check above sees only the difference of the objectives.
+        for key, value in (("dual_obj", dual_objective(fresh)),
+                           ("primal_obj", primal_objective(problem, fresh.inverse, -fresh.logdet))):
+            if not abs(pt[key] - value) <= 1e-9 * max(1.0, abs(value)):
+                failures.append(f"point {idx}: {key} {pt[key]!r} is not {value!r}, "
+                                f"its value at U.npy[{idx}]")
+        H = residual(multipliers(pt["t"], slack), fresh.inverse)
         resid = float(np.linalg.norm(H))
         if resid > 2.0 * tol + 1e-9:
             failures.append(

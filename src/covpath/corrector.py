@@ -102,7 +102,7 @@ def centered(p: Problem, factor: PDFactor, t: float, tol: float) -> bool:
     residual with X = ``factor.inverse`` is at most ``tol``, and the
     duality gap at X is at most 2 n^2 t."""
     try:
-        H = residual(multipliers(p, factor.matrix, t), factor.inverse)
+        H = residual(multipliers(t, slacks(p, factor.matrix)), factor.inverse)
     except Infeasible:
         return False
     if math.sqrt(np.vdot(H, H)) > tol:
@@ -172,8 +172,8 @@ def corrector_run(
     max_gap = gap_bound(n, t)
     factor, slack = feasible(p, start, "corrector start")
 
-    f = barrier_objective(p, factor, t, slack)
-    LM = multipliers(p, factor.matrix, t, slack)
+    f = barrier_objective(factor, t, slack)
+    LM = multipliers(t, slack)
     dual = _clip(SIDE * factor.inverse, LM, KAPPA * LM)
     stats = CorrectorStats()
     full_step = False
@@ -230,7 +230,7 @@ def corrector_run(
                 a *= 0.5
                 continue
             trial_slack = slacks(p, trial.matrix)
-            f_trial = barrier_objective(p, trial, t, trial_slack)
+            f_trial = barrier_objective(trial, t, trial_slack)
             if f_trial <= f - ARMIJO * a * decrement or (a == 1.0 and flat):
                 break
             a *= 0.5
@@ -240,7 +240,7 @@ def corrector_run(
             )
         full_step = a == 1.0
         factor, f, slack = trial, f_trial, trial_slack
-        LM = multipliers(p, factor.matrix, t, slack)
+        LM = multipliers(t, slack)
         if a_dual != 1.0:
             d_dual *= a_dual
         dual += d_dual

@@ -26,6 +26,7 @@ from .barrier import (
     initial_point,
     primal_objective,
     scaling_warm_start,
+    slacks,
 )
 from .corrector import CorrectorConfig, CorrectorStats, centered, corrector_run
 from .exceptions import CovpathError, Infeasible
@@ -163,7 +164,7 @@ def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> Pat
         cardinality=cardinality(X, cfg.zero_tol),
         dual_obj=dual_objective(factor),
         # At a path point log det X = -log det U, which the factor holds.
-        primal_obj=primal_objective(problem, X, logdet=-factor.logdet),
+        primal_obj=primal_objective(problem, X, -factor.logdet),
         gap_bound=gap_bound(problem.n, t),
         cg_iterations=cg_iterations,
         sweeps=stats.sweeps,
@@ -462,11 +463,11 @@ def run_online(
         return factor
 
     cc = corrector_cfg or CorrectorConfig()
-    mu, p_mu = 0.0, p
+    mu = 0.0
     min_step = 2.0**-10
-    while mu < 1.0:
+    while True:
         step = min(1.0 / k, 1.0 - mu)
-        D, _ = barrier_curvature(p_mu, factor, t, slack)
+        D, _ = barrier_curvature(t, slack)
         direction = cg_solve(factor.inverse, D, D * C).direction
         while True:
             mu_next = mu + step
@@ -481,6 +482,8 @@ def run_online(
                     raise Infeasible(
                         "homotopy left the feasible region; reduce the perturbation per call"
                     )
-        slack = None  # the run keeps the slacks of its result to itself
-        mu, p_mu = mu_next, p_next
-    return factor
+        mu = mu_next
+        if mu >= 1.0:
+            return factor
+        # The run keeps the slacks of its result to itself.
+        slack = slacks(p_next, factor.matrix)

@@ -36,26 +36,22 @@ class CGResult:
     rel_residual: float
 
 
-def barrier_curvature(
-    p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def barrier_curvature(t: float, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D = (L^2 + M^2)/t = t/s+^2 + t/s-^2 elementwise, the barrier's
-    curvature at U and the D of its tangent systems, with the squared
-    multipliers [L^2, M^2] it is made from. ``slack`` is
-    ``barrier.slacks(p, U.matrix)`` when the caller already has it."""
-    squares = multipliers(p, U.matrix, t, slack)
+    curvature at the box slacks ``slack`` (``barrier.slacks``) and the D of
+    its tangent systems, with the squared multipliers [L^2, M^2] it is made
+    from."""
+    squares = multipliers(t, slack)
     squares *= squares
     return (squares[0] + squares[1]) / t, squares
 
 
-def build_system(
-    p: Problem, U: PDFactor, t: float, slack: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D, rhs) of the tangent system in rho at a (near-)central iterate U,
-    from differentiating the multiplier maps: D is
-    :func:`barrier_curvature` and rhs = -dH/drho = (L^2 - M^2)/t; X is
-    ``U.inverse``. ``slack`` is as there."""
-    D, squares = barrier_curvature(p, U, t, slack)
+def build_system(t: float, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, rhs) of the tangent system in rho at a (near-)central iterate U
+    with box slacks ``slack``, from differentiating the multiplier maps: D
+    is :func:`barrier_curvature` and rhs = -dH/drho = (L^2 - M^2)/t; X is
+    U^{-1}."""
+    D, squares = barrier_curvature(t, slack)
     return D, (squares[0] - squares[1]) / t
 
 
@@ -168,7 +164,7 @@ def predictor_step_detail(
     starts from it (``path.run_path``).
     """
     slack = slacks(p, U.matrix)
-    D, rhs = build_system(p, U, t, slack)
+    D, rhs = build_system(t, slack)
     result = cg_solve(U.inverse, D, rhs)
     dU = result.direction
     # Largest relative move of a slack toward zero over the full step h.

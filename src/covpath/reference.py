@@ -21,6 +21,7 @@ from .barrier import (
     initial_point,
     multipliers,
     residual,
+    slacks,
 )
 from .corrector import CorrectorConfig, CorrectorStats
 from .exceptions import Infeasible, LineSearchFailure, MaxItersExceeded, MaxSweepsExceeded
@@ -86,7 +87,7 @@ def newton_solve(
     B = B.reshape(n * n, k.size)
 
     for _ in range(cfg.max_iters):
-        H = residual(multipliers(p, U, t, slack), factor.inverse)
+        H = residual(multipliers(t, slack), factor.inverse)
         hnorm = float(np.linalg.norm(H))
         if hnorm <= cfg.tol:
             return factor
@@ -100,7 +101,7 @@ def newton_solve(
             step_vec = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         step = (B @ step_vec).reshape(n, n)
 
-        f0 = barrier_objective(p, factor, t, slack)
+        f0 = barrier_objective(factor, t, slack)
         slope = float(grad @ step_vec)
         # Slack at the float resolution of f0: near the optimum the Armijo
         # decrease underflows while the Newton step still shrinks H.
@@ -113,7 +114,7 @@ def newton_solve(
             except Infeasible:
                 tau *= 0.5
                 continue
-            if barrier_objective(p, trial, t, trial_slack) <= f0 + 1e-4 * tau * slope + f_slack:
+            if barrier_objective(trial, t, trial_slack) <= f0 + 1e-4 * tau * slope + f_slack:
                 break
             tau *= 0.5
         else:
@@ -155,13 +156,13 @@ def central_point(
 
 def explicit_system(p: Problem, U: PDFactor, t: float) -> np.ndarray:
     """Dense n^2 x n^2 operator U^{-1} (x) U^{-1} + diag(vec D), test-scale only."""
-    L, M = multipliers(p, U.matrix, t)
+    L, M = multipliers(t, slacks(p, U.matrix))
     D = (L**2 + M**2) / t
     return np.kron(U.inverse, U.inverse) + np.diag(D.reshape(-1))
 
 
 def _residual_norm(p: Problem, U: np.ndarray, inv: np.ndarray, t: float) -> float:
-    return float(np.linalg.norm(residual(multipliers(p, U, t), inv)))
+    return float(np.linalg.norm(residual(multipliers(t, slacks(p, U)), inv)))
 
 
 def block_cd_run(

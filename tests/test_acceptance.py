@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from covpath import kernels
-from covpath.barrier import Problem, dual_objective, gap_bound, initial_point
+from covpath.barrier import Problem, dual_objective, gap_bound, initial_point, slacks
 from covpath.cli import main as cli_main
 import covpath.path
 from covpath.corrector import CorrectorConfig
@@ -165,7 +165,7 @@ def test_criterion_05_predictor_system_validation():
             t = 1e-3 / (2 * n * n)
             p = Problem(sigma=sigma, rho=rho)
             factor = solve_at(sigma, rho, t, CorrectorConfig(tol_residual=1e-9))
-            D, rhs = build_system(p, factor, t)
+            D, rhs = build_system(t, slacks(p, factor.matrix))
             K = explicit_system(p, factor, t)
             for _ in range(6):
                 P = symmetrize(rng.standard_normal((n, n)))
@@ -178,7 +178,7 @@ def test_criterion_05_predictor_system_validation():
             # slacks well above the step, which tiny t does not leave.
             t_fd = 1e-2
             factor_fd = solve_at(sigma, rho, t_fd, CorrectorConfig(tol_residual=1e-9))
-            D_fd, rhs_fd = build_system(p, factor_fd, t_fd)
+            D_fd, rhs_fd = build_system(t_fd, slacks(p, factor_fd.matrix))
 
             def h_of(U, rho_val):
                 L = t_fd / (rho_val + sigma - U)

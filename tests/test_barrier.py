@@ -104,8 +104,8 @@ class TestFeasible:
             U[i, j] = U[j, i] = value
             with pytest.raises(Infeasible, match=condition):
                 feasible(p, U)
-            with pytest.raises(Infeasible):
-                multipliers(p, U, 1e-3)
+            with pytest.raises(Infeasible, match="U leaves the box"):
+                slacks(p, U)
 
     @pytest.mark.parametrize(
         "U, condition",
@@ -129,7 +129,7 @@ class TestMultipliers:
     def test_centered_box(self):
         sigma = random_pd(np.random.default_rng(1), 3)
         p = Problem(sigma=sigma, rho=1.0)
-        L, M = multipliers(p, sigma, 0.5)
+        L, M = multipliers(0.5, slacks(p, sigma))
         assert np.allclose(L, 0.5, rtol=1e-14)
         assert np.allclose(M, 0.5, rtol=1e-14)
 
@@ -137,8 +137,8 @@ class TestMultipliers:
         rng = np.random.default_rng(2)
         p = random_instance(rng, 4)
         U = random_feasible_point(rng, p)
-        L1, M1 = multipliers(p, U, 0.3)
-        L2, M2 = multipliers(p, U, 0.6)
+        L1, M1 = multipliers(0.3, slacks(p, U))
+        L2, M2 = multipliers(0.6, slacks(p, U))
         assert np.allclose(L2, 2.0 * L1, rtol=1e-15)
         assert np.allclose(M2, 2.0 * M1, rtol=1e-15)
 
@@ -146,7 +146,7 @@ class TestMultipliers:
         sigma = np.array([[1.0, 0.2], [0.2, 2.0]])
         U = np.array([[1.3, 0.1], [0.1, 2.2]])
         p = Problem(sigma=sigma, rho=0.6)
-        L, M = multipliers(p, U, 0.01)
+        L, M = multipliers(0.01, slacks(p, U))
         for i in range(2):
             for j in range(2):
                 assert L[i, j] == 0.01 / (0.6 + sigma[i, j] - U[i, j])
@@ -161,12 +161,18 @@ class TestMultipliers:
         slack = slacks(p, U)
         assert np.array_equal(slack[0], p.sigma + p.rho - U)
         assert np.array_equal(slack[1], U - (p.sigma - p.rho))
-        assert np.array_equal(multipliers(p, U, 0.3), 0.3 / slack)
+        assert np.array_equal(multipliers(0.3, slacks(p, U)), 0.3 / slack)
 
     def test_infeasible_raises(self):
         p = Problem(sigma=np.diag([1.0, 1.0]), rho=0.1)
         with pytest.raises(Infeasible):
-            multipliers(p, np.diag([2.0, 2.0]), 0.1)
+            slacks(p, np.diag([2.0, 2.0]))
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, np.nan])
+    def test_non_positive_t_raises(self, t):
+        p = Problem(sigma=np.diag([1.0, 1.0]), rho=0.5)
+        with pytest.raises(ValueError, match="t must be positive"):
+            multipliers(t, slacks(p, np.eye(2)))
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -176,7 +182,7 @@ class TestMultipliers:
         p = random_instance(rng, 3)
         U = random_feasible_point(rng, p)
         t = 10.0 ** rng.uniform(-6, 0)
-        L, M = multipliers(p, U, t)
+        L, M = multipliers(t, slacks(p, U))
         assert np.allclose(1.0 / L + 1.0 / M, 2.0 * p.rho / t, rtol=1e-12)
 
 
@@ -187,7 +193,7 @@ class TestResidual:
         assert root == pytest.approx((4.0 + np.sqrt(7.0)) / 3.0, abs=1e-12)
         p = Problem(sigma=np.array([[2.0]]), rho=1.0)
         U = pd_factor(np.array([[root]]))
-        H = residual(multipliers(p, U.matrix, 1.0), U.inverse)
+        H = residual(multipliers(1.0, slacks(p, U.matrix)), U.inverse)
         assert np.linalg.norm(H) < 1e-10
 
     def test_zero_at_central_point_positive_off_path(self):
@@ -195,10 +201,14 @@ class TestResidual:
         p = random_instance(rng, 4)
         t = 1e-3
         factor = central_point(p, t, OracleConfig(tol=1e-10))
-        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) < 1e-8
+        assert np.linalg.norm(
+            residual(multipliers(t, slacks(p, factor.matrix)), factor.inverse)
+        ) < 1e-8
         bumped = factor.matrix.copy()
         bumped[0, 0] += 1e-4 * p.rho
-        assert np.linalg.norm(residual(multipliers(p, bumped, t), pd_factor(bumped).inverse)) > 0.0
+        assert np.linalg.norm(
+            residual(multipliers(t, slacks(p, bumped)), pd_factor(bumped).inverse)
+        ) > 0.0
 
 
 class TestObjectives:
@@ -216,11 +226,11 @@ class TestObjectives:
 
     def test_primal_identity_small_rho(self):
         p = Problem(sigma=np.eye(3), rho=1e-12)
-        assert primal_objective(p, np.eye(3)) == pytest.approx(-3.0, abs=1e-9)
+        assert primal_objective(p, np.eye(3), 0.0) == pytest.approx(-3.0, abs=1e-9)
 
     def test_primal_scalar(self):
         p = Problem(sigma=np.array([[2.0]]), rho=1.0)
-        val = primal_objective(p, np.array([[1.0 / 3.0]]))
+        val = primal_objective(p, np.array([[1.0 / 3.0]]), -np.log(3.0))
         assert val == pytest.approx(-np.log(3.0) - 1.0, rel=1e-12)
 
     def test_gap_at_converged_point(self):
@@ -228,7 +238,7 @@ class TestObjectives:
         p = random_instance(rng, 4)
         t = 1e-3 / (2 * 16)
         factor = solve_at(p.sigma, p.rho, t, CorrectorConfig(tol_residual=1e-9))
-        gap = dual_objective(factor) - primal_objective(p, factor.inverse)
+        gap = dual_objective(factor) - primal_objective(p, factor.inverse, -factor.logdet)
         assert 0.0 <= gap <= gap_bound(4, t) + 10 * 1e-9
 
 
@@ -246,14 +256,17 @@ class TestBarrierObjective:
 
         xstar = golden_section(f, 1e-9, 1.0 - 1e-9, tol=1e-12)
         assert xstar == pytest.approx(2**-0.5, abs=1e-7)
-        val = barrier_objective(p, pd_factor(np.array([[xstar]])), t)
+        U = pd_factor(np.array([[xstar]]))
+        val = barrier_objective(U, t, slacks(p, U.matrix))
         assert val == pytest.approx(f(xstar), rel=1e-12)
 
     def test_t_zero_limit(self):
         rng = np.random.default_rng(6)
         p = random_instance(rng, 3)
         U = pd_factor(random_feasible_point(rng, p))
-        assert barrier_objective(p, U, 1e-15) == pytest.approx(-U.logdet, abs=1e-10)
+        assert barrier_objective(U, 1e-15, slacks(p, U.matrix)) == (
+            pytest.approx(-U.logdet, abs=1e-10)
+        )
 
     def test_gradient_matches_finite_differences(self):
         # d(barrier)/dU_ij equals H_ij under single-entry perturbations.
@@ -261,7 +274,7 @@ class TestBarrierObjective:
         p = random_instance(rng, 4)
         U = random_feasible_point(rng, p)
         t = 1e-2
-        L, M = multipliers(p, U, t)
+        L, M = multipliers(t, slacks(p, U))
         H = L - M - np.linalg.inv(U)
 
         def phi(mat):

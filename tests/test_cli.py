@@ -360,6 +360,22 @@ class TestVerify:
         (out / "summary.json").write_text(json.dumps(summary))
         assert run_cli("verify", out) == 3
 
+    def test_objectives_are_recomputed_from_the_saved_u(self, tmp_path, capsys):
+        # Both objectives moved alike keep their gap, all that the gap
+        # checks see; each is also recomputed from U.npy[k].
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
+                       "--output", out) == 0
+        summary = load_json(out / "summary.json")
+        for key in ("dual_obj", "primal_obj"):
+            summary["points"][2][key] += 5.0
+        dump_json(out / "summary.json", summary)
+        fails = self._fails(capsys, out)
+        assert [line.split(" ")[:4] for line in fails] == [
+            ["FAIL:", "point", "2:", key] for key in ("dual_obj", "primal_obj")
+        ]
+        assert all(line.endswith("its value at U.npy[2]") for line in fails)
+
     def test_verify_detects_matrix_corruption(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
@@ -659,18 +675,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "input error:" in err and "U.npy" in err
 
-    @pytest.mark.parametrize("flags", [(), ("--no-matrices",)], ids=["stacks", "no-matrices"])
-    def test_leftover_matrix_csv_fails(self, tmp_path, capsys, flags):
-        # A per-point CSV is a run in the older format: its matrices are
-        # not checked, so the run must not pass on its summary alone.
+    @pytest.mark.parametrize("flags, leftover, kind", [
+        ((), "U_000.csv", "matrix CSVs"),
+        (("--no-matrices",), "U_000.csv", "matrix CSVs"),
+        ((), "edges_000.csv", "edge lists"),
+    ], ids=["stacks", "no-matrices", "edges"])
+    def test_leftover_matrix_csv_fails(self, tmp_path, capsys, flags, leftover, kind):
+        # A per-point CSV is a run in the older format: its matrices and
+        # edges are not checked, so the run must not pass on its summary alone.
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
                        "--output", out, *flags) == 0
-        sigma, U, _, _ = state_arrays(load_json(out / "state.json"))
-        write_csv(out / "U_000.csv", U)
+        if kind == "edge lists":
+            (out / leftover).write_text("0,1\n")
+        else:
+            write_csv(out / leftover, state_arrays(load_json(out / "state.json"))[1])
         fails = self._fails(capsys, out)
         assert len(fails) == 1
-        assert fails[0].startswith("FAIL: U_000.csv: 1 per-point matrix CSVs of an older run")
+        assert fails[0].startswith(f"FAIL: {leftover}: 1 per-point {kind} of an older run")
 
     def test_missing_summary_is_input_error(self, tmp_path, capsys):
         assert run_cli("verify", tmp_path) == 2
@@ -799,12 +821,20 @@ class TestOnlineCmd:
 
 
 class TestBench:
-    @pytest.mark.parametrize("repeats", [0, -1])
-    def test_repeats_below_one_is_input_error(self, tmp_path, capsys, repeats):
+    @pytest.mark.parametrize("argv, message", [
+        (("--repeats", 0), "--repeats must be at least 1"),
+        (("--repeats", -1), "--repeats must be at least 1"),
+        (("--lengths", "3,0"), "--lengths must be at least 1"),
+        (("--sizes", "6,1"), "n must be at least 2"),
+    ], ids=["repeats-0", "repeats--1", "lengths", "sizes"])
+    def test_bad_argument_is_input_error_before_any_solve(self, tmp_path, capsys, argv, message):
+        # The bad entry comes last, after a cell that would solve.
         out = tmp_path / "bench"
-        assert run_cli("bench", "--sizes", "6", "--lengths", "3", "--repeats", repeats,
+        assert run_cli("bench", "--sizes", "6", "--lengths", "3", "--repeats", 1, *argv,
                        "--output", out) == 2
-        assert "input error: --repeats must be at least 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"input error: {message}" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_median_wall_time_is_the_median_of_the_repeats(self, tmp_path):

@@ -15,6 +15,7 @@ from covpath.barrier import (
     initial_point,
     multipliers,
     residual,
+    slacks,
 )
 from covpath.corrector import MAX_HALVINGS, CorrectorConfig, centered, corrector_run
 from covpath.data import GeneratorSpec, generate_problem
@@ -330,7 +331,7 @@ class TestCorrectorSolve:
                     p, U0, t, CorrectorConfig(tol_residual=0.0, max_sweeps=sweeps)
                 )
             except MaxSweepsExceeded as exc:
-                values.append(barrier_objective(p, exc.best, t))
+                values.append(barrier_objective(exc.best, t, slacks(p, exc.best.matrix)))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_agrees_with_block_coordinate_descent(self):
@@ -418,7 +419,7 @@ class TestCorrectorSolve:
         assert len(steps) <= 60
         best = err.value.best
         assert feasible(p, best.matrix)
-        H = residual(multipliers(p, best.matrix, t), best.inverse)
+        H = residual(multipliers(t, slacks(p, best.matrix)), best.inverse)
         assert err.value.residual == pytest.approx(np.linalg.norm(H), rel=1e-12)
         assert err.value.residual > 1e-7
         # The message states the floor estimate ||U| o X o X||_F eps / t of
@@ -480,7 +481,7 @@ class TestCorrectorSolve:
         assert not centered(p, outside, t, tol)
         # Inside the box, but far from the central point.
         off = pd_factor(random_feasible_point(rng, p))
-        assert np.linalg.norm(residual(multipliers(p, off.matrix, t), off.inverse)) > tol
+        assert np.linalg.norm(residual(multipliers(t, slacks(p, off.matrix)), off.inverse)) > tol
         assert not centered(p, off, t, tol)
 
     def test_coordinate_descent_body_agrees_uncompiled(self, monkeypatch):

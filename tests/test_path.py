@@ -94,7 +94,7 @@ class TestRunPath:
         for pt in res.points:
             p = Problem(sigma=small_instance, rho=pt.rho)
             fresh = pd_factor(pt.U)
-            H = residual(multipliers(p, pt.U, res.t), fresh.inverse)
+            H = residual(multipliers(res.t, slacks(p, pt.U)), fresh.inverse)
             assert np.linalg.norm(H) <= 2 * tol
             gap = pt.dual_obj - pt.primal_obj
             assert -1e-10 <= gap <= pt.gap_bound + 10 * tol
@@ -297,7 +297,9 @@ class TestSolveAt:
         t = 1e-5
         factor = solve_at(small_instance, 1.5 * rho_max, t)
         p = Problem(sigma=small_instance, rho=1.5 * rho_max)
-        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) <= 1e-6 * 8
+        assert np.linalg.norm(
+            residual(multipliers(t, slacks(p, factor.matrix)), factor.inverse)
+        ) <= 1e-6 * 8
 
     def test_failure_keeps_its_type(self):
         # Indefinite sigma (eigenvalues -0.8, 1.9, 1.9): below some rho no
@@ -393,8 +395,10 @@ class TestRecenter:
         fresh = pd_factor(factor.matrix)
         assert np.allclose(fresh.inverse, factor.inverse, rtol=0.0, atol=1e-12)
         assert fresh.logdet == pytest.approx(factor.logdet, abs=1e-12)
-        assert np.linalg.norm(residual(multipliers(p, fresh.matrix, t), fresh.inverse)) <= tol
-        gap = dual_objective(fresh) - primal_objective(p, fresh.inverse)
+        assert np.linalg.norm(
+            residual(multipliers(t, slacks(p, fresh.matrix)), fresh.inverse)
+        ) <= tol
+        gap = dual_objective(fresh) - primal_objective(p, fresh.inverse, -fresh.logdet)
         assert gap <= gap_bound(p.n, t)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -548,7 +552,7 @@ class TestOnline:
         C = symmetrize(rng.standard_normal(p.sigma.shape))
         C *= 0.05 * p.rho / np.abs(C).max()
         # run_online's right-hand side: -dH/dmu = D o C with the tangent system's D.
-        rhs = build_system(p, factor, t)[0] * C
+        rhs = build_system(t, slacks(p, factor.matrix))[0] * C
 
         def h_hat(mu):
             sig = p.sigma + mu * C

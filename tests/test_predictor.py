@@ -33,8 +33,8 @@ class TestBuildSystem:
         p = random_instance(rng, 4)
         U = pd_factor(random_feasible_point(rng, p))
         t = 1e-2
-        D, rhs = build_system(p, U, t)
-        L, M = multipliers(p, U.matrix, t)
+        D, rhs = build_system(t, slacks(p, U.matrix))
+        L, M = multipliers(t, slacks(p, U.matrix))
         assert np.allclose(D, (L**2 + M**2) / t, rtol=1e-14)
         assert np.allclose(rhs, (L**2 - M**2) / t, rtol=1e-14)
         assert np.all(D > 0)
@@ -44,7 +44,7 @@ class TestBuildSystem:
         p = random_instance(rng, 4)
         U = random_feasible_point(rng, p)
         t = 1e-2
-        _, rhs = build_system(p, pd_factor(U), t)
+        _, rhs = build_system(t, slacks(p, U))
         d = 1e-5
         fd = (
             h_of(Problem(sigma=p.sigma, rho=p.rho + d), U, t)
@@ -59,7 +59,7 @@ class TestBuildSystem:
         U = random_feasible_point(rng, p)
         t = 1e-2
         factor = pd_factor(U)
-        D, _ = build_system(p, factor, t)
+        D, _ = build_system(t, slacks(p, factor.matrix))
         d = 1e-5
         for i in range(3):
             for j in range(3):
@@ -88,7 +88,7 @@ class TestMatvec:
         p = random_instance(rng, 5)
         U = pd_factor(random_feasible_point(rng, p))
         t = 1e-2
-        D, _ = build_system(p, U, t)
+        D, _ = build_system(t, slacks(p, U.matrix))
         K = explicit_system(p, U, t)
         for _ in range(5):
             P = symmetrize(rng.standard_normal((5, 5)))
@@ -99,7 +99,7 @@ class TestMatvec:
         rng = np.random.default_rng(55)
         p = random_instance(rng, 4)
         U = pd_factor(random_feasible_point(rng, p))
-        D, _ = build_system(p, U, 1e-3)
+        D, _ = build_system(1e-3, slacks(p, U.matrix))
         for _ in range(5):
             P = symmetrize(rng.standard_normal((4, 4)))
             Q = symmetrize(rng.standard_normal((4, 4)))
@@ -132,7 +132,7 @@ class TestCgSolve:
                 B = np.zeros((n, n))
                 B[i, j] = B[j, i] = 1.0 if i == j else 2**-0.5
                 expected[i, j] = B.reshape(-1) @ K @ B.reshape(-1)
-        got = operator_diagonal(factor.inverse, build_system(p, factor, t)[0])
+        got = operator_diagonal(factor.inverse, build_system(t, slacks(p, factor.matrix))[0])
         assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_zero_rhs(self):
@@ -146,7 +146,7 @@ class TestCgSolve:
         t = 1e-3 / 72
         p = Problem(sigma=sigma, rho=rho)
         factor = solve_at(sigma, rho, t, CorrectorConfig(tol_residual=1e-9))
-        D, rhs = build_system(p, factor, t)
+        D, rhs = build_system(t, slacks(p, factor.matrix))
         res = cg_solve(factor.inverse, D, rhs, rel_drop=1e-10)
         K = explicit_system(p, factor, t)
         dense = np.linalg.solve(K, rhs.reshape(-1)).reshape(6, 6)
@@ -169,7 +169,7 @@ class TestCgSolve:
         rng = np.random.default_rng(58)
         p = random_instance(rng, 5)
         factor = pd_factor(random_feasible_point(rng, p))
-        D, rhs = build_system(p, factor, 1e-4)
+        D, rhs = build_system(1e-4, slacks(p, factor.matrix))
         # A zero target is never met: CG runs to its n^2 cap.
         res = cg_solve(factor.inverse, D, rhs, rel_drop=0.0)
         assert res.iterations == 25
@@ -187,7 +187,7 @@ class TestInPlaceUpdates:
         rng = np.random.default_rng(seed)
         p = random_instance(rng, 6)
         factor = pd_factor(random_feasible_point(rng, p))
-        D, rhs = build_system(p, factor, 1e-3)
+        D, rhs = build_system(1e-3, slacks(p, factor.matrix))
         return factor.inverse, D, rhs, symmetrize(rng.standard_normal((6, 6)))
 
     @pytest.mark.parametrize("rel_drop", [1e-1, 1e-10, 0.0])

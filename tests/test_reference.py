@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import random_feasible_point, random_instance
-from covpath.barrier import Problem, multipliers, residual
+from covpath.barrier import Problem, multipliers, residual, slacks
 from covpath.corrector import CorrectorConfig, corrector_run
 from covpath.exceptions import MaxItersExceeded
 from covpath.reference import (
@@ -71,7 +71,9 @@ class TestCentralPoint:
         p = random_instance(rng, 5, density=0.5)
         t = 1e-4
         factor = central_point(p, t, OracleConfig(tol=1e-9))
-        assert np.linalg.norm(residual(multipliers(p, factor.matrix, t), factor.inverse)) <= 1e-9
+        assert np.linalg.norm(
+            residual(multipliers(t, slacks(p, factor.matrix)), factor.inverse)
+        ) <= 1e-9
 
 
 class TestExplicitSystem:
@@ -89,7 +91,7 @@ class TestExplicitSystem:
         U = pd_factor(random_feasible_point(rng, p))
         t = 1e-3
         K = explicit_system(p, U, t)
-        D, _ = build_system(p, U, t)
+        D, _ = build_system(t, slacks(p, U.matrix))
         for i in range(6):
             for j in range(6):
                 E = np.zeros((6, 6))

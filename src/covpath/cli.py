@@ -194,11 +194,10 @@ def cmd_online(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     data.dump_json(out / "state.json", data.build_state(sigma + C, factor.matrix, rho, t))
+    # rho and t are the state's, which state.json beside it holds.
     report = {
-        "schema": "covpath.online/1",
+        "schema": data.ONLINE_SCHEMA,
         "k": args.k,
-        "rho": rho,
-        "t": t,
         "update_frobenius": float(np.linalg.norm(factor.matrix - U_star)),
     }
     if args.verify:
@@ -218,7 +217,10 @@ def cmd_bench(args) -> int:
         raise ValueError("--repeats must be at least 1")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     lengths = [int(s) for s in args.lengths.split(",") if s]
-    if min(lengths, default=1) < 1:
+    for flag, values in (("--sizes", sizes), ("--lengths", lengths)):
+        if not values:
+            raise ValueError(f"{flag} names no value")
+    if min(lengths) < 1:
         raise ValueError("--lengths must be at least 1")
     specs = [data.GeneratorSpec(n=n, density=args.density, seed=args.seed + n) for n in sizes]
     cells = []
@@ -322,8 +324,9 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         config_t = float(summary["config"]["t"])
         config_points = operator.index(summary["config"]["points"])
         config_mode = summary["config"]["mode"]
+        instance_n = operator.index(summary["instance"]["n"])
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"{summary_path}: no usable points/config ({exc!r})") from exc
+        raise ParseError(f"{summary_path}: no usable points/config/instance ({exc!r})") from exc
     if not isinstance(points, list):
         raise ParseError(f"{summary_path}: points is not a list")
     for idx, pt in enumerate(points):
@@ -335,11 +338,8 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     rhos = [pt["rho"] for pt in points]
     if any(b >= a for a, b in zip(rhos, rhos[1:])):
         failures.append("points are not strictly descending in rho")
-    mode = summary.get("mode")
-    if mode not in MODES:
-        failures.append(f"mode {mode!r} is not one of {', '.join(MODES)}")
-    elif mode != config_mode:
-        failures.append(f"mode {mode!r} is not config.mode {config_mode!r}")
+    if config_mode not in MODES:
+        failures.append(f"config.mode {config_mode!r} is not one of {', '.join(MODES)}")
     truncated = "failure" in summary
     if summary.get("truncated") is not truncated:
         failures.append(
@@ -374,8 +374,6 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
     state_path = run_dir / "state.json"
     if "state.json" in present:
         sigma, state_U, state_rho, state_t = data.state_arrays(data.load_json(state_path))
-        instance = summary.get("instance")
-        instance_n = instance.get("n") if isinstance(instance, dict) else None
         if instance_n != sigma.shape[0]:
             failures.append(
                 f"{state_path.name}: sigma is n={sigma.shape[0]}, not instance.n {instance_n!r}"
@@ -391,43 +389,47 @@ def _verify_run_dir(run_dir: Path) -> list[str]:
         stacks = _matrix_stacks(run_dir, len(points), sigma, failures)
     if stacks and stacks[0][-1].tobytes() != state_U.tobytes():
         failures.append(f"{state_path.name}: U is not bitwise U.npy[{len(points) - 1}]")
+    bound = gap_bound(instance_n, config_t)
     for idx, pt in enumerate(points):
         if pt["cardinality"] < 0 or pt["sweeps"] < 0 or pt["cg_iterations"] < 0:
             failures.append(f"point {idx}: negative counter")
-        if pt["t"] != config_t:
-            failures.append(f"point {idx}: t {pt['t']!r} is not config.t {config_t!r}")
-        if sigma is not None and pt["gap_bound"] != gap_bound(sigma.shape[0], pt["t"]):
-            failures.append(f"point {idx}: gap bound {pt['gap_bound']:.3e} is not 2 n^2 t")
         gap = pt["dual_obj"] - pt["primal_obj"]
         if gap < -1e-9:
             failures.append(f"point {idx}: weak duality violated (gap {gap:.3e})")
-        if gap > pt["gap_bound"] + 10.0 * tol + 1e-9:
-            failures.append(f"point {idx}: gap {gap:.3e} above bound {pt['gap_bound']:.3e}")
-        if not stacks:
+        if gap > bound + 10.0 * tol + 1e-9:
+            failures.append(f"point {idx}: gap {gap:.3e} above bound {bound:.3e}")
+        # Each point's U is U.npy[idx]; without the stacks, the last
+        # point's is state.json's, which has no X to recount on.
+        if stacks:
+            U, X, name = stacks[0][idx], stacks[1][idx], f"U.npy[{idx}]"
+            if cardinality(X, zero_tol) != pt["cardinality"]:
+                failures.append(f"point {idx}: cardinality mismatch on recount")
+        elif sigma is not None and idx == len(points) - 1:
+            U, X, name = state_U, None, f"{state_path.name}'s U"
+        else:
             continue
-        X = stacks[1][idx]
-        if cardinality(X, zero_tol) != pt["cardinality"]:
-            failures.append(f"point {idx}: cardinality mismatch on recount")
         # The residual is checked on the saved U: X = U^{-1} stored in
         # float64 fixes U only to about cond(X) * eps, and the multipliers
         # magnify that by t / slack^2.
         # Tested as a corrector start is: exact symmetry, box and PD.
         problem = Problem(sigma=sigma, rho=pt["rho"])
         try:
-            fresh, slack = feasible(problem, stacks[0][idx], f"U.npy[{idx}]")
+            fresh, slack = feasible(problem, U, name)
         except Infeasible as exc:
             failures.append(f"point {idx}: {exc}")
             continue
         # Negated, so that a NaN in X fails.
-        if not np.linalg.norm(X - fresh.inverse) <= X_MATCH_RTOL * np.linalg.norm(fresh.inverse):
-            failures.append(f"point {idx}: X.npy[{idx}] is not the inverse of U.npy[{idx}]")
+        if X is not None and not (
+            np.linalg.norm(X - fresh.inverse) <= X_MATCH_RTOL * np.linalg.norm(fresh.inverse)
+        ):
+            failures.append(f"point {idx}: X.npy[{idx}] is not the inverse of {name}")
         # The gap check above sees only the difference of the objectives.
         for key, value in (("dual_obj", dual_objective(fresh)),
                            ("primal_obj", primal_objective(problem, fresh.inverse, -fresh.logdet))):
             if not abs(pt[key] - value) <= 1e-9 * max(1.0, abs(value)):
                 failures.append(f"point {idx}: {key} {pt[key]!r} is not {value!r}, "
-                                f"its value at U.npy[{idx}]")
-        H = residual(multipliers(pt["t"], slack), fresh.inverse)
+                                f"its value at {name}")
+        H = residual(multipliers(config_t, slack), fresh.inverse)
         resid = float(np.linalg.norm(H))
         if resid > 2.0 * tol + 1e-9:
             failures.append(

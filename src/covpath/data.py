@@ -26,8 +26,9 @@ from .exceptions import (
 )
 from .symmat import cholesky_logdet, invert_pd, symmetrize
 
-SUMMARY_SCHEMA = "covpath.summary/1"
+SUMMARY_SCHEMA = "covpath.summary/2"
 STATE_SCHEMA = "covpath.state/2"
+ONLINE_SCHEMA = "covpath.online/2"
 BENCH_SCHEMA = "covpath.bench/1"
 TIMINGS_SCHEMA = "covpath.timings/1"
 
@@ -215,24 +216,18 @@ def load_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-# The numbers every entry of summary["points"] holds.
-POINT_FIELDS = (
-    "rho", "t", "cardinality", "sweeps", "cg_iterations", "dual_obj", "primal_obj", "gap_bound"
-)
+# The numbers every entry of summary["points"] holds; what holds for the
+# whole run (n, t, the mode) is stated once, in "instance" and "config".
+POINT_FIELDS = ("rho", "cardinality", "sweeps", "cg_iterations", "dual_obj", "primal_obj")
 
 
 def build_summary(path_result, instance: dict, config: dict) -> dict:
     """Deterministic run summary (no wall-clock fields)."""
-    points = [
-        {key: path_result.t if key == "t" else getattr(pt, key) for key in POINT_FIELDS}
-        for pt in path_result.points
-    ]
     summary = {
         "schema": SUMMARY_SCHEMA,
         "instance": instance,
         "config": config,
-        "mode": path_result.mode,
-        "points": points,
+        "points": [{key: getattr(pt, key) for key in POINT_FIELDS} for pt in path_result.points],
         "truncated": path_result.truncated,
     }
     if path_result.failure is not None:

@@ -22,7 +22,6 @@ from .barrier import (
     Problem,
     dual_objective,
     feasible,
-    gap_bound,
     initial_point,
     primal_objective,
     scaling_warm_start,
@@ -77,7 +76,6 @@ class PathPoint:
     cardinality: int
     dual_obj: float
     primal_obj: float
-    gap_bound: float
     cg_iterations: int
     sweeps: int
     corrector_cg_iterations: int
@@ -107,7 +105,6 @@ class RegularizationPath:
 
     sigma: np.ndarray
     t: float
-    mode: str
     points: list[PathPoint] = field(default_factory=list)
     failure: PathFailure | None = None
 
@@ -156,7 +153,7 @@ def _validate_grid(grid: np.ndarray, rho_max: float) -> np.ndarray:
     return grid
 
 
-def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> PathPoint:
+def _make_point(problem, factor, cfg, cg_iterations, stats, wall_time) -> PathPoint:
     X = factor.inverse
     return PathPoint(
         rho=problem.rho,
@@ -165,7 +162,6 @@ def _make_point(problem, factor, t, cfg, cg_iterations, stats, wall_time) -> Pat
         dual_obj=dual_objective(factor),
         # At a path point log det X = -log det U, which the factor holds.
         primal_obj=primal_objective(problem, X, -factor.logdet),
-        gap_bound=gap_bound(problem.n, t),
         cg_iterations=cg_iterations,
         sweeps=stats.sweeps,
         corrector_cg_iterations=stats.inner_passes,
@@ -323,7 +319,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and positive, got {t}")
 
-    path = RegularizationPath(sigma=sigma, t=t, mode=cfg.mode)
+    path = RegularizationPath(sigma=sigma, t=t)
     U_prev = initial_point(p_max)
     factor_prev: PDFactor | None = None
     prev = p_max
@@ -358,7 +354,7 @@ def run_path(sigma: np.ndarray, cfg: PathConfig | None = None) -> Regularization
                 return path
             factor, stats = retried
         wall = time.perf_counter() - tick
-        path.points.append(_make_point(problem, factor, t, cfg, cg_iterations, stats, wall))
+        path.points.append(_make_point(problem, factor, cfg, cg_iterations, stats, wall))
         factor_prev, U_prev, prev = factor, factor.matrix, problem
     return path
 

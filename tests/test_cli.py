@@ -7,10 +7,11 @@ from scipy.sparse.csgraph import connected_components
 
 import covpath.path
 from covpath import cli
-from covpath.barrier import Problem
+from covpath.barrier import Problem, gap_bound
 from covpath.cli import POINT_FIELDS, main
 from covpath.corrector import CorrectorConfig
 from covpath.data import (
+    SUMMARY_SCHEMA,
     GeneratorSpec,
     build_state,
     build_summary,
@@ -235,8 +236,7 @@ class TestSolve:
 
         def fake_run_path(sigma, cfg):
             return RegularizationPath(
-                sigma=sigma, t=1e-5, mode="scaling", points=[],
-                failure=PathFailure(rho=1.0, error="stalled"),
+                sigma=sigma, t=1e-5, points=[], failure=PathFailure(rho=1.0, error="stalled")
             )
 
         monkeypatch.setattr(cli_mod, "run_path", fake_run_path)
@@ -445,15 +445,19 @@ class TestVerify:
         assert "point 2: U.npy[2] is not exactly symmetric" in fails[2]
 
     def test_gap_bound_is_rederived(self, tmp_path, capsys):
+        # The bound is 2 n^2 t of instance.n and config.t, for every point;
+        # a primal objective moved below it by more than that bound fails.
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
-                       "--output", out) == 0
+                       "--no-matrices", "--output", out) == 0
         summary = load_json(out / "summary.json")
-        summary["points"][2]["gap_bound"] *= 10.0
+        bound = gap_bound(7, summary["config"]["t"])
+        summary["points"][2]["primal_obj"] -= 2.0 * bound
         (out / "summary.json").write_text(json.dumps(summary))
-        capsys.readouterr()
-        assert run_cli("verify", out) == 3
-        assert "point 2: gap bound" in capsys.readouterr().out
+        fails = self._fails(capsys, out)
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL: point 2: gap ")
+        assert fails[0].endswith(f"above bound {bound:.3e}")
 
     @staticmethod
     def _fails(capsys, out):
@@ -461,26 +465,43 @@ class TestVerify:
         assert run_cli("verify", out) == 3
         return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
 
-    def test_point_t_is_checked_against_config_and_state(self, tmp_path, capsys):
-        # Without matrices no residual sees t: a point whose t and gap bound
-        # are both ten times too large is consistent with itself.
+    def test_config_t_is_checked_against_state(self, tmp_path, capsys):
+        # config.t is the run's one t; the state's must equal it, and the
+        # last point's residual is recomputed at it from the state's U.
         out = tmp_path / "run"
         assert run_cli("solve", "--gen", "n=7,density=0.3,seed=3", "--points", 4,
                        "--no-matrices", "--output", out) == 0
         summary = load_json(out / "summary.json")
-        summary["points"][2]["t"] *= 10.0
-        summary["points"][2]["gap_bound"] *= 10.0
-        (out / "summary.json").write_text(json.dumps(summary))
-        fails = self._fails(capsys, out)
-        assert any("point 2: t " in line and "is not config.t" in line for line in fails)
-        assert not any("point 1" in line or "point 3" in line for line in fails)
-        summary["points"][2]["t"] /= 10.0
-        summary["points"][2]["gap_bound"] /= 10.0
         summary["config"]["t"] *= 2.0
         (out / "summary.json").write_text(json.dumps(summary))
         fails = self._fails(capsys, out)
-        assert "state.json: t" in fails[0]
-        assert len([line for line in fails if "is not config.t" in line]) == 1 + 4
+        assert fails[0].startswith("FAIL: state.json: t ") and "is not config.t" in fails[0]
+        assert [line.split(" ")[:5] for line in fails[1:]] == [
+            ["FAIL:", "point", "3:", "recomputed", "residual"]
+        ]
+
+    def test_no_matrices_run_checks_the_last_point_from_the_state(self, tmp_path, capsys):
+        # Without the stacks, state.json's U is the last point's U: it is
+        # tested as a start and its objectives are recomputed from it.
+        out = tmp_path / "run"
+        assert run_cli("solve", "--gen", "n=12,density=0.15,seed=1", "--points", 5,
+                       "--no-matrices", "--output", out) == 0
+        written = (out / "summary.json").read_bytes()
+        summary = load_json(out / "summary.json")
+        for key in ("dual_obj", "primal_obj"):
+            summary["points"][4][key] += 5.0
+        dump_json(out / "summary.json", summary)
+        fails = self._fails(capsys, out)
+        assert [line.split(" ")[:4] for line in fails] == [
+            ["FAIL:", "point", "4:", key] for key in ("dual_obj", "primal_obj")
+        ]
+        assert all(line.endswith("its value at state.json's U") for line in fails)
+        (out / "summary.json").write_bytes(written)
+        sigma, U, rho, t = state_arrays(load_json(out / "state.json"))
+        dump_json(out / "state.json", build_state(sigma, U + 5.0 * np.eye(12), rho, t))
+        assert self._fails(capsys, out) == [
+            "FAIL: point 4: state.json's U leaves the box: a box slack is non-positive"
+        ]
 
     def test_state_rho_is_the_last_points(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -521,8 +542,7 @@ class TestVerify:
         # earlier run's matrices.
         def no_points(sigma, cfg):
             return covpath.path.RegularizationPath(
-                sigma=sigma, t=1e-5, mode="scaling",
-                failure=covpath.path.PathFailure(rho=1.0, error="stalled"),
+                sigma=sigma, t=1e-5, failure=covpath.path.PathFailure(rho=1.0, error="stalled")
             )
 
         out = tmp_path / "run"
@@ -627,15 +647,17 @@ class TestVerify:
         assert len(fails) == 1 and fails[0].startswith(f"FAIL: {fail}")
 
     @pytest.mark.parametrize("edit, fail", [
+        (lambda s: s.update(schema="covpath.summary/1"),
+         "unexpected summary schema 'covpath.summary/1'"),
         (lambda s: s["instance"].update(n=99), "state.json: sigma is n=7, not instance.n 99"),
-        (lambda s: s.update(mode="bogus"), "mode 'bogus' is not one of scaling, predictor"),
-        (lambda s: s.update(mode="predictor"), "mode 'predictor' is not config.mode 'scaling'"),
+        (lambda s: s["config"].update(mode="bogus"),
+         "config.mode 'bogus' is not one of scaling, predictor"),
         (lambda s: s.update(truncated=True),
          "truncated is True in a summary without a failure"),
         (lambda s: s["config"].update(points=3), "run holds 4 points, not config.points 3"),
         (lambda s: s.update(truncated=True, failure={"rho": 0.1, "error": "stalled"}),
          "truncated run holds 4 of config.points 4"),
-    ], ids=["instance-n", "mode", "config-mode", "truncated", "points", "truncated-points"])
+    ], ids=["schema-1", "instance-n", "config-mode", "truncated", "points", "truncated-points"])
     def test_summary_fields_are_checked(self, run7, capsys, edit, fail):
         summary = load_json(run7 / "summary.json")
         edit(summary)
@@ -699,17 +721,22 @@ class TestVerify:
         assert "input error:" in capsys.readouterr().err
 
     def test_summary_without_points_or_config_is_input_error(self, tmp_path, capsys):
-        summary = {"schema": "covpath.summary/1"}
-        config = {"tol_residual": 1e-6, "zero_tol": 1e-4}
+        summary = {"schema": SUMMARY_SCHEMA}
+        config = {"tol_residual": 1e-6, "zero_tol": 1e-4, "t": 1e-5, "points": 1, "mode": "scaling"}
+        usable = dict(summary, config=config, instance={"n": 3})
         payloads = (
             summary,
             dict(summary, points=[]),
             dict(summary, points=[], config=[]),
             [1, 2],
-            dict(summary, config=config, points=[{"rho": 1.0}]),
-            dict(summary, config=config, points=[1, 2]),
-            dict(summary, config=config, points=5),
-            dict(summary, config=config, points=[dict(dict.fromkeys(POINT_FIELDS, 0), rho=None)]),
+            dict(usable, points=[{"rho": 1.0}]),
+            dict(usable, points=[1, 2]),
+            dict(usable, points=5),
+            dict(usable, points=[dict(dict.fromkeys(POINT_FIELDS, 0), rho=None)]),
+            # instance.n missing or not an integer
+            dict(usable, points=[], instance={}),
+            dict(usable, points=[], instance={"n": 3.0}),
+            dict(usable, points=[], instance=[3]),
         )
         for payload in payloads:
             (tmp_path / "summary.json").write_text(json.dumps(payload))
@@ -748,7 +775,9 @@ class TestOnlineCmd:
         assert run_cli("online", "--state", state_path, "--perturbation", pert,
                        "--k", 1, "--verify", "--output", out) == 0
         report = load_json(out / "online_report.json")
-        assert report["k"] == 1
+        # rho and t are state.json's alone.
+        assert set(report) == {"schema", "k", "update_frobenius", "verify_frobenius_discrepancy"}
+        assert report["schema"] == "covpath.online/2" and report["k"] == 1
         assert report["verify_frobenius_discrepancy"] <= 1e-6
 
     def test_state_hands_off_the_last_point_losslessly(self, tmp_path):
@@ -826,7 +855,9 @@ class TestBench:
         (("--repeats", -1), "--repeats must be at least 1"),
         (("--lengths", "3,0"), "--lengths must be at least 1"),
         (("--sizes", "6,1"), "n must be at least 2"),
-    ], ids=["repeats-0", "repeats--1", "lengths", "sizes"])
+        (("--sizes", ""), "--sizes names no value"),
+        (("--lengths", ","), "--lengths names no value"),
+    ], ids=["repeats-0", "repeats--1", "lengths", "sizes", "no-sizes", "no-lengths"])
     def test_bad_argument_is_input_error_before_any_solve(self, tmp_path, capsys, argv, message):
         # The bad entry comes last, after a cell that would solve.
         out = tmp_path / "bench"

@@ -25,8 +25,8 @@ from covpath.data import (
     write_csv,
     write_stack,
 )
-from covpath.exceptions import AsymmetricInput, NonPositiveDiagonal, ParseError
-from covpath.path import PathConfig, run_path
+from covpath.exceptions import AsymmetricInput, NonPositiveDiagonal, NumericalBreakdown, ParseError
+from covpath.path import PathConfig, default_rho_grid, run_path
 
 
 class TestLoadCovariance:
@@ -289,8 +289,9 @@ class TestJsonArtifacts:
         dump_json(f2, build_summary(res, meta, cfg))
         assert f1.read_bytes() == f2.read_bytes()
         loaded = load_json(f1)
-        assert loaded["schema"] == "covpath.summary/1"
+        assert loaded["schema"] == "covpath.summary/2"
         assert len(loaded["points"]) == 3
+        assert "mode" not in loaded
         assert "wall_time" not in loaded["points"][0]
 
     def test_state_roundtrip(self, tmp_path):
@@ -313,22 +314,44 @@ class TestJsonArtifacts:
         assert rho == 0.7 and t == 1e-4
         u2[0, 0] = 1.0  # a writable copy, not a view of the decoded bytes
 
-    def test_summary_schema_validates(self, tmp_path):
+    def test_summary_schema_validates(self, tmp_path, monkeypatch):
+        # The summaries that covpath solve writes: untruncated, truncated
+        # after three points (every grid value below the third fails), and
+        # truncated before its first point (every grid value fails).
         import jsonschema
         from importlib import resources
 
-        sigma, _ = generate_problem(GeneratorSpec(n=4, density=0.3, seed=4))
-        res = run_path(sigma, PathConfig(points=2))
-        summary = build_summary(
-            res,
-            {"n": 4, "source": "gen:test", "seed": 4},
-            {"points": 2, "zero_tol": 1e-4, "tol_residual": 4e-6},
-        )
-        dump_json(tmp_path / "s.json", summary)
+        import covpath.path
+        from covpath import cli
+
         schema = json.loads(
             resources.files("covpath.schemas").joinpath("summary.schema.json").read_text()
         )
-        jsonschema.validate(load_json(tmp_path / "s.json"), schema)
+        spec = GeneratorSpec(n=6, density=0.3, seed=4)
+        third = default_rho_grid(generate_problem(spec)[0], 4, PathConfig.rho_min_frac)[2]
+        recenter = covpath.path.recenter
+
+        def failing_below(rho_min):
+            def fails(problem, *args):
+                if problem.rho < rho_min:
+                    raise NumericalBreakdown("injected breakdown")
+                return recenter(problem, *args)
+            return fails
+
+        summaries = []
+        for name, rho_min, code, count in (("full", 0.0, 0, 4), ("truncated", third, 4, 3),
+                                           ("no-points", np.inf, 4, 0)):
+            monkeypatch.setattr(covpath.path, "recenter", failing_below(rho_min))
+            out = tmp_path / name
+            assert cli.main(["solve", "--gen", "n=6,density=0.3,seed=4", "--points", "4",
+                             "--output", str(out)]) == code
+            summary = load_json(out / "summary.json")
+            assert len(summary["points"]) == count and ("failure" in summary) is (code == 4)
+            jsonschema.validate(summary, schema)
+            summaries.append(summary)
+        del summaries[0]["config"]["mode"]
+        with pytest.raises(jsonschema.ValidationError, match="'mode' is a required property"):
+            jsonschema.validate(summaries[0], schema)
 
     def test_point_fields_match_summary_and_schema(self):
         from importlib import resources
